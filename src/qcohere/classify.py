@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, measures
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, kron
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Z
 from .measures import (
     CanonicalMeasures,
     OutOfFamilyError,
@@ -49,10 +49,10 @@ BOUNDARY_TOL = 1e-12
 AUDIT_TOL = 1e-12
 
 # Witness observables on three qubits.
-OBS_O = 2.0 * kron(kron(SIGMA_X, SIGMA_X), SIGMA_X)
-OBS_O1 = 2.0 * kron(kron(SIGMA_X, SIGMA_Z), SIGMA_Z)
-OBS_O2 = 0.25 * kron(
-    kron(IDENTITY_2 + SIGMA_Z, IDENTITY_2 + SIGMA_Z), IDENTITY_2 + SIGMA_Z
+OBS_O = 2.0 * np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X)
+OBS_O1 = 2.0 * np.kron(np.kron(SIGMA_X, SIGMA_Z), SIGMA_Z)
+OBS_O2 = 0.25 * np.kron(
+    np.kron(IDENTITY_2 + SIGMA_Z, IDENTITY_2 + SIGMA_Z), IDENTITY_2 + SIGMA_Z
 )
 
 

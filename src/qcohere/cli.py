@@ -11,7 +11,8 @@ sample owns its generator, the output is identical for any worker count.
 Exit codes: 0 success (and no violations where a violation count is the
 tested claim); 1 claim violation found (``sample`` and the
 ``theorem1-chain`` audit target); 2 I/O failure; 64 usage error;
-65 invalid state input.
+65 invalid state input; 70 internal numerical failure (the eigensolver
+did not converge).
 """
 
 import argparse
@@ -22,13 +23,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
-from . import __version__, classify, measures, states
+from . import __version__, classify, linalg, measures, states
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
 EXIT_BAD_STATE = 65
+EXIT_SOFTWARE = 70
 
 WORKERS_ENV = "QCOHERE_WORKERS"
 
@@ -736,6 +738,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"qcohere: i/o error: {exc}\n")
         return EXIT_IO
+    except linalg.ConvergenceError as exc:
+        sys.stderr.write(f"qcohere: internal error: {exc}\n")
+        return EXIT_SOFTWARE
 
 
 def entry():

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Jacobi sweeps stop once every off-diagonal modulus is below this, or
-# after MAX_SWEEPS full sweeps.
+# Jacobi sweeps stop once every off-diagonal modulus is below this.  A
+# matrix still above it after MAX_SWEEPS full sweeps raises ConvergenceError:
+# 4x4 inputs converge in a handful of sweeps, so hitting the cap is a fault.
 OFF_DIAGONAL_TARGET = 1e-13
 MAX_SWEEPS = 100
 
@@ -43,6 +44,10 @@ class NotHermitianError(LinalgError):
 
 class NotPsdError(LinalgError):
     """Input has an eigenvalue below the PSD tolerance."""
+
+
+class ConvergenceError(RuntimeError):
+    """The Jacobi iteration did not converge within MAX_SWEEPS sweeps."""
 
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
@@ -80,26 +85,6 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the standard block ordering."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product, with an explicit inner-dimension check."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise DimensionError(
-            f"inner dimensions disagree: {ma.shape} times {mb.shape}"
-        )
-    return ma @ mb
-
-
 @dataclass(frozen=True)
 class HermitianEigenDecomposition:
     """Ascending real eigenvalues and the matching orthonormal eigenvector columns."""
@@ -117,12 +102,14 @@ def _jacobi(m: np.ndarray):
 
     Works on nested Python lists: for the 2/4/8-dimensional operators
     handled here, scalar loops beat vectorised updates by a wide margin.
-    Returns (diagonal entries, accumulated unitary) unsorted.
+    Returns (diagonal entries, accumulated unitary) unsorted; raises
+    ConvergenceError when MAX_SWEEPS sweeps leave an off-diagonal entry
+    above OFF_DIAGONAL_TARGET.
     """
     n = m.shape[0]
     a = [list(row) for row in m.tolist()]
     v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
-    for _sweep in range(MAX_SWEEPS):
+    for sweep in range(MAX_SWEEPS + 1):
         off = 0.0
         for p in range(n - 1):
             row = a[p]
@@ -132,6 +119,12 @@ def _jacobi(m: np.ndarray):
                     off = g
         if off < OFF_DIAGONAL_TARGET:
             break
+        if sweep == MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps:"
+                f" largest off-diagonal modulus {off:.3e},"
+                f" target {OFF_DIAGONAL_TARGET:.1e}"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -217,57 +210,7 @@ def spectral_floor(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def psd_sqrt(a) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix."""
-    eig = hermitian_eigen(a)
-    w = clamp_psd_eigenvalues(eig.eigenvalues, context="psd_sqrt input")
-    v = eig.eigenvectors
-    r = (v * np.sqrt(spectral_floor(w))) @ v.conj().T
-    return 0.5 * (r + r.conj().T)
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values, descending: square roots of the eigenvalues of A^H.A."""
-    m = _as_matrix(a)
-    h = m.conj().T @ m
-    h = 0.5 * (h + h.conj().T)
-    w = hermitian_eigen(h).eigenvalues
-    # A^H.A is PSD by construction; small negatives are rounding noise
-    s = np.sqrt(spectral_floor(np.maximum(w, 0.0)))
-    return np.sort(s)[::-1]
-
-
 def induced_one_norm(a) -> float:
     """Maximum over columns of the sum of entry moduli."""
     m = _as_matrix(a)
     return float(np.abs(m).sum(axis=0).max())
-
-
-@dataclass(frozen=True)
-class NormCandidates:
-    """Every norm reading that the inequality-chain audit can consume.
-
-    ``trace_of_square`` is Tr(A^2) taken literally; ``frobenius`` is its
-    square root for PSD input.  Both are carried because the two readings
-    order differently against the largest singular value (see
-    ``tests/test_linalg.py`` for a diagonal counterexample).
-    """
-
-    trace_norm: float
-    frobenius: float
-    trace_of_square: float
-    induced_one: float
-    max_singular: float
-
-
-def norm_candidates(a) -> NormCandidates:
-    """Compute all candidate norms of a square matrix."""
-    m = _as_square(a)
-    s = singular_values(m)
-    return NormCandidates(
-        trace_norm=float(s.sum()),
-        frobenius=float(math.sqrt(float((s * s).sum()))),
-        trace_of_square=float(np.trace(m @ m).real),
-        induced_one=induced_one_norm(m),
-        max_singular=float(s[0]),
-    )

@@ -156,30 +156,41 @@ class ChainReport:
 
 
 def inequality_chain(rho: DensityMatrix) -> ChainReport:
-    """Evaluate the full chain of bounds linking concurrence to l1-coherence."""
+    """Evaluate the full chain of bounds linking concurrence to l1-coherence.
+
+    Only the spin-flip product needs a solve of its own; every norm is read
+    off the spectrum ``w`` that ``rho`` already caches.  For PSD ``rho`` the
+    singular values are the eigenvalues, so ``smax = lambda_max``,
+    ``trace_norm = sum(w)`` and ``frobenius = sqrt(sum(w^2))``.  The spin
+    flip ``(sigma_y x sigma_y) rho* (sigma_y x sigma_y)`` is a unitary
+    conjugation of ``rho*``, whose spectrum is that of ``rho``, so
+    ``smax_flip = smax`` (Wootters, PRL 80, 2245 (1998)).
+    """
     if rho.dim != 4:
         raise MeasureError(f"the inequality chain is defined for dim 4, got dim {rho.dim}")
     roots = _spin_flip_roots(rho)
     conc = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
     sqrt_lmax = float(roots[0])
-    flip = spin_flip(rho)
-    smax = float(linalg.singular_values(rho.matrix)[0])
-    smax_flip = float(linalg.singular_values(flip)[0])
-    nc = linalg.norm_candidates(rho.matrix)
+    w = rho.eigenvalues
+    smax = smax_flip = float(w[-1])
+    trace_norm = float(w.sum())
+    frobenius = math.sqrt(float((w * w).sum()))
+    trace_of_square = rho.purity()
+    induced_one = linalg.induced_one_norm(rho.matrix)
     l1 = l1_coherence(rho)
     smax_product = smax * smax_flip
-    frobenius_product = nc.frobenius * smax_flip
-    trace_sq_product = nc.trace_of_square * smax_flip
+    frobenius_product = frobenius * smax_flip
+    trace_sq_product = trace_of_square * smax_flip
     links = {
         "concurrence_le_sqrt_lambda_max": _verdict(sqrt_lmax - conc),
         "sqrt_lambda_max_le_smax_product": _verdict(smax_product - sqrt_lmax),
-        "smax_le_trace_of_square": _verdict(nc.trace_of_square - smax),
-        "smax_le_frobenius": _verdict(nc.frobenius - smax),
-        "frobenius_le_trace_norm": _verdict(nc.trace_norm - nc.frobenius),
+        "smax_le_trace_of_square": _verdict(trace_of_square - smax),
+        "smax_le_frobenius": _verdict(frobenius - smax),
+        "frobenius_le_trace_norm": _verdict(trace_norm - frobenius),
         "concurrence_le_trace_sq_product": _verdict(trace_sq_product - conc),
         "concurrence_le_frobenius_product": _verdict(frobenius_product - conc),
-        "trace_norm_le_l1_coherence": _verdict(l1 - nc.trace_norm),
-        "induced_one_le_l1_coherence": _verdict(l1 - nc.induced_one),
+        "trace_norm_le_l1_coherence": _verdict(l1 - trace_norm),
+        "induced_one_le_l1_coherence": _verdict(l1 - induced_one),
         "smax_flip_le_one": _verdict(1.0 - smax_flip),
         "concurrence_le_l1_times_smax_flip": _verdict(l1 * smax_flip - conc),
         "concurrence_le_l1_coherence": _verdict(l1 - conc),
@@ -191,8 +202,8 @@ def inequality_chain(rho: DensityMatrix) -> ChainReport:
         frobenius_product=frobenius_product,
         trace_sq_product=trace_sq_product,
         candidate_one_norms={
-            "trace_norm": nc.trace_norm,
-            "induced_one": nc.induced_one,
+            "trace_norm": trace_norm,
+            "induced_one": induced_one,
         },
         l1_coherence=l1,
         link_verdicts=links,
@@ -237,25 +248,33 @@ def bipartition_concurrence(psi: PureState) -> float:
     return _cut_concurrence(pure_to_density(psi))
 
 
-def tangle_residual(psi: PureState) -> float:
-    """Residual three-way entanglement C_A(BC)^2 - C_AB^2 - C_AC^2.
+def _tangle(rho: DensityMatrix, c_ab: float, c_ac: float) -> float:
+    """C_A(BC)^2 - C_AB^2 - C_AC^2 for a three-qubit rank-one ``rho``.
 
-    Partial concurrences come from the spin-flip formula on the numerically
-    reduced states.  Values in [-TANGLE_CLAMP, 0) are rounding noise and
-    collapse to zero; lower values mean an inconsistent construction.
+    Values in [-TANGLE_CLAMP, 0) are rounding noise and collapse to zero;
+    lower values mean an inconsistent construction.
     """
-    if psi.dim != 8:
-        raise MeasureError(f"expected a three-qubit pure state, got dim {psi.dim}")
-    rho = pure_to_density(psi)
     c_cut = _cut_concurrence(rho)
-    c_ab = concurrence(partial_trace(rho, (2, 2, 2), (0, 1)))
-    c_ac = concurrence(partial_trace(rho, (2, 2, 2), (0, 2)))
     t = c_cut * c_cut - c_ab * c_ab - c_ac * c_ac
     if t < -TANGLE_CLAMP:
         raise NumericalInconsistencyError(
             f"tangle residual {t:.3e} is below -{TANGLE_CLAMP:.1e}"
         )
     return max(t, 0.0)
+
+
+def tangle_residual(psi: PureState) -> float:
+    """Residual three-way entanglement C_A(BC)^2 - C_AB^2 - C_AC^2.
+
+    Partial concurrences come from the spin-flip formula on the numerically
+    reduced states.
+    """
+    if psi.dim != 8:
+        raise MeasureError(f"expected a three-qubit pure state, got dim {psi.dim}")
+    rho = pure_to_density(psi)
+    c_ab = concurrence(partial_trace(rho, (2, 2, 2), (0, 1)))
+    c_ac = concurrence(partial_trace(rho, (2, 2, 2), (0, 2)))
+    return _tangle(rho, c_ab, c_ac)
 
 
 @dataclass(frozen=True)
@@ -304,17 +323,11 @@ def canonical_measures_matrix(p: CanonicalThreeQubit) -> CanonicalMeasures:
     rho_a = partial_trace(rho, (2, 2, 2), (0,))
     c_ab = concurrence(rho_ab)
     c_ac = concurrence(rho_ac)
-    c_cut = _cut_concurrence(rho)
-    t = c_cut * c_cut - c_ab * c_ab - c_ac * c_ac
-    if t < -TANGLE_CLAMP:
-        raise NumericalInconsistencyError(
-            f"tangle residual {t:.3e} is below -{TANGLE_CLAMP:.1e}"
-        )
     return CanonicalMeasures(
         c_ab=c_ab,
         c_ac=c_ac,
         coh_ab=l1_coherence(rho_ab),
         coh_ac=l1_coherence(rho_ac),
         coh_a=l1_coherence(rho_a),
-        tangle=max(t, 0.0),
+        tangle=_tangle(rho, c_ab, c_ac),
     )

@@ -47,15 +47,31 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 class DensityMatrix:
     """Validated density operator: Hermitian, unit trace, PSD within tolerance.
 
-    Validation runs one Jacobi eigendecomposition; the spectrum is kept
-    so downstream consumers (matrix square roots, purity checks) do not
-    repeat it.
+    The public constructor validates eagerly: the Hermiticity and trace
+    checks, then one Jacobi eigendecomposition whose spectrum is checked
+    for positivity and kept, so consumers (the matrix square root, the
+    chain norms) never repeat it.  States that are PSD by construction
+    (pure-state projectors, Ginibre draws, partial traces) come from
+    ``_lazy``: the same Hermiticity and trace checks run at once, and the
+    eigendecomposition, with its PSD clamp and ``StateError``, runs on
+    first use of the spectrum.
     """
 
     HERMITIAN_TOL = 1e-10
     TRACE_TOL = 1e-10
 
     def __init__(self, matrix):
+        self._check(matrix)
+        self._spectrum()
+
+    @classmethod
+    def _lazy(cls, matrix) -> "DensityMatrix":
+        """A checked state whose eigendecomposition waits for first use."""
+        rho = cls.__new__(cls)
+        rho._check(matrix)
+        return rho
+
+    def _check(self, matrix):
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateError(f"density matrix must be square, got shape {m.shape}")
@@ -73,29 +89,37 @@ class DensityMatrix:
                 f"trace deviates from 1 by {trace_dev:.3e},"
                 f" tolerance {self.TRACE_TOL:.1e}"
             )
-        eig = linalg.hermitian_eigen(m, tol=self.HERMITIAN_TOL)
+        self.matrix = m
+        self.dim = m.shape[0]
+        self._eigenvalues = None
+        self._eigenvectors = None
+
+    def _adopt_spectrum(self, eig: linalg.HermitianEigenDecomposition):
         try:
             w = linalg.clamp_psd_eigenvalues(eig.eigenvalues, context="density matrix")
         except linalg.NotPsdError as exc:
             raise StateError(str(exc)) from exc
-        self.matrix = m
-        self.dim = m.shape[0]
         self._eigenvalues = w
         self._eigenvectors = eig.eigenvectors
+
+    def _spectrum(self):
+        if self._eigenvalues is None:
+            self._adopt_spectrum(linalg.hermitian_eigen(self.matrix, tol=self.HERMITIAN_TOL))
+        return self._eigenvalues, self._eigenvectors
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum, tiny negatives already clamped to zero."""
-        return self._eigenvalues
+        return self._spectrum()[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._eigenvectors
+        return self._spectrum()[1]
 
     def sqrt(self) -> np.ndarray:
-        """Principal square root, reusing the validation spectrum."""
-        v = self._eigenvectors
-        r = (v * np.sqrt(linalg.spectral_floor(self._eigenvalues))) @ v.conj().T
+        """Principal square root, reusing the cached spectrum."""
+        w, v = self._spectrum()
+        r = (v * np.sqrt(linalg.spectral_floor(w))) @ v.conj().T
         return 0.5 * (r + r.conj().T)
 
     def purity(self) -> float:
@@ -136,7 +160,7 @@ class PureState:
         self.n_qubits = self.dim.bit_length() - 1
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._lazy(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"
@@ -173,7 +197,8 @@ def partial_trace(rho: DensityMatrix, qubit_dims, keep) -> DensityMatrix:
         arr = np.trace(arr, axis1=t, axis2=t + len(current))
         current.pop(t)
     d_out = math.prod(current)
-    return DensityMatrix(arr.reshape(d_out, d_out))
+    # a partial trace of a PSD operator is PSD
+    return DensityMatrix._lazy(arr.reshape(d_out, d_out))
 
 
 @dataclass(frozen=True)
@@ -288,7 +313,8 @@ def ginibre_density(seed: int, index: int, dim: int, rank: int) -> DensityMatrix
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityMatrix(0.5 * (m + m.conj().T))
+    # G.G^H is PSD by construction
+    return DensityMatrix._lazy(0.5 * (m + m.conj().T))
 
 
 def canonical_sample(seed: int, index: int, theta_mode: str = "zero") -> CanonicalThreeQubit:
@@ -373,7 +399,8 @@ def density_matrix_from_json_dict(obj) -> DensityMatrix:
     m = (re + 1j * im).reshape(dim, dim)
     if not np.all(np.isfinite(m)):
         raise StateError("density-matrix JSON contains non-finite entries")
-    # report every residual at once so a bad file is diagnosable in one pass
+    # report every residual at once so a bad file is diagnosable in one pass;
+    # the one eigendecomposition serves both the report and the state
     herm = float(np.abs(m - m.conj().T).max())
     trace_dev = abs(complex(np.trace(m)) - 1.0)
     problems = []
@@ -382,12 +409,15 @@ def density_matrix_from_json_dict(obj) -> DensityMatrix:
     if trace_dev > DensityMatrix.TRACE_TOL:
         problems.append(f"trace deviation {trace_dev:.3e}")
     if not problems:
-        wmin = float(linalg.hermitian_eigen(m).eigenvalues.min())
+        eig = linalg.hermitian_eigen(m, tol=DensityMatrix.HERMITIAN_TOL)
+        wmin = float(eig.eigenvalues.min())
         if wmin < -linalg.PSD_CLAMP:
             problems.append(f"minimum eigenvalue {wmin:.3e}")
     if problems:
         raise StateError("density-matrix file fails validation: " + ", ".join(problems))
-    return DensityMatrix(m)
+    rho = DensityMatrix._lazy(m)
+    rho._adopt_spectrum(eig)
+    return rho
 
 
 def read_density_matrix(path) -> DensityMatrix:

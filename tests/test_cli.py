@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qcohere import cli
+from qcohere import cli, linalg
 from qcohere.states import bell_state, haar_pure_state, werner_state, write_density_matrix
 
 
@@ -285,3 +285,30 @@ def test_json_data_sections_are_reproducible(capsys):
     _, out2, _ = run(capsys, ["audit", "--target", "appendix-a", "--n", "50",
                               "--ensemble", "ginibre", "--seed", "9"])
     assert json.loads(out1)["data"] == json.loads(out2)["data"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--ensemble", "ginibre"],
+        ["sample", "--ensemble", "pure"],
+        ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre"],
+    ],
+    ids=["sample-ginibre", "sample-pure", "chain-ginibre"],
+)
+def test_commands_take_two_solves_per_state(tmp_path, capsys, monkeypatch, solves, argv):
+    # worst-case states redrawn for the chain report cost no solve
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    code, _, _ = run(capsys, [*argv, "--n", "30", "--seed", "7",
+                              "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(solves) == 2 * 30
+
+
+def test_unconverged_solver_exits_70(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    code, _, err = run(capsys, ["audit", "--target", "theorem1-chain", "--n", "2",
+                                "--ensemble", "ginibre", "--seed", "7"])
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert "did not converge" in err

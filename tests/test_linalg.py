@@ -1,7 +1,9 @@
 """Kernel tests: examples with hand-derived values plus randomized properties.
 
 numpy.linalg only ever appears on the oracle side, so the Jacobi solver
-and the kernels built on it are checked against an independent route.
+and the kernels built on it (the square root and spectrum that
+``DensityMatrix`` caches, the norms the inequality chain reads off that
+spectrum) are checked against an independent route.
 """
 
 import math
@@ -9,23 +11,21 @@ import math
 import numpy as np
 import pytest
 
+from qcohere import linalg
 from qcohere.linalg import (
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    ConvergenceError,
     DimensionError,
     NotHermitianError,
     NotPsdError,
-    adjoint,
     hermitian_eigen,
     induced_one_norm,
-    kron,
-    matmul,
-    norm_candidates,
-    psd_sqrt,
-    singular_values,
 )
+from qcohere.measures import SIGMA_YY, inequality_chain, spin_flip
+from qcohere.states import DensityMatrix, StateError
 
 RNG = np.random.default_rng(1905)
 
@@ -54,12 +54,9 @@ def test_pauli_constants():
         assert np.allclose(sigma, sigma.conj().T)
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-
 def test_kron_sigma_y_pair():
-    yy = kron(SIGMA_Y, SIGMA_Y)
+    # the spin-flip operator sigma_y x sigma_y
+    yy = SIGMA_YY
     assert yy[0, 3] == -1
     assert yy[3, 0] == -1
     # hand expansion of the full 4x4 product
@@ -67,40 +64,6 @@ def test_kron_sigma_y_pair():
     expected[0, 3] = expected[3, 0] = -1
     expected[1, 2] = expected[2, 1] = 1
     assert np.array_equal(yy, expected)
-
-
-def test_kron_sigma_z_with_identity():
-    assert np.array_equal(kron(SIGMA_Z, IDENTITY_2), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_mixed_product_identity():
-    # kron(A,B).kron(C,D) = kron(AC, BD)
-    for _ in range(200):
-        a, b, c, d = (
-            RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() <= 1e-10
-
-
-def test_adjoint():
-    assert np.array_equal(adjoint(SIGMA_Y), SIGMA_Y)
-    a = RNG.standard_normal((3, 5)) + 1j * RNG.standard_normal((3, 5))
-    assert np.array_equal(adjoint(adjoint(a)), a)
-    row = np.array([[1j, 0.0]])
-    assert np.array_equal(adjoint(row), np.array([[-1j], [0.0]]))
-
-
-def test_matmul():
-    a = random_hermitian(4)
-    assert np.allclose(matmul(a, np.eye(4)), a)
-    assert np.allclose(matmul(SIGMA_X, SIGMA_Y), 1j * SIGMA_Z)
-    out = matmul(RNG.standard_normal((4, 4)), RNG.standard_normal((4, 2)))
-    assert out.shape == (4, 2)
-    with pytest.raises(DimensionError):
-        matmul(np.eye(4), np.eye(3))
 
 
 def test_eigen_diagonal():
@@ -140,53 +103,65 @@ def test_eigen_reconstruction_properties():
             assert np.abs(e.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-10
 
 
+def test_eigen_raises_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="1 sweeps"):
+        hermitian_eigen(random_hermitian(4))
+
+
 def test_psd_sqrt_identity():
-    assert np.allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
+    assert np.allclose(DensityMatrix(np.eye(4) / 4).sqrt(), np.eye(4) / 2, atol=1e-12)
 
 
 def test_psd_sqrt_diagonal():
-    r = psd_sqrt(np.diag([4.0, 9.0, 0.0, 1.0]).astype(complex))
-    assert np.allclose(r, np.diag([2.0, 3.0, 0.0, 1.0]), atol=1e-12)
+    r = DensityMatrix(np.diag([4.0, 9.0, 0.0, 1.0]).astype(complex) / 14.0).sqrt()
+    assert np.allclose(r, np.diag([2.0, 3.0, 0.0, 1.0]) / math.sqrt(14.0), atol=1e-12)
 
 
 def test_psd_sqrt_squares_back():
     for _ in range(1000):
         rho = random_density(4)
-        r = psd_sqrt(rho)
+        r = DensityMatrix(rho).sqrt()
         assert np.abs(r @ r - rho).max() <= 1e-9
         assert np.abs(r - r.conj().T).max() <= 1e-12
 
 
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(NotPsdError, match="-1.0"):
-        psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
+        linalg.clamp_psd_eigenvalues(np.array([-1.0, 1.0]))
+    bad = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(StateError, match="-5.000e-01"):
+        DensityMatrix(bad)
+    # a lazily solved state passes the eager checks and fails on first use
+    lazy = DensityMatrix._lazy(bad)
+    with pytest.raises(StateError, match="-5.000e-01"):
+        lazy.sqrt()
 
 
 def test_singular_values_identity():
-    assert np.allclose(singular_values(np.eye(4)), np.ones(4), atol=1e-12)
+    w = DensityMatrix(np.eye(4) / 4).eigenvalues
+    assert np.abs(w[::-1] - np.linalg.svd(np.eye(4) / 4, compute_uv=False)).max() <= 1e-12
 
 
 def test_singular_values_of_psd_equal_eigenvalues():
+    # the fact the chain relies on to take every norm from the cached spectrum
     for _ in range(50):
         rho = random_density(4)
-        s = singular_values(rho)
-        w = np.sort(np.linalg.eigvalsh(rho))[::-1]
-        assert np.abs(s - w).max() <= 1e-9
-
-
-def test_singular_values_take_moduli():
-    assert np.allclose(singular_values(np.diag([-3.0, 2.0]).astype(complex)), [3.0, 2.0])
+        s = np.linalg.svd(rho, compute_uv=False)
+        assert np.abs(DensityMatrix(rho).eigenvalues[::-1] - s).max() <= 1e-12
 
 
 def test_singular_values_unitary_invariance():
+    # the spin flip is a unitary conjugation of rho*, so it keeps rho's
+    # singular values; so does any other unitary conjugation
     for _ in range(50):
-        a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-        s = singular_values(a)
-        u = hermitian_eigen(a.conj().T @ a).eigenvectors
-        w = hermitian_eigen(a @ a.conj().T).eigenvectors
-        assert np.abs(singular_values(a @ u) - s).max() <= 1e-10
-        assert np.abs(singular_values(w @ a) - s).max() <= 1e-10
-        assert np.abs(singular_values(w.conj().T @ a @ u) - s).max() <= 1e-10
+        rho = DensityMatrix(random_density(4))
+        w = rho.eigenvalues[::-1]
+        flip = spin_flip(rho)
+        assert np.abs(np.linalg.svd(flip, compute_uv=False) - w).max() <= 1e-12
+        u = hermitian_eigen(random_hermitian(4)).eigenvectors
+        moved = DensityMatrix(u @ rho.matrix @ u.conj().T)
+        assert np.abs(moved.eigenvalues[::-1] - w).max() <= 1e-12
 
 
 def test_induced_one_norm():
@@ -196,27 +171,97 @@ def test_induced_one_norm():
     assert induced_one_norm(werner_matrix(0.9)) == pytest.approx(0.925, abs=1e-12)
 
 
+# --- the norms that the inequality chain reads off the cached spectrum -------
+
+
+def chain_norms(rho: DensityMatrix) -> dict:
+    """Recover each chain norm from the report's values and link margins."""
+    rep = inequality_chain(rho)
+    m = {name: v.margin for name, v in rep.link_verdicts.items()}
+    trace_norm = rep.candidate_one_norms["trace_norm"]
+    frobenius = trace_norm - m["frobenius_le_trace_norm"]
+    smax = frobenius - m["smax_le_frobenius"]
+    return {
+        "smax": smax,
+        "smax_flip": 1.0 - m["smax_flip_le_one"],
+        "trace_norm": trace_norm,
+        "frobenius": frobenius,
+        "trace_of_square": smax + m["smax_le_trace_of_square"],
+        "induced_one": rep.candidate_one_norms["induced_one"],
+    }
+
+
+def numpy_norms(m: np.ndarray) -> dict:
+    s = np.linalg.svd(m, compute_uv=False)
+    s_flip = np.linalg.svd(SIGMA_YY @ m.conj() @ SIGMA_YY, compute_uv=False)
+    w = np.linalg.eigvalsh(m)
+    return {
+        "smax": s[0],
+        "smax_flip": s_flip[0],
+        "trace_norm": s.sum(),
+        "frobenius": math.sqrt((s * s).sum()),
+        "trace_of_square": (w * w).sum(),
+    }
+
+
 def test_norm_candidates_identity():
-    nc = norm_candidates(np.eye(4))
-    assert nc.trace_norm == pytest.approx(4.0, abs=1e-10)
-    assert nc.frobenius == pytest.approx(2.0, abs=1e-10)
-    assert nc.trace_of_square == pytest.approx(4.0, abs=1e-12)
-    assert nc.induced_one == pytest.approx(1.0, abs=1e-12)
-    assert nc.max_singular == pytest.approx(1.0, abs=1e-10)
+    nc = chain_norms(DensityMatrix(np.eye(4) / 4))
+    assert nc["trace_norm"] == pytest.approx(1.0, abs=1e-12)
+    assert nc["frobenius"] == pytest.approx(0.5, abs=1e-12)
+    assert nc["trace_of_square"] == pytest.approx(0.25, abs=1e-12)
+    assert nc["induced_one"] == pytest.approx(0.25, abs=1e-12)
+    assert nc["smax"] == pytest.approx(0.25, abs=1e-12)
+    assert nc["smax_flip"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_norm_candidates_density_trace_norm_is_one():
     for _ in range(100):
-        nc = norm_candidates(random_density(4))
-        assert nc.trace_norm == pytest.approx(1.0, abs=1e-10)
+        nc = chain_norms(DensityMatrix(random_density(4)))
+        assert nc["trace_norm"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_candidates_orders_readings_differently():
     # max_singular > trace_of_square here even though max_singular <= frobenius:
     # the two readings of the "2-norm" are not interchangeable
-    nc = norm_candidates(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex))
-    assert nc.trace_of_square == pytest.approx(0.375, abs=1e-12)
-    assert nc.max_singular == pytest.approx(0.5, abs=1e-10)
-    assert nc.max_singular > nc.trace_of_square
-    assert nc.max_singular < nc.frobenius
-    assert nc.frobenius == pytest.approx(math.sqrt(0.375), abs=1e-10)
+    m = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    nc = chain_norms(DensityMatrix(m))
+    assert nc["trace_of_square"] == pytest.approx(0.375, abs=1e-12)
+    assert nc["smax"] == pytest.approx(0.5, abs=1e-12)
+    assert nc["smax"] > nc["trace_of_square"]
+    assert nc["smax"] < nc["frobenius"]
+    assert nc["frobenius"] == pytest.approx(math.sqrt(0.375), abs=1e-12)
+    oracle = numpy_norms(m)
+    assert oracle["smax"] > oracle["trace_of_square"]
+
+
+def _near_degenerate() -> np.ndarray:
+    # eigenvalues 0.4 and 0.4 - 1e-14 in a seeded random basis
+    g = np.random.default_rng(14).standard_normal((4, 4))
+    u, _ = np.linalg.qr(g + 1j * np.random.default_rng(15).standard_normal((4, 4)))
+    w = np.array([0.4, 0.4 - 1e-14, 0.15, 0.05 + 1e-14])
+    m = (u * w) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+HARD_INPUTS = {
+    "bell-projector": werner_matrix(1.0),
+    "maximally-mixed": np.eye(4, dtype=complex) / 4,
+    "diag-half-quarter-quarter-zero": np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex),
+    "gap-1e-14": _near_degenerate(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_INPUTS))
+def test_chain_norms_match_numpy_oracle_on_hard_inputs(name):
+    m = HARD_INPUTS[name]
+    nc = chain_norms(DensityMatrix(m))
+    for key, value in numpy_norms(m).items():
+        assert abs(nc[key] - value) <= 1e-12, (name, key, nc[key], value)
+
+
+def test_chain_norms_match_numpy_oracle_on_ginibre():
+    for _ in range(200):
+        m = random_density(4)
+        nc = chain_norms(DensityMatrix(m))
+        for key, value in numpy_norms(m).items():
+            assert abs(nc[key] - value) <= 1e-12, (key, nc[key], value)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qcohere import classify
 from qcohere.measures import (
     MeasureError,
     OutOfFamilyError,
@@ -265,3 +266,31 @@ def test_l1_coherence_is_basis_dependent():
 def test_tangle_rejects_wrong_dimension():
     with pytest.raises(MeasureError):
         tangle_residual(bell_state())
+
+
+# --- solve-count guards: each spectrum is computed once per state -----------
+
+
+def test_chain_takes_two_solves_with_validation(solves):
+    # the state's own spectrum (its PSD validation) and the spin-flip product
+    for k in range(5):
+        solves.clear()
+        inequality_chain(ginibre_density(29, k, 4, 4))
+        assert len(solves) == 2
+
+
+def test_pure_one_norm_margins_take_no_solve(solves):
+    checked = 0
+    for k in range(20):
+        solves.clear()
+        rho = classify.ensemble_state("haar-pure", 3, k, 4, 4)
+        _, _, margin_a, _ = classify.one_norm_margins(rho)
+        if margin_a <= classify.AUDIT_TOL:
+            assert solves == []
+            checked += 1
+    assert checked > 0
+
+
+def test_canonical_measures_matrix_skips_the_eight_dim_solve(solves):
+    canonical_measures_matrix(POINT_A)
+    assert solves and all(shape == (4, 4) for shape in solves)

@@ -294,3 +294,12 @@ def test_density_matrix_reader_reports_residuals(tmp_path):
     path.write_text("{not json")
     with pytest.raises(StateError, match="not valid JSON"):
         read_density_matrix(path)
+
+
+def test_density_matrix_reader_solves_once(solves):
+    obj = werner_state(0.9).to_json_dict()
+    solves.clear()
+    rho = density_matrix_from_json_dict(obj)
+    assert len(solves) == 1
+    rho.sqrt()
+    assert len(solves) == 1
