@@ -9,6 +9,7 @@ so callers can see when a W-consistent label coexists with genuine
 three-way entanglement.
 """
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .states import (
     canonical_state,
     ginibre_density,
     haar_pure_state,
-    pure_to_density,
 )
 
 # Case labels emitted by discriminate(); these strings are part of the
@@ -311,11 +311,19 @@ def parameter_witness(p: CanonicalThreeQubit) -> ParameterWitness:
     )
 
 
-# --- one-norm bound audit ----------------------------------------------------
+# --- ensemble audits --------------------------------------------------------
 #
-# The bound under audit says the induced column 1-norm of a two-qubit state
-# never exceeds its l1-coherence.  Two summation conventions for the
-# coherence are in circulation; the audit evaluates both:
+# One engine serves every ensemble command.  A private per-state evaluator
+# is mapped over the indices 0..count-1: inline, one state at a time, at one
+# worker; at more, through a process pool in chunks of CHUNK_SIZE states
+# with WINDOW_PER_WORKER chunks per worker in flight.  The results come back
+# in index order and the caller folds them into Tally objects, so the output
+# is the same for any worker count and any chunk size, and memory does not
+# grow with the count.
+#
+# The bound under the one-norm audit says the induced column 1-norm of a
+# two-qubit state never exceeds its l1-coherence.  Two summation
+# conventions for the coherence are in circulation; the audit evaluates both:
 #   reading A: sum over ordered pairs i != j (the convention used everywhere
 #              else in this package), and
 #   reading B: twice that sum.
@@ -326,12 +334,24 @@ def parameter_witness(p: CanonicalThreeQubit) -> ParameterWitness:
 READING_A = "A"
 READING_B = "B"
 
+CHUNK_SIZE = 256
+WINDOW_PER_WORKER = 2
+
 
 @dataclass(frozen=True)
 class WorstCase:
     margin: float
     sample_index: int
     state: DensityMatrix
+
+    def to_json_dict(self, state_file: str | None = None) -> dict:
+        """The state inline, or only the name of the file it was written to."""
+        record = {"margin": self.margin, "sample_index": self.sample_index}
+        if state_file is None:
+            record["state"] = self.state.to_json_dict()
+        else:
+            record["state_file"] = state_file
+        return record
 
 
 @dataclass(frozen=True)
@@ -342,22 +362,34 @@ class AuditRecord:
     worst_case: WorstCase | None
 
     def to_json_dict(self, state_file: str | None = None) -> dict:
-        worst = None
-        if self.worst_case is not None:
-            worst = {
-                "margin": self.worst_case.margin,
-                "sample_index": self.worst_case.sample_index,
-            }
-            if state_file is None:
-                worst["state"] = self.worst_case.state.to_json_dict()
-            else:
-                worst["state_file"] = state_file
         return {
             "reading": self.reading,
             "violations_found": self.violations_found,
             "entangled_violations": self.entangled_violations,
-            "worst_case": worst,
+            "worst_case": (
+                None if self.worst_case is None else self.worst_case.to_json_dict(state_file)
+            ),
         }
+
+
+@dataclass(frozen=True)
+class LinkRecord:
+    """One link of the inequality chain over an ensemble; ``worst_case`` only if it failed."""
+
+    violations: int
+    min_margin: float
+    min_margin_index: int
+    worst_case: WorstCase | None
+
+    def to_json_dict(self, state_file: str | None = None) -> dict:
+        entry = {
+            "violations": self.violations,
+            "min_margin": self.min_margin,
+            "min_margin_index": self.min_margin_index,
+        }
+        if self.worst_case is not None:
+            entry["worst_case"] = self.worst_case.to_json_dict(state_file)
+        return entry
 
 
 def one_norm_margins(rho: DensityMatrix) -> tuple:
@@ -367,37 +399,150 @@ def one_norm_margins(rho: DensityMatrix) -> tuple:
     return n1, c_a, n1 - c_a, n1 - 2.0 * c_a
 
 
+def one_norm_report(rho: DensityMatrix) -> dict:
+    """The one-norm bound on a single state under both readings, as a JSON object."""
+    n1, c_a, margin_a, margin_b = one_norm_margins(rho)
+    return {
+        "induced_one_norm": n1,
+        "l1_coherence_reading_a": c_a,
+        "l1_coherence_reading_b": 2.0 * c_a,
+        "margin_a": margin_a,
+        "margin_b": margin_b,
+        "violated_a": margin_a > AUDIT_TOL,
+        "violated_b": margin_b > AUDIT_TOL,
+        "concurrence": concurrence(rho),
+    }
+
+
+def _rank(spec: EnsembleSpec, dim: int) -> int:
+    return spec.rank if spec.rank is not None else dim
+
+
 def ensemble_state(kind: str, seed: int, index: int, dim: int, rank: int) -> DensityMatrix:
     """State ``index`` of the named ensemble, as a density matrix."""
     if kind == "haar-pure":
-        return pure_to_density(haar_pure_state(seed, index, dim))
+        return haar_pure_state(seed, index, dim).density()
     if kind == "ginibre":
         return ginibre_density(seed, index, dim, rank)
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
-def one_norm_bound_audit(spec: EnsembleSpec, dim: int = 4) -> tuple:
+@dataclass
+class Tally:
+    """Violation count and extreme margin over an ensemble; ties keep the earliest index.
+
+    ``highest`` keeps the largest margin (an excess), otherwise the smallest
+    (a slack).
+    """
+
+    highest: bool = False
+    violations: int = 0
+    margin: float | None = None
+    index: int | None = None
+
+    def add(self, index: int, margin: float, violated: bool):
+        if violated:
+            self.violations += 1
+        if self.margin is None or (margin > self.margin if self.highest else margin < self.margin):
+            self.margin, self.index = margin, index
+
+    def worst_case(self, spec: EnsembleSpec, dim: int) -> WorstCase | None:
+        """The extreme state, redrawn by its index, if any state violated."""
+        if not self.violations:
+            return None
+        state = ensemble_state(spec.kind, spec.seed, self.index, dim, _rank(spec, dim))
+        return WorstCase(margin=self.margin, sample_index=self.index, state=state)
+
+
+def _evaluate_range(evaluate, kind, seed, dim, rank, lo, hi):
+    """Yield ``evaluate`` of states lo..hi-1.
+
+    ``ensemble_state`` is looked up by name for every state, so a wrapper
+    set on this module sees each draw.
+    """
+    for k in range(lo, hi):
+        yield evaluate(ensemble_state(kind, seed, k, dim, rank))
+
+
+def _evaluate_chunk(job) -> list:
+    return list(_evaluate_range(*job))
+
+
+def _map_states(spec: EnsembleSpec, evaluate, dim: int, workers: int):
+    """Yield ``evaluate(state k)`` for every index k of ``spec``, in index order."""
+    rank = _rank(spec, dim)
+    size = CHUNK_SIZE
+    if workers <= 1 or spec.count <= size:
+        yield from _evaluate_range(evaluate, spec.kind, spec.seed, dim, rank, 0, spec.count)
+        return
+    # imported here so that runs at one worker never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window = deque()
+        for lo in range(0, spec.count, size):
+            job = (evaluate, spec.kind, spec.seed, dim, rank, lo, min(lo + size, spec.count))
+            window.append(pool.submit(_evaluate_chunk, job))
+            if len(window) == WINDOW_PER_WORKER * workers:
+                yield from window.popleft().result()
+        while window:
+            yield from window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _scatter_point(rho: DensityMatrix) -> tuple:
+    return concurrence(rho), l1_coherence(rho)
+
+
+def _chain_verdicts(rho: DensityMatrix) -> dict:
+    return measures.inequality_chain(rho).link_verdicts
+
+
+def _one_norm_point(rho: DensityMatrix) -> tuple:
+    _, _, margin_a, margin_b = one_norm_margins(rho)
+    # the concurrence costs two solves, so only violating states pay for it
+    violated = margin_a > AUDIT_TOL or margin_b > AUDIT_TOL
+    return margin_a, margin_b, violated and concurrence(rho) > 0.0
+
+
+def scatter(spec: EnsembleSpec, tally: Tally, dim: int = 4, workers: int = 1):
+    """Yield (concurrence, l1-coherence) of every state of ``spec``, in index order.
+
+    Each margin ``C_l1 - C`` goes into ``tally``; a margin below
+    ``-LINK_TOL`` violates ``C <= C_l1``.
+    """
+    for k, (conc, coh) in enumerate(_map_states(spec, _scatter_point, dim, workers)):
+        margin = coh - conc
+        tally.add(k, margin, margin < -measures.LINK_TOL)
+        yield conc, coh
+
+
+def chain_audit(spec: EnsembleSpec, dim: int = 4, workers: int = 1) -> dict:
+    """Audit every link of the inequality chain over an ensemble; records by sorted link name."""
+    tallies = defaultdict(Tally)
+    for k, verdicts in enumerate(_map_states(spec, _chain_verdicts, dim, workers)):
+        for name, verdict in verdicts.items():
+            tallies[name].add(k, verdict.margin, not verdict.holds)
+    return {
+        name: LinkRecord(t.violations, t.margin, t.index, t.worst_case(spec, dim))
+        for name, t in sorted(tallies.items())
+    }
+
+
+def one_norm_bound_audit(spec: EnsembleSpec, dim: int = 4, workers: int = 1) -> tuple:
     """Audit the one-norm bound over an ensemble; returns (reading A, reading B) records."""
-    rank = spec.rank if spec.rank is not None else dim
-    counts = {READING_A: 0, READING_B: 0}
-    entangled = {READING_A: 0, READING_B: 0}
-    worst = {READING_A: None, READING_B: None}
-    for k in range(spec.count):
-        rho = ensemble_state(spec.kind, spec.seed, k, dim, rank)
-        _, _, margin_a, margin_b = one_norm_margins(rho)
-        is_entangled = None
-        for reading, margin in ((READING_A, margin_a), (READING_B, margin_b)):
-            if margin <= AUDIT_TOL:
-                continue
-            counts[reading] += 1
-            if is_entangled is None:
-                is_entangled = concurrence(rho) > 0.0
-            if is_entangled:
-                entangled[reading] += 1
-            best = worst[reading]
-            if best is None or margin > best.margin:
-                worst[reading] = WorstCase(margin=margin, sample_index=k, state=rho)
-    return (
-        AuditRecord(READING_A, counts[READING_A], entangled[READING_A], worst[READING_A]),
-        AuditRecord(READING_B, counts[READING_B], entangled[READING_B], worst[READING_B]),
+    tallies = (Tally(highest=True), Tally(highest=True))
+    entangled = [0, 0]
+    for k, (margin_a, margin_b, is_entangled) in enumerate(
+        _map_states(spec, _one_norm_point, dim, workers)
+    ):
+        for i, margin in enumerate((margin_a, margin_b)):
+            violated = margin > AUDIT_TOL
+            tallies[i].add(k, margin, violated)
+            entangled[i] += violated and is_entangled
+    return tuple(
+        AuditRecord(reading, t.violations, count, t.worst_case(spec, dim))
+        for reading, t, count in zip((READING_A, READING_B), tallies, entangled)
     )

@@ -4,9 +4,13 @@ Reproducibility contract: every output embeds a run header (tool
 version, seed, ensemble, count, generator, UTC timestamp).  The header
 carries the timestamp, so re-running a command with identical flags
 reproduces the *data section* byte for byte: for CSV that is every
-non-comment line, for JSON the ``data`` object.  Sampling commands fan
-out across ``QCOHERE_WORKERS`` processes by sample index; because every
-sample owns its generator, the output is identical for any worker count.
+non-comment line, for JSON the ``data`` object.  Ensemble commands
+evaluate their states in ``QCOHERE_WORKERS`` processes by sample index
+and fold the results in index order (the engine lives in ``classify``);
+because every sample owns its generator, the output is identical for any
+worker count.  Rows stream to the output as they are folded.  Every
+output goes through ``_output``: standard output, or a temporary file
+beside the ``--out`` path that replaces it only when the command succeeds.
 
 Exit codes: 0 success (and no violations where a violation count is the
 tested claim); 1 claim violation found (``sample`` and the
@@ -16,11 +20,12 @@ did not converge).
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
 from datetime import datetime, timezone
 
 from . import __version__, classify, linalg, measures, states
@@ -69,13 +74,56 @@ def _header_comments(header: dict) -> list:
     return [f"# {key}: {'none' if value is None else value}" for key, value in header.items()]
 
 
-def _write_text(path, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _json_document(header: dict, data: dict) -> str:
     return json.dumps({"run_header": header, "data": data}, indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Text stream for ``path``, or standard output when ``path`` is None.
+
+    A file is written under a temporary name in the target's directory and
+    moved onto ``path`` when the block completes; on any error the temporary
+    file is deleted and ``path`` is left as it was.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=".qcohere-", suffix=".tmp", dir=directory)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_csv(path, header: dict, columns: str, rows):
+    with _output(path) as out:
+        out.writelines(f"{line}\n" for line in _header_comments(header))
+        out.write(columns + "\n")
+        out.writelines(f"{row}\n" for row in rows)
+
+
+def _write_json(path, header: dict, data: dict):
+    with _output(path) as out:
+        out.write(_json_document(header, data))
+
+
+def _state_file(out_path, tag: str, worst) -> str | None:
+    """Write the worst-case state beside ``out_path``; its file name, or None if not written."""
+    if out_path is None or worst is None:
+        return None
+    stem, _ = os.path.splitext(out_path)
+    path = f"{stem}-worst-{tag}.json"
+    with _output(path) as out:
+        out.write(json.dumps(worst.state.to_json_dict()) + "\n")
+    return os.path.basename(path)
 
 
 def _worker_count() -> int:
@@ -89,70 +137,6 @@ def _worker_count() -> int:
     if workers < 1:
         raise _UsageError(f"{WORKERS_ENV} must be at least 1, got {workers}")
     return workers
-
-
-def _chunk_ranges(n: int, workers: int) -> list:
-    size = n if workers <= 1 else max(256, math.ceil(n / (workers * 8)))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _map_chunks(fn, jobs, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
-# --- chunk workers (top level so they pickle) --------------------------------
-
-
-def _scatter_chunk(job):
-    kind, seed, dim, rank, lo, hi = job
-    rows = []
-    for k in range(lo, hi):
-        rho = classify.ensemble_state(kind, seed, k, dim, rank)
-        rows.append((measures.concurrence(rho), measures.l1_coherence(rho)))
-    return rows
-
-
-def _chain_chunk(job):
-    kind, seed, dim, rank, lo, hi = job
-    stats = {}
-    for k in range(lo, hi):
-        rho = classify.ensemble_state(kind, seed, k, dim, rank)
-        report = measures.inequality_chain(rho)
-        for name, verdict in report.link_verdicts.items():
-            violations, best = stats.get(name, (0, None))
-            if not verdict.holds:
-                violations += 1
-            if best is None or verdict.margin < best[0]:
-                best = (verdict.margin, k)
-            stats[name] = (violations, best)
-    return stats
-
-
-def _one_norm_chunk(job):
-    kind, seed, dim, rank, lo, hi = job
-    stats = {
-        reading: {"violations": 0, "entangled": 0, "worst": None}
-        for reading in (classify.READING_A, classify.READING_B)
-    }
-    for k in range(lo, hi):
-        rho = classify.ensemble_state(kind, seed, k, dim, rank)
-        _, _, margin_a, margin_b = classify.one_norm_margins(rho)
-        entangled = None
-        for reading, margin in ((classify.READING_A, margin_a), (classify.READING_B, margin_b)):
-            if margin <= classify.AUDIT_TOL:
-                continue
-            rec = stats[reading]
-            rec["violations"] += 1
-            if entangled is None:
-                entangled = measures.concurrence(rho) > 0.0
-            if entangled:
-                rec["entangled"] += 1
-            if rec["worst"] is None or margin > rec["worst"][0]:
-                rec["worst"] = (margin, k)
-    return stats
 
 
 # --- shared flag plumbing -----------------------------------------------------
@@ -226,61 +210,30 @@ def _parse_lambda_flags(lambdas_text: str, normalize_last: bool) -> list:
     return [v / scale for v in values]
 
 
-def _worst_case_json(state: states.DensityMatrix, margin: float, index: int, out_path, tag: str):
-    """Embed the worst state, or write it next to ``out_path`` and reference it."""
-    record = {"margin": margin, "sample_index": index}
-    if out_path is None:
-        record["state"] = state.to_json_dict()
-    else:
-        stem, _ = os.path.splitext(out_path)
-        path = f"{stem}-worst-{tag}.json"
-        states.write_density_matrix(path, state)
-        record["state_file"] = os.path.basename(path)
-    return record
-
-
 # --- sample -------------------------------------------------------------------
 
 
 def _cmd_sample(args) -> int:
     spec, descriptor = _resolve_ensemble(args)
-    workers = _worker_count()
-    jobs = [
-        (spec.kind, spec.seed, 4, spec.rank, lo, hi)
-        for lo, hi in _chunk_ranges(spec.count, workers)
-    ]
-    rows = [row for chunk in _map_chunks(_scatter_chunk, jobs, workers) for row in chunk]
-    violations = 0
-    min_margin, min_index = None, None
-    for k, (conc, coh) in enumerate(rows):
-        margin = coh - conc
-        if margin < -1e-9:
-            violations += 1
-        if min_margin is None or margin < min_margin:
-            min_margin, min_index = margin, k
+    tally = classify.Tally()
+    pairs = classify.scatter(spec, tally, workers=_worker_count())
     header = _run_header("sample", seed=spec.seed, ensemble=descriptor, count=spec.count)
-    lines = _header_comments(header)
-    lines.append("concurrence,l1_coherence")
-    lines.extend(f"{_fmt(c)},{_fmt(h)}" for c, h in rows)
-    csv_text = "\n".join(lines) + "\n"
+    rows = (f"{_fmt(conc)},{_fmt(coh)}" for conc, coh in pairs)
+    _write_csv(args.out, header, "concurrence,l1_coherence", rows)
     summary = _json_document(
         header,
         {
             "ensemble": descriptor,
             "count": spec.count,
-            "violations": violations,
-            "min_margin": min_margin,
-            "min_margin_index": min_index,
+            "violations": tally.violations,
+            "min_margin": tally.margin,
+            "min_margin_index": tally.index,
             "csv_path": args.out,
         },
     )
-    if args.out is None:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(summary)
-    else:
-        _write_text(args.out, csv_text)
-        sys.stdout.write(summary)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    # the summary takes whichever stream the rows left free
+    (sys.stderr if args.out is None else sys.stdout).write(summary)
+    return EXIT_VIOLATION if tally.violations else EXIT_OK
 
 
 # --- canonical ------------------------------------------------------------------
@@ -290,24 +243,7 @@ _CANONICAL_KEYS = ("c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle")
 
 
 def _canonical_data(p: states.CanonicalThreeQubit) -> dict:
-    psi = states.canonical_state(p)
-    rho = states.pure_to_density(psi)
-    rho_ab = states.partial_trace(rho, (2, 2, 2), (0, 1))
-    rho_ac = states.partial_trace(rho, (2, 2, 2), (0, 2))
-    rho_a = states.partial_trace(rho, (2, 2, 2), (0,))
-    matrix = measures.canonical_measures_matrix(p)
-    cut = measures.bipartition_concurrence(psi)
-    matrix_block = matrix.to_json_dict()
-    matrix_block.update(
-        {
-            "bipartition_concurrence": cut,
-            "ckw_margin": cut * cut - matrix.c_ab**2 - matrix.c_ac**2,
-            "monogamy_margin": matrix.coh_ab**2 + matrix.coh_ac**2 - 2.0 * matrix.coh_a**2,
-            "purity_ab": rho_ab.purity(),
-            "purity_ac": rho_ac.purity(),
-            "purity_a": rho_a.purity(),
-        }
-    )
+    matrix_block = measures.canonical_matrix_report(p)
     if p.theta == 0.0:
         analytic_block = measures.canonical_measures_analytic(p).to_json_dict()
     else:
@@ -326,7 +262,8 @@ def _canonical_data(p: states.CanonicalThreeQubit) -> dict:
     }
 
 
-def _canonical_csv(header: dict, data: dict) -> str:
+def _canonical_row(data: dict) -> tuple:
+    """(column line, value line) of the flat CSV form."""
     columns, values = [], []
     for i, name in enumerate(LAMBDA_NAMES):
         columns.append(name)
@@ -337,26 +274,18 @@ def _canonical_csv(header: dict, data: dict) -> str:
         for key, value in data[block].items():
             columns.append(f"{block}_{key}")
             values.append("" if value is None else _fmt(value))
-    lines = _header_comments(header)
-    lines.append(",".join(columns))
-    lines.append(",".join(values))
-    return "\n".join(lines) + "\n"
+    return ",".join(columns), ",".join(values)
 
 
 def _cmd_canonical(args) -> int:
     values = _parse_lambda_flags(args.lambdas, args.normalize_last)
-    p = states.CanonicalThreeQubit(*values, theta=args.theta)
-    data = _canonical_data(p)
+    data = _canonical_data(states.CanonicalThreeQubit(*values, theta=args.theta))
     header = _run_header("canonical")
-    text = (
-        _canonical_csv(header, data)
-        if args.format == "csv"
-        else _json_document(header, data)
-    )
-    if args.out is None:
-        sys.stdout.write(text)
+    if args.format == "csv":
+        columns, row = _canonical_row(data)
+        _write_csv(args.out, header, columns, [row])
     else:
-        _write_text(args.out, text)
+        _write_json(args.out, header, data)
     return EXIT_OK
 
 
@@ -368,7 +297,7 @@ def _cmd_classify(args) -> int:
         raise states.StateError(f"classification is defined at theta=0, got {args.theta}")
     values = _parse_lambda_flags(args.lambdas, args.normalize_last)
     report = classify.discriminate(states.CanonicalThreeQubit(*values, theta=0.0))
-    sys.stdout.write(_json_document(_run_header("classify"), report.to_json_dict()))
+    _write_json(None, _run_header("classify"), report.to_json_dict())
     return EXIT_OK
 
 
@@ -378,139 +307,18 @@ def _cmd_classify(args) -> int:
 def _audit_state_file(args) -> int:
     rho = states.read_density_matrix(args.state_file)
     header = _run_header("audit")
+    data = {"target": args.target, "state_file": args.state_file}
+    code = EXIT_OK
     if args.target == "theorem1-chain":
         report = measures.inequality_chain(rho)
-        data = {
-            "target": args.target,
-            "state_file": args.state_file,
-            "chain": report.to_json_dict(),
-        }
-        code = EXIT_OK if report.end_to_end.holds else EXIT_VIOLATION
+        data["chain"] = report.to_json_dict()
+        if not report.end_to_end.holds:
+            code = EXIT_VIOLATION
     else:
-        n1, c_a, margin_a, margin_b = classify.one_norm_margins(rho)
-        conc = measures.concurrence(rho)
-        data = {
-            "target": args.target,
-            "state_file": args.state_file,
-            "induced_one_norm": n1,
-            "l1_coherence_reading_a": c_a,
-            "l1_coherence_reading_b": 2.0 * c_a,
-            "margin_a": margin_a,
-            "margin_b": margin_b,
-            "violated_a": margin_a > classify.AUDIT_TOL,
-            "violated_b": margin_b > classify.AUDIT_TOL,
-            "concurrence": conc,
-            "entangled": conc > 0.0,
-        }
-        code = EXIT_OK
-    text = _json_document(header, data)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
+        data.update(classify.one_norm_report(rho))
+        data["entangled"] = data["concurrence"] > 0.0
+    _write_json(args.out, header, data)
     return code
-
-
-def _merge_chain_stats(chunks: list) -> dict:
-    merged = {}
-    for stats in chunks:
-        for name, (violations, best) in stats.items():
-            old_v, old_best = merged.get(name, (0, None))
-            if old_best is None or best[0] < old_best[0]:
-                old_best = best
-            merged[name] = (old_v + violations, old_best)
-    return merged
-
-
-def _audit_chain(args, spec, descriptor, workers) -> int:
-    jobs = [
-        (spec.kind, spec.seed, 4, spec.rank, lo, hi)
-        for lo, hi in _chunk_ranges(spec.count, workers)
-    ]
-    merged = _merge_chain_stats(_map_chunks(_chain_chunk, jobs, workers))
-    links = {}
-    for name in sorted(merged):
-        violations, (margin, index) = merged[name]
-        entry = {
-            "violations": violations,
-            "min_margin": margin,
-            "min_margin_index": index,
-        }
-        if violations > 0:
-            worst = classify.ensemble_state(spec.kind, spec.seed, index, 4, spec.rank)
-            entry["worst_case"] = _worst_case_json(worst, margin, index, args.out, name)
-        links[name] = entry
-    end_violations = links["concurrence_le_l1_coherence"]["violations"]
-    header = _run_header("audit", seed=spec.seed, ensemble=descriptor, count=spec.count)
-    data = {
-        "target": args.target,
-        "ensemble": descriptor,
-        "count": spec.count,
-        "links": links,
-        "end_to_end_violations": end_violations,
-    }
-    text = _json_document(header, data)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
-    return EXIT_VIOLATION if end_violations else EXIT_OK
-
-
-def _audit_one_norm(args, spec, descriptor, workers) -> int:
-    jobs = [
-        (spec.kind, spec.seed, 4, spec.rank, lo, hi)
-        for lo, hi in _chunk_ranges(spec.count, workers)
-    ]
-    chunks = _map_chunks(_one_norm_chunk, jobs, workers)
-    readings = {}
-    for reading in (classify.READING_A, classify.READING_B):
-        violations = sum(chunk[reading]["violations"] for chunk in chunks)
-        entangled = sum(chunk[reading]["entangled"] for chunk in chunks)
-        worst = None
-        for chunk in chunks:
-            candidate = chunk[reading]["worst"]
-            if candidate is not None and (worst is None or candidate[0] > worst[0]):
-                worst = candidate
-        entry = {
-            "reading": reading,
-            "violations_found": violations,
-            "entangled_violations": entangled,
-            "worst_case": None,
-        }
-        if worst is not None:
-            margin, index = worst
-            state = classify.ensemble_state(spec.kind, spec.seed, index, 4, spec.rank)
-            entry["worst_case"] = _worst_case_json(state, margin, index, args.out, reading)
-        readings[reading] = entry
-    # deterministic regression point: the bound under reading A fails here
-    # while the state stays entangled, so the audit always has a witness
-    werner = states.werner_state(0.9)
-    n1, c_a, margin_a, margin_b = classify.one_norm_margins(werner)
-    header = _run_header("audit", seed=spec.seed, ensemble=descriptor, count=spec.count)
-    data = {
-        "target": args.target,
-        "ensemble": descriptor,
-        "count": spec.count,
-        "readings": readings,
-        "werner_regression": {
-            "mixing_weight": 0.9,
-            "induced_one_norm": n1,
-            "l1_coherence_reading_a": c_a,
-            "l1_coherence_reading_b": 2.0 * c_a,
-            "margin_a": margin_a,
-            "margin_b": margin_b,
-            "violated_a": margin_a > classify.AUDIT_TOL,
-            "violated_b": margin_b > classify.AUDIT_TOL,
-            "concurrence": measures.concurrence(werner),
-        },
-    }
-    text = _json_document(header, data)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
-    return EXIT_OK
 
 
 def _cmd_audit(args) -> int:
@@ -518,9 +326,32 @@ def _cmd_audit(args) -> int:
         return _audit_state_file(args)
     spec, descriptor = _resolve_ensemble(args)
     workers = _worker_count()
+    data = {"target": args.target, "ensemble": descriptor, "count": spec.count}
+    code = EXIT_OK
     if args.target == "theorem1-chain":
-        return _audit_chain(args, spec, descriptor, workers)
-    return _audit_one_norm(args, spec, descriptor, workers)
+        links = classify.chain_audit(spec, workers=workers)
+        data["links"] = {
+            name: link.to_json_dict(state_file=_state_file(args.out, name, link.worst_case))
+            for name, link in links.items()
+        }
+        data["end_to_end_violations"] = links["concurrence_le_l1_coherence"].violations
+        if data["end_to_end_violations"]:
+            code = EXIT_VIOLATION
+    else:
+        records = classify.one_norm_bound_audit(spec, workers=workers)
+        data["readings"] = {
+            record.reading: record.to_json_dict(
+                state_file=_state_file(args.out, record.reading, record.worst_case)
+            )
+            for record in records
+        }
+        # deterministic regression point: the bound under reading A fails here
+        # while the state stays entangled, so the audit always has a witness
+        werner = classify.one_norm_report(states.werner_state(0.9))
+        data["werner_regression"] = {"mixing_weight": 0.9, **werner}
+    header = _run_header("audit", seed=spec.seed, ensemble=descriptor, count=spec.count)
+    _write_json(args.out, header, data)
+    return code
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -623,18 +454,12 @@ def _cmd_sweep(args) -> int:
     if args.resolution < 2:
         raise _UsageError(f"--resolution must be at least 2, got {args.resolution}")
     fixes = _parse_fix(args.fix)
-    rows = [_sweep_row(ks, args.resolution) for ks in _grid_points(args.resolution, fixes)]
-    if not rows:
+    # the header carries the row count, so count the integer grid first
+    count = sum(1 for _ in _grid_points(args.resolution, fixes))
+    if not count:
         raise states.StateError("the requested constraints admit no grid points")
-    header = _run_header("sweep", count=len(rows))
-    lines = _header_comments(header)
-    lines.append(_SWEEP_COLUMNS)
-    lines.extend(rows)
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
+    rows = (_sweep_row(ks, args.resolution) for ks in _grid_points(args.resolution, fixes))
+    _write_csv(args.out, _run_header("sweep", count=count), _SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 

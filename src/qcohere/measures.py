@@ -20,7 +20,6 @@ from .states import (
     PureState,
     canonical_state,
     partial_trace,
-    pure_to_density,
 )
 
 SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -234,9 +233,17 @@ def tangle_analytic(p: CanonicalThreeQubit) -> float:
     return 4.0 * p.lambda0 * p.lambda0 * p.lambda4 * p.lambda4
 
 
-def _cut_concurrence(rho: DensityMatrix) -> float:
-    """2 sqrt(det rho_A) for a three-qubit rank-one density matrix."""
-    a = partial_trace(rho, (2, 2, 2), (0,)).matrix
+def _reductions(psi: PureState) -> tuple:
+    """AB, AC and A reductions of a three-qubit pure state, from one projector."""
+    if psi.dim != 8:
+        raise MeasureError(f"expected a three-qubit pure state, got dim {psi.dim}")
+    rho = psi.density()
+    return tuple(partial_trace(rho, (2, 2, 2), keep) for keep in ((0, 1), (0, 2), (0,)))
+
+
+def _cut_concurrence(rho_a: DensityMatrix) -> float:
+    """A|(BC) concurrence 2 sqrt(det rho_A) of a three-qubit pure state."""
+    a = rho_a.matrix
     det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
     return 2.0 * math.sqrt(max(det, 0.0))
 
@@ -245,16 +252,15 @@ def bipartition_concurrence(psi: PureState) -> float:
     """Concurrence across the A|(BC) cut of a three-qubit pure state."""
     if psi.dim != 8:
         raise MeasureError(f"expected a three-qubit pure state, got dim {psi.dim}")
-    return _cut_concurrence(pure_to_density(psi))
+    return _cut_concurrence(partial_trace(psi.density(), (2, 2, 2), (0,)))
 
 
-def _tangle(rho: DensityMatrix, c_ab: float, c_ac: float) -> float:
-    """C_A(BC)^2 - C_AB^2 - C_AC^2 for a three-qubit rank-one ``rho``.
+def _tangle(c_cut: float, c_ab: float, c_ac: float) -> float:
+    """C_A(BC)^2 - C_AB^2 - C_AC^2 of a three-qubit pure state.
 
     Values in [-TANGLE_CLAMP, 0) are rounding noise and collapse to zero;
     lower values mean an inconsistent construction.
     """
-    c_cut = _cut_concurrence(rho)
     t = c_cut * c_cut - c_ab * c_ab - c_ac * c_ac
     if t < -TANGLE_CLAMP:
         raise NumericalInconsistencyError(
@@ -269,12 +275,8 @@ def tangle_residual(psi: PureState) -> float:
     Partial concurrences come from the spin-flip formula on the numerically
     reduced states.
     """
-    if psi.dim != 8:
-        raise MeasureError(f"expected a three-qubit pure state, got dim {psi.dim}")
-    rho = pure_to_density(psi)
-    c_ab = concurrence(partial_trace(rho, (2, 2, 2), (0, 1)))
-    c_ac = concurrence(partial_trace(rho, (2, 2, 2), (0, 2)))
-    return _tangle(rho, c_ab, c_ac)
+    rho_ab, rho_ac, rho_a = _reductions(psi)
+    return _tangle(_cut_concurrence(rho_a), concurrence(rho_ab), concurrence(rho_ac))
 
 
 @dataclass(frozen=True)
@@ -314,13 +316,7 @@ def canonical_measures_analytic(p: CanonicalThreeQubit) -> CanonicalMeasures:
     return CanonicalMeasures(c_ab, c_ac, coh_ab, coh_ac, coh_a, tangle_analytic(p))
 
 
-def canonical_measures_matrix(p: CanonicalThreeQubit) -> CanonicalMeasures:
-    """Matrix-route canonical measures; valid for any phase."""
-    psi = canonical_state(p)
-    rho = pure_to_density(psi)
-    rho_ab = partial_trace(rho, (2, 2, 2), (0, 1))
-    rho_ac = partial_trace(rho, (2, 2, 2), (0, 2))
-    rho_a = partial_trace(rho, (2, 2, 2), (0,))
+def _matrix_measures(rho_ab, rho_ac, rho_a) -> CanonicalMeasures:
     c_ab = concurrence(rho_ab)
     c_ac = concurrence(rho_ac)
     return CanonicalMeasures(
@@ -329,5 +325,34 @@ def canonical_measures_matrix(p: CanonicalThreeQubit) -> CanonicalMeasures:
         coh_ab=l1_coherence(rho_ab),
         coh_ac=l1_coherence(rho_ac),
         coh_a=l1_coherence(rho_a),
-        tangle=_tangle(rho, c_ab, c_ac),
+        tangle=_tangle(_cut_concurrence(rho_a), c_ab, c_ac),
     )
+
+
+def canonical_measures_matrix(p: CanonicalThreeQubit) -> CanonicalMeasures:
+    """Matrix-route canonical measures; valid for any phase."""
+    return _matrix_measures(*_reductions(canonical_state(p)))
+
+
+def canonical_matrix_report(p: CanonicalThreeQubit) -> dict:
+    """Matrix-route measures of one canonical point as a JSON object.
+
+    Beside the six measures it carries the A|(BC) concurrence, the CKW and
+    coherence-monogamy margins and the purities of the reductions, all from
+    one projector and one set of reductions.
+    """
+    rho_ab, rho_ac, rho_a = _reductions(canonical_state(p))
+    m = _matrix_measures(rho_ab, rho_ac, rho_a)
+    cut = _cut_concurrence(rho_a)
+    report = m.to_json_dict()
+    report.update(
+        {
+            "bipartition_concurrence": cut,
+            "ckw_margin": cut * cut - m.c_ab**2 - m.c_ac**2,
+            "monogamy_margin": m.coh_ab**2 + m.coh_ac**2 - 2.0 * m.coh_a**2,
+            "purity_ab": rho_ab.purity(),
+            "purity_ac": rho_ac.purity(),
+            "purity_a": rho_a.purity(),
+        }
+    )
+    return report

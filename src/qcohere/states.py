@@ -166,11 +166,6 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
-def pure_to_density(psi: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi|."""
-    return psi.density()
-
-
 def partial_trace(rho: DensityMatrix, qubit_dims, keep) -> DensityMatrix:
     """Reduce ``rho`` to the subsystems in ``keep`` (original order kept).
 
@@ -333,33 +328,6 @@ def canonical_sample(seed: int, index: int, theta_mode: str = "zero") -> Canonic
     return CanonicalThreeQubit(*(float(x) for x in lam), theta=theta)
 
 
-def sample_pure(spec: EnsembleSpec, dim: int):
-    """Stream the Haar-pure ensemble described by ``spec``."""
-    if spec.kind != "haar-pure":
-        raise StateError(f"sample_pure needs kind 'haar-pure', got {spec.kind!r}")
-    for k in range(spec.count):
-        yield haar_pure_state(spec.seed, k, dim)
-
-
-def sample_density(spec: EnsembleSpec, dim: int):
-    """Stream the Ginibre ensemble described by ``spec``."""
-    if spec.kind != "ginibre":
-        raise StateError(f"sample_density needs kind 'ginibre', got {spec.kind!r}")
-    rank = spec.rank if spec.rank is not None else dim
-    if rank > dim:
-        raise StateError(f"rank {rank} exceeds dimension {dim}")
-    for k in range(spec.count):
-        yield ginibre_density(spec.seed, k, dim, rank)
-
-
-def sample_canonical(seed: int, count: int, theta_mode: str = "zero"):
-    """Stream ``count`` canonical parameter points."""
-    if count < 1:
-        raise StateError(f"count must be at least 1, got {count}")
-    for k in range(count):
-        yield canonical_sample(seed, k, theta_mode)
-
-
 def werner_state(p: float) -> DensityMatrix:
     """Bell state mixed with white noise: p |phi+><phi+| + (1-p) I/4."""
     if not 0.0 <= p <= 1.0:
@@ -408,7 +376,7 @@ def density_matrix_from_json_dict(obj) -> DensityMatrix:
         problems.append(f"hermiticity residual {herm:.3e}")
     if trace_dev > DensityMatrix.TRACE_TOL:
         problems.append(f"trace deviation {trace_dev:.3e}")
-    if not problems:
+    if herm <= DensityMatrix.HERMITIAN_TOL:
         eig = linalg.hermitian_eigen(m, tol=DensityMatrix.HERMITIAN_TOL)
         wmin = float(eig.eigenvalues.min())
         if wmin < -linalg.PSD_CLAMP:

@@ -37,7 +37,6 @@ from qcohere.states import (
     canonical_sample,
     canonical_state,
     partial_trace,
-    pure_to_density,
     werner_state,
 )
 
@@ -101,7 +100,7 @@ def test_criterion_2_closed_form_identities():
     worst_identity = 0.0
     for k in range(10_000):
         p = canonical_sample(20_260_809, k, "zero")
-        rho = pure_to_density(canonical_state(p))
+        rho = canonical_state(p).density()
         c_ab, c_ac = partial_concurrences_analytic(p)
         rho_ab = partial_trace(rho, (2, 2, 2), (0, 1))
         rho_ac = partial_trace(rho, (2, 2, 2), (0, 2))
@@ -134,7 +133,7 @@ def test_criterion_3_tangle_and_ckw():
     for k in range(10_000):
         p = canonical_sample(30_311, k, "uniform")
         psi = canonical_state(p)
-        rho = pure_to_density(psi)
+        rho = psi.density()
         c_cut = bipartition_concurrence(psi)
         c_ab = concurrence(partial_trace(rho, (2, 2, 2), (0, 1)))
         c_ac = concurrence(partial_trace(rho, (2, 2, 2), (0, 2)))

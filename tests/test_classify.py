@@ -1,10 +1,13 @@
 """Classifier tests: case labels, GHZ-window checks, witness, one-norm audit."""
 
+import concurrent.futures
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from qcohere import classify
 from qcohere.classify import (
     BOUNDARY,
     CASE_I_GHZ,
@@ -261,3 +264,51 @@ def test_one_norm_bound_audit_records():
     worst = record_a.worst_case
     n1, c_a, margin_a, _ = one_norm_margins(worst.state)
     assert margin_a == pytest.approx(worst.margin, abs=1e-12)
+
+
+def test_pool_holds_a_bounded_window_of_chunks(monkeypatch):
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    spec = EnsembleSpec(kind="haar-pure", seed=3, count=100)
+
+    def no_pool(max_workers):
+        raise AssertionError("the 1-worker path started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    inline = list(classify.scatter(spec, classify.Tally(), workers=1))
+
+    submitted = []
+
+    class InlineExecutor:
+        """Stands in for the process pool: runs each chunk when it is submitted."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, job):
+            submitted.append(job)
+            future = Future()
+            future.set_result(fn(job))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    unconsumed, pooled = [], []
+    for k, pair in enumerate(classify.scatter(spec, classify.Tally(), workers=2)):
+        # chunks submitted minus chunks whose every state has been consumed
+        unconsumed.append(len(submitted) - k // 4)
+        pooled.append(pair)
+    assert max(unconsumed) == classify.WINDOW_PER_WORKER * 2
+    assert len(submitted) == 25
+    assert pooled == inline
+
+
+def test_tally_keeps_the_earliest_extreme():
+    low = classify.Tally()
+    high = classify.Tally(highest=True)
+    for k, margin in enumerate((0.5, -1.0, 2.0, -1.0, 2.0)):
+        low.add(k, margin, margin < 0.0)
+        high.add(k, margin, margin > 1.0)
+    assert (low.violations, low.margin, low.index) == (2, -1.0, 1)
+    assert (high.violations, high.margin, high.index) == (2, 2.0, 2)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qcohere import cli, linalg
+from qcohere import classify, cli, linalg
 from qcohere.states import bell_state, haar_pure_state, werner_state, write_density_matrix
 
 
@@ -312,3 +312,64 @@ def test_unconverged_solver_exits_70(capsys, monkeypatch):
                                 "--ensemble", "ginibre", "--seed", "7"])
     assert code == cli.EXIT_SOFTWARE == 70
     assert "did not converge" in err
+
+
+def _data_section(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.dumps(json.loads(text)["data"], indent=2, sort_keys=True)
+    return "\n".join(data_lines(text))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--ensemble", "ginibre", "--n", "300", "--seed", "5"],
+        ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre", "--n", "300",
+         "--seed", "11"],
+        ["audit", "--target", "appendix-a", "--ensemble", "pure", "--n", "400", "--seed", "3"],
+    ],
+    ids=["sample", "theorem1-chain", "appendix-a"],
+)
+def test_outputs_match_for_any_worker_count_and_chunk_size(tmp_path, capsys, monkeypatch, argv):
+    out = tmp_path / ("out.csv" if argv[0] == "sample" else "out.json")
+    default_chunk = classify.CHUNK_SIZE
+
+    def outputs(workers, chunk):
+        monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+        monkeypatch.setattr(classify, "CHUNK_SIZE", chunk)
+        code, stdout, _ = run(capsys, [*argv, "--out", str(out)])
+        sidecars = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("out-worst-*.json"))}
+        for p in tmp_path.glob("out-worst-*.json"):
+            p.unlink()
+        summary = json_data(stdout) if argv[0] == "sample" else None
+        return code, _data_section(out), sidecars, summary
+
+    reference = outputs(1, default_chunk)
+    assert reference[0] == 0
+    if argv[0] == "audit":
+        assert reference[2]  # worst-case files were written and are compared too
+    for workers in (1, 3):
+        for chunk in (1, 7, default_chunk):
+            assert outputs(workers, chunk) == reference, (workers, chunk)
+
+
+def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "scatter.csv"
+    out.write_text("previous contents\n")
+    draw = classify.ensemble_state
+
+    def draw_then_break(kind, seed, index, dim, rank):
+        # rows 0..19 are written before the solver starts failing
+        if index == 20:
+            monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        return draw(kind, seed, index, dim, rank)
+
+    monkeypatch.setattr(classify, "ensemble_state", draw_then_break)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    code, _, err = run(capsys, ["sample", "--n", "50", "--ensemble", "ginibre", "--seed", "7",
+                                "--out", str(out)])
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert "did not converge" in err
+    assert out.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]

@@ -37,7 +37,6 @@ from qcohere.states import (
     ginibre_density,
     haar_pure_state,
     partial_trace,
-    pure_to_density,
     werner_state,
 )
 
@@ -82,7 +81,7 @@ def test_spin_flip_moves_basis_projector():
     rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     assert np.abs(spin_flip(rho) - np.diag([0.0, 0.0, 0.0, 1.0])).max() <= 1e-14
     with pytest.raises(MeasureError, match="dim 8"):
-        spin_flip(pure_to_density(canonical_state(POINT_A)))
+        spin_flip(canonical_state(POINT_A).density())
 
 
 def test_concurrence_bell():
@@ -93,7 +92,7 @@ def test_concurrence_product_state_is_zero():
     for k in range(50):
         a = haar_pure_state(2, k, 2).amplitudes
         b = haar_pure_state(3, k, 2).amplitudes
-        rho = pure_to_density(PureState(np.kron(a, b)))
+        rho = PureState(np.kron(a, b)).density()
         assert concurrence(rho) <= 1e-8
 
 
@@ -112,7 +111,7 @@ def test_concurrence_agrees_with_general_solver_oracle():
 def test_concurrence_agrees_with_pure_closed_form():
     for k in range(300):
         psi = haar_pure_state(23, k, 4)
-        assert concurrence(pure_to_density(psi)) == pytest.approx(
+        assert concurrence(psi.density()) == pytest.approx(
             oracle_pure_concurrence(psi.amplitudes), abs=1e-8
         )
 
@@ -159,7 +158,7 @@ def test_chain_end_to_end_on_samples():
         rho = ginibre_density(29, k, 4, 4)
         assert inequality_chain(rho).end_to_end.holds
     for k in range(1000):
-        rho = pure_to_density(haar_pure_state(31, k, 4))
+        rho = haar_pure_state(31, k, 4).density()
         assert inequality_chain(rho).end_to_end.holds
 
 
@@ -192,7 +191,7 @@ def test_reduced_coherences_examples():
 def test_closed_forms_match_matrix_route_on_samples():
     for k in range(1000):
         p = canonical_sample(41, k, "zero")
-        rho = pure_to_density(canonical_state(p))
+        rho = canonical_state(p).density()
         c_ab, c_ac = partial_concurrences_analytic(p)
         assert concurrence(partial_trace(rho, (2, 2, 2), (0, 1))) == pytest.approx(
             c_ab, abs=1e-8

@@ -9,7 +9,6 @@ import pytest
 from qcohere.states import (
     CanonicalThreeQubit,
     DensityMatrix,
-    EnsembleSpec,
     MembershipError,
     PureState,
     StateError,
@@ -21,11 +20,7 @@ from qcohere.states import (
     ginibre_density,
     haar_pure_state,
     partial_trace,
-    pure_to_density,
     read_density_matrix,
-    sample_canonical,
-    sample_density,
-    sample_pure,
     w_member,
     werner_state,
     write_density_matrix,
@@ -36,7 +31,7 @@ S3 = 1.0 / math.sqrt(3.0)
 
 
 def test_pure_to_density_basis_state():
-    rho = pure_to_density(PureState([1.0, 0.0, 0.0, 0.0]))
+    rho = PureState([1.0, 0.0, 0.0, 0.0]).density()
     assert np.array_equal(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
 
 
@@ -49,7 +44,7 @@ def test_pure_to_density_bell():
 
 def test_pure_density_purity_is_one():
     for k in range(1000):
-        rho = pure_to_density(haar_pure_state(11, k, 4))
+        rho = haar_pure_state(11, k, 4).density()
         assert abs(rho.purity() - 1.0) <= 1e-12
 
 
@@ -78,7 +73,7 @@ def test_partial_trace_product_state():
 
 def test_partial_trace_ghz_to_pair():
     p = CanonicalThreeQubit(S2, 0.0, 0.0, 0.0, S2)
-    rho = pure_to_density(canonical_state(p))
+    rho = canonical_state(p).density()
     ab = partial_trace(rho, (2, 2, 2), (0, 1))
     assert np.abs(ab.matrix - np.diag([0.5, 0.0, 0.0, 0.5])).max() <= 1e-14
 
@@ -91,7 +86,7 @@ def test_partial_trace_bell_to_single_qubit():
 
 def test_partial_trace_preserves_trace_and_hermiticity():
     for k in range(200):
-        rho = pure_to_density(haar_pure_state(3, k, 8))
+        rho = haar_pure_state(3, k, 8).density()
         for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
             red = partial_trace(rho, (2, 2, 2), keep)
             assert abs(complex(np.trace(red.matrix)) - 1.0) <= 1e-12
@@ -144,7 +139,7 @@ def test_canonical_reduction_matches_hand_pattern():
         for k in range(50):
             base = canonical_sample(77, k, "zero")
             p = CanonicalThreeQubit(*base.lambdas(), theta=theta)
-            rho = pure_to_density(canonical_state(p))
+            rho = canonical_state(p).density()
             ab = partial_trace(rho, (2, 2, 2), (0, 1)).matrix
             l0, l1, l2, l3, l4 = p.lambdas()
             cross = abs(l1 * l3 * complex(math.cos(theta), math.sin(theta)) + l2 * l4)
@@ -191,15 +186,6 @@ def test_sampling_is_deterministic_per_index():
     assert c1 == c2
 
 
-def test_sample_streams_match_indexed_access():
-    spec = EnsembleSpec(kind="haar-pure", seed=13, count=5)
-    streamed = [s.amplitudes for s in sample_pure(spec, 4)]
-    for k, amp in enumerate(streamed):
-        assert np.array_equal(amp, haar_pure_state(13, k, 4).amplitudes)
-    with pytest.raises(StateError, match="haar-pure"):
-        list(sample_density(spec, 4))
-
-
 def test_haar_reduced_purity_matches_oracle_band():
     # Monte Carlo oracle at 10^6 samples gives 0.7999 (analytic 4/5) for the
     # single-qubit reduction of a Haar two-qubit pure state
@@ -213,8 +199,8 @@ def test_haar_reduced_purity_matches_oracle_band():
 
 
 def test_ginibre_invariants_and_rank_one_purity():
-    spec = EnsembleSpec(kind="ginibre", seed=5, count=200, rank=2)
-    for rho in sample_density(spec, 4):
+    for k in range(200):
+        rho = ginibre_density(5, k, 4, 2)
         assert rho.dim == 4
         assert abs(complex(np.trace(rho.matrix)) - 1.0) <= 1e-12
     for k in range(200):
@@ -234,10 +220,11 @@ def test_ginibre_purity_matches_oracle_band():
 
 
 def test_canonical_samples_are_normalized_and_theta_respects_mode():
-    for k, p in enumerate(sample_canonical(31, 200, "zero")):
+    for k in range(200):
+        p = canonical_sample(31, k, "zero")
         assert abs(sum(v * v for v in p.lambdas()) - 1.0) <= 1e-12
         assert p.theta == 0.0
-    thetas = [p.theta for p in sample_canonical(31, 200, "uniform")]
+    thetas = [canonical_sample(31, k, "uniform").theta for k in range(200)]
     assert all(0.0 <= t <= math.pi for t in thetas)
     assert max(thetas) > 1.0  # actually spread over the interval
 
@@ -289,6 +276,13 @@ def test_density_matrix_reader_reports_residuals(tmp_path):
     bad_psd = {"dim": 2, "re": [1.2, 0.0, 0.0, -0.2], "im": [0.0, 0.0, 0.0, 0.0]}
     with pytest.raises(StateError, match="eigenvalue"):
         density_matrix_from_json_dict(bad_psd)
+
+    # a Hermitian matrix failing both trace and positivity reports both
+    bad_both = {"dim": 2, "re": [2.0, 0.0, 0.0, -0.5], "im": [0.0, 0.0, 0.0, 0.0]}
+    with pytest.raises(
+        StateError, match="trace deviation 5.000e-01, minimum eigenvalue -5.000e-01"
+    ):
+        density_matrix_from_json_dict(bad_both)
 
     path = tmp_path / "broken.json"
     path.write_text("{not json")
