@@ -9,6 +9,7 @@ so callers can see when a W-consistent label coexists with genuine
 three-way entanglement.
 """
 
+import os
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -29,8 +30,7 @@ from .states import (
     DensityMatrix,
     EnsembleSpec,
     canonical_state,
-    ginibre_density,
-    haar_pure_state,
+    ensemble_chunk,
 )
 
 # Case labels emitted by discriminate(); these strings are part of the
@@ -129,17 +129,27 @@ def coherence_monogamy_check(p: CanonicalThreeQubit) -> float:
     return coh_ab * coh_ab + coh_ac * coh_ac - 2.0 * coh_a * coh_a
 
 
+def in_ghz_window(p: CanonicalThreeQubit) -> bool:
+    """Whether lambda0 > 0, lambda4 > 0 and lambda0 + lambda1 < lambda4.
+
+    This is the window on which the concurrence-sum and coherence-product
+    checks are stated.
+    """
+    return p.lambda0 > 0.0 and p.lambda4 > 0.0 and p.lambda0 + p.lambda1 - p.lambda4 < 0.0
+
+
 def _require_ghz_window(p: CanonicalThreeQubit, what: str):
     _require_theta_zero(p, what)
+    if in_ghz_window(p):
+        return
     if p.lambda0 <= 0.0:
         raise HypothesisError(f"{what} needs lambda0 > 0, got lambda0={p.lambda0}")
     if p.lambda4 <= 0.0:
         raise HypothesisError(f"{what} needs lambda4 > 0, got lambda4={p.lambda4}")
-    margin = p.lambda0 + p.lambda1 - p.lambda4
-    if margin >= 0.0:
-        raise HypothesisError(
-            f"{what} needs lambda0 + lambda1 - lambda4 < 0, got {margin}"
-        )
+    raise HypothesisError(
+        f"{what} needs lambda0 + lambda1 - lambda4 < 0,"
+        f" got {p.lambda0 + p.lambda1 - p.lambda4}"
+    )
 
 
 @dataclass(frozen=True)
@@ -313,13 +323,13 @@ def parameter_witness(p: CanonicalThreeQubit) -> ParameterWitness:
 
 # --- ensemble audits --------------------------------------------------------
 #
-# One engine serves every ensemble command.  A private per-state evaluator
-# is mapped over the indices 0..count-1: inline, one state at a time, at one
-# worker; at more, through a process pool in chunks of CHUNK_SIZE states
-# with WINDOW_PER_WORKER chunks per worker in flight.  The results come back
-# in index order and the caller folds them into Tally objects, so the output
-# is the same for any worker count and any chunk size, and memory does not
-# grow with the count.
+# One engine serves every ensemble command.  The indices 0..count-1 are cut
+# into chunks of CHUNK_SIZE states; a private chunk evaluator draws a chunk
+# as one (N, 4, 4) stack and computes its measures as arrays, inline at one
+# worker, or at more in a process pool with WINDOW_PER_WORKER chunks per
+# worker in flight.  The chunks come back in index order and the caller
+# folds them into Tally objects, so the output is the same for any worker
+# count and any chunk size, and memory does not grow with the count.
 #
 # The bound under the one-norm audit says the induced column 1-norm of a
 # two-qubit state never exceeds its l1-coherence.  Two summation
@@ -393,7 +403,10 @@ class LinkRecord:
 
 
 def one_norm_margins(rho: DensityMatrix) -> tuple:
-    """(induced 1-norm, reading-A coherence, margin under A, margin under B)."""
+    """(induced 1-norm, reading-A coherence, margin under A, margin under B).
+
+    Floats for one state, arrays over the states of a stack.
+    """
     n1 = linalg.induced_one_norm(rho.matrix)
     c_a = l1_coherence(rho)
     return n1, c_a, n1 - c_a, n1 - 2.0 * c_a
@@ -419,12 +432,8 @@ def _rank(spec: EnsembleSpec, dim: int) -> int:
 
 
 def ensemble_state(kind: str, seed: int, index: int, dim: int, rank: int) -> DensityMatrix:
-    """State ``index`` of the named ensemble, as a density matrix."""
-    if kind == "haar-pure":
-        return haar_pure_state(seed, index, dim).density()
-    if kind == "ginibre":
-        return ginibre_density(seed, index, dim, rank)
-    raise ValueError(f"unknown ensemble kind {kind!r}")
+    """State ``index`` of the named ensemble: row 0 of the chunk that holds only it."""
+    return ensemble_chunk(kind, seed, index, index + 1, dim, rank)[0]
 
 
 @dataclass
@@ -440,11 +449,16 @@ class Tally:
     margin: float | None = None
     index: int | None = None
 
-    def add(self, index: int, margin: float, violated: bool):
-        if violated:
-            self.violations += 1
+    def fold(self, lo: int, margins: np.ndarray, violated: np.ndarray):
+        """Fold in one chunk: the margins of states lo, lo + 1, ... and their verdicts.
+
+        Chunks must come in index order.
+        """
+        self.violations += int(np.count_nonzero(violated))
+        k = int(np.argmax(margins) if self.highest else np.argmin(margins))
+        margin = float(margins[k])
         if self.margin is None or (margin > self.margin if self.highest else margin < self.margin):
-            self.margin, self.index = margin, index
+            self.margin, self.index = margin, lo + k
 
     def worst_case(self, spec: EnsembleSpec, dim: int) -> WorstCase | None:
         """The extreme state, redrawn by its index, if any state violated."""
@@ -454,57 +468,77 @@ class Tally:
         return WorstCase(margin=self.margin, sample_index=self.index, state=state)
 
 
-def _evaluate_range(evaluate, kind, seed, dim, rank, lo, hi):
-    """Yield ``evaluate`` of states lo..hi-1.
+def _evaluate_chunk(job) -> tuple:
+    """(lo, ``evaluate`` of the stack of states lo..hi-1).
 
-    ``ensemble_state`` is looked up by name for every state, so a wrapper
-    set on this module sees each draw.
+    ``ensemble_chunk`` is looked up by name, so a wrapper set on this module
+    sees each draw.
     """
-    for k in range(lo, hi):
-        yield evaluate(ensemble_state(kind, seed, k, dim, rank))
+    evaluate, kind, seed, dim, rank, lo, hi = job
+    return lo, evaluate(ensemble_chunk(kind, seed, lo, hi, dim, rank))
 
 
-def _evaluate_chunk(job) -> list:
-    return list(_evaluate_range(*job))
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _map_states(spec: EnsembleSpec, evaluate, dim: int, workers: int):
-    """Yield ``evaluate(state k)`` for every index k of ``spec``, in index order."""
-    rank = _rank(spec, dim)
-    size = CHUNK_SIZE
-    if workers <= 1 or spec.count <= size:
-        yield from _evaluate_range(evaluate, spec.kind, spec.seed, dim, rank, 0, spec.count)
-        return
+def _process_pool(workers: int):
     # imported here so that runs at one worker never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _map_chunks(spec: EnsembleSpec, evaluate, dim: int, workers: int):
+    """Yield (lo, ``evaluate(states lo..hi-1)``) for the chunks of ``spec``, in index order.
+
+    The pool starts at most one process per chunk and per usable CPU: a
+    forking pool starts all of its processes at the first submission.
+    """
+    rank = _rank(spec, dim)
+    size = CHUNK_SIZE
+    jobs = (
+        (evaluate, spec.kind, spec.seed, dim, rank, lo, min(lo + size, spec.count))
+        for lo in range(0, spec.count, size)
+    )
+    workers = min(workers, -(-spec.count // size), _cpu_count())
+    if workers <= 1:
+        yield from map(_evaluate_chunk, jobs)
+        return
+    pool = _process_pool(workers)
     try:
         window = deque()
-        for lo in range(0, spec.count, size):
-            job = (evaluate, spec.kind, spec.seed, dim, rank, lo, min(lo + size, spec.count))
+        for job in jobs:
             window.append(pool.submit(_evaluate_chunk, job))
             if len(window) == WINDOW_PER_WORKER * workers:
-                yield from window.popleft().result()
+                yield window.popleft().result()
         while window:
-            yield from window.popleft().result()
+            yield window.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _scatter_point(rho: DensityMatrix) -> tuple:
+def _scatter_chunk(rho: DensityMatrix) -> tuple:
     return concurrence(rho), l1_coherence(rho)
 
 
-def _chain_verdicts(rho: DensityMatrix) -> dict:
+def _chain_chunk(rho: DensityMatrix) -> dict:
     return measures.inequality_chain(rho).link_verdicts
 
 
-def _one_norm_point(rho: DensityMatrix) -> tuple:
+def _one_norm_chunk(rho: DensityMatrix) -> tuple:
     _, _, margin_a, margin_b = one_norm_margins(rho)
-    # the concurrence costs two solves, so only violating states pay for it
-    violated = margin_a > AUDIT_TOL or margin_b > AUDIT_TOL
-    return margin_a, margin_b, violated and concurrence(rho) > 0.0
+    # the concurrence costs two solves, so only violating states pay for it,
+    # all of them in one stack
+    violated = (margin_a > AUDIT_TOL) | (margin_b > AUDIT_TOL)
+    entangled = np.zeros_like(violated)
+    if violated.any():
+        entangled[violated] = concurrence(rho[violated]) > 0.0
+    return margin_a, margin_b, entangled
 
 
 def scatter(spec: EnsembleSpec, tally: Tally, dim: int = 4, workers: int = 1):
@@ -513,18 +547,18 @@ def scatter(spec: EnsembleSpec, tally: Tally, dim: int = 4, workers: int = 1):
     Each margin ``C_l1 - C`` goes into ``tally``; a margin below
     ``-LINK_TOL`` violates ``C <= C_l1``.
     """
-    for k, (conc, coh) in enumerate(_map_states(spec, _scatter_point, dim, workers)):
-        margin = coh - conc
-        tally.add(k, margin, margin < -measures.LINK_TOL)
-        yield conc, coh
+    for lo, (conc, coh) in _map_chunks(spec, _scatter_chunk, dim, workers):
+        margins = coh - conc
+        tally.fold(lo, margins, margins < -measures.LINK_TOL)
+        yield from zip(conc.tolist(), coh.tolist())
 
 
 def chain_audit(spec: EnsembleSpec, dim: int = 4, workers: int = 1) -> dict:
     """Audit every link of the inequality chain over an ensemble; records by sorted link name."""
     tallies = defaultdict(Tally)
-    for k, verdicts in enumerate(_map_states(spec, _chain_verdicts, dim, workers)):
+    for lo, verdicts in _map_chunks(spec, _chain_chunk, dim, workers):
         for name, verdict in verdicts.items():
-            tallies[name].add(k, verdict.margin, not verdict.holds)
+            tallies[name].fold(lo, verdict.margin, ~verdict.holds)
     return {
         name: LinkRecord(t.violations, t.margin, t.index, t.worst_case(spec, dim))
         for name, t in sorted(tallies.items())
@@ -535,13 +569,13 @@ def one_norm_bound_audit(spec: EnsembleSpec, dim: int = 4, workers: int = 1) -> 
     """Audit the one-norm bound over an ensemble; returns (reading A, reading B) records."""
     tallies = (Tally(highest=True), Tally(highest=True))
     entangled = [0, 0]
-    for k, (margin_a, margin_b, is_entangled) in enumerate(
-        _map_states(spec, _one_norm_point, dim, workers)
+    for lo, (margin_a, margin_b, is_entangled) in _map_chunks(
+        spec, _one_norm_chunk, dim, workers
     ):
         for i, margin in enumerate((margin_a, margin_b)):
             violated = margin > AUDIT_TOL
-            tallies[i].add(k, margin, violated)
-            entangled[i] += violated and is_entangled
+            tallies[i].fold(lo, margin, violated)
+            entangled[i] += int(np.count_nonzero(violated & is_entangled))
     return tuple(
         AuditRecord(reading, t.violations, count, t.worst_case(spec, dim))
         for reading, t, count in zip((READING_A, READING_B), tallies, entangled)

@@ -425,8 +425,7 @@ def _sweep_row(ks, resolution: int) -> str:
     cells.extend(_fmt(v) for v in report.factored_difference)
     cells.append(report.case_label)
     cells.append(_fmt(classify.coherence_monogamy_check(p)))
-    applicable = p.lambda0 > 0.0 and p.lambda4 > 0.0 and p.lambda0 + p.lambda1 < p.lambda4
-    if applicable:
+    if classify.in_ghz_window(p):
         sum_check = classify.concurrence_sum_check(p)
         product_check = classify.coherence_product_check(p)
         cells.extend(

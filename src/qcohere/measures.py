@@ -1,5 +1,10 @@
 """Coherence, concurrence and tangle evaluators.
 
+The two-qubit measures and the inequality chain take a ``DensityMatrix``
+holding one state or an (N, 4, 4) stack: a state gives floats, a stack one
+value per state, computed once over the whole stack (one solve for the
+spin-flip spectra of an ensemble chunk).
+
 Two routes exist for the canonical three-qubit family: closed forms in
 the amplitudes (valid on the zero-phase slice, except the tangle which
 holds for any phase) and a matrix route that builds the state, reduces
@@ -20,6 +25,7 @@ from .states import (
     PureState,
     canonical_state,
     partial_trace,
+    per_state,
 )
 
 SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -47,10 +53,11 @@ def _require_theta_zero(p: CanonicalThreeQubit, what: str):
         raise OutOfFamilyError(f"{what} is a zero-phase closed form, got theta={p.theta}")
 
 
-def l1_coherence(rho: DensityMatrix) -> float:
+def l1_coherence(rho: DensityMatrix):
     """Sum of |rho_ij| over all ordered pairs i != j (each unordered pair counts twice)."""
     m = rho.matrix
-    return float(np.abs(m).sum() - np.abs(np.diagonal(m)).sum())
+    diagonal = np.abs(np.diagonal(m, axis1=-2, axis2=-1)).sum(axis=-1)
+    return per_state(np.abs(m).sum(axis=(-2, -1)) - diagonal)
 
 
 def spin_flip(rho: DensityMatrix) -> np.ndarray:
@@ -68,18 +75,21 @@ def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
     """
     s = rho.sqrt()
     m = s @ spin_flip(rho) @ s
-    m = 0.5 * (m + m.conj().T)
+    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
     w = linalg.hermitian_eigen(m).eigenvalues
     w = linalg.clamp_psd_eigenvalues(w, context="spin-flip product spectrum")
-    return np.sqrt(linalg.spectral_floor(w))[::-1]
+    return np.sqrt(linalg.spectral_floor(w))[..., ::-1]
 
 
-def concurrence(rho: DensityMatrix) -> float:
+def _wootters(roots: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
+
+
+def concurrence(rho: DensityMatrix):
     """Two-qubit concurrence from the spin-flip spectrum (Wootters form)."""
     if rho.dim != 4:
         raise MeasureError(f"concurrence is defined for two qubits (dim 4), got dim {rho.dim}")
-    r = _spin_flip_roots(rho)
-    return max(0.0, float(r[0] - r[1] - r[2] - r[3]))
+    return per_state(_wootters(_spin_flip_roots(rho)))
 
 
 @dataclass(frozen=True)
@@ -107,12 +117,14 @@ def measure_report(rho: DensityMatrix) -> MeasureReport:
 
 @dataclass(frozen=True)
 class LinkVerdict:
+    """A link's margin and whether it holds: scalars, or arrays over a stack."""
+
     holds: bool
     margin: float
 
 
-def _verdict(margin: float) -> LinkVerdict:
-    return LinkVerdict(holds=margin >= -LINK_TOL, margin=float(margin))
+def _verdict(margin) -> LinkVerdict:
+    return LinkVerdict(holds=margin >= -LINK_TOL, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -158,7 +170,8 @@ def inequality_chain(rho: DensityMatrix) -> ChainReport:
     """Evaluate the full chain of bounds linking concurrence to l1-coherence.
 
     Only the spin-flip product needs a solve of its own; every norm is read
-    off the spectrum ``w`` that ``rho`` already caches.  For PSD ``rho`` the
+    off the spectrum ``w`` that ``rho`` already caches.  For a stack every
+    value and margin is an array over its states.  For PSD ``rho`` the
     singular values are the eigenvalues, so ``smax = lambda_max``,
     ``trace_norm = sum(w)`` and ``frobenius = sqrt(sum(w^2))``.  The spin
     flip ``(sigma_y x sigma_y) rho* (sigma_y x sigma_y)`` is a unitary
@@ -168,12 +181,12 @@ def inequality_chain(rho: DensityMatrix) -> ChainReport:
     if rho.dim != 4:
         raise MeasureError(f"the inequality chain is defined for dim 4, got dim {rho.dim}")
     roots = _spin_flip_roots(rho)
-    conc = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
-    sqrt_lmax = float(roots[0])
+    conc = per_state(_wootters(roots))
+    sqrt_lmax = per_state(roots[..., 0])
     w = rho.eigenvalues
-    smax = smax_flip = float(w[-1])
-    trace_norm = float(w.sum())
-    frobenius = math.sqrt(float((w * w).sum()))
+    smax = smax_flip = per_state(w[..., -1])
+    trace_norm = per_state(w.sum(axis=-1))
+    frobenius = per_state(np.sqrt((w * w).sum(axis=-1)))
     trace_of_square = rho.purity()
     induced_one = linalg.induced_one_norm(rho.matrix)
     l1 = l1_coherence(rho)
@@ -269,6 +282,12 @@ def _tangle(c_cut: float, c_ab: float, c_ac: float) -> float:
     return max(t, 0.0)
 
 
+def _pair_concurrences(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> tuple:
+    """(C_AB, C_AC), solved as one stack of the two reductions."""
+    c_ab, c_ac = concurrence(DensityMatrix._lazy(np.stack([rho_ab.matrix, rho_ac.matrix])))
+    return float(c_ab), float(c_ac)
+
+
 def tangle_residual(psi: PureState) -> float:
     """Residual three-way entanglement C_A(BC)^2 - C_AB^2 - C_AC^2.
 
@@ -276,7 +295,7 @@ def tangle_residual(psi: PureState) -> float:
     reduced states.
     """
     rho_ab, rho_ac, rho_a = _reductions(psi)
-    return _tangle(_cut_concurrence(rho_a), concurrence(rho_ab), concurrence(rho_ac))
+    return _tangle(_cut_concurrence(rho_a), *_pair_concurrences(rho_ab, rho_ac))
 
 
 @dataclass(frozen=True)
@@ -317,8 +336,7 @@ def canonical_measures_analytic(p: CanonicalThreeQubit) -> CanonicalMeasures:
 
 
 def _matrix_measures(rho_ab, rho_ac, rho_a) -> CanonicalMeasures:
-    c_ab = concurrence(rho_ab)
-    c_ac = concurrence(rho_ac)
+    c_ab, c_ac = _pair_concurrences(rho_ab, rho_ac)
     return CanonicalMeasures(
         c_ab=c_ab,
         c_ac=c_ac,

@@ -47,6 +47,11 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 class DensityMatrix:
     """Validated density operator: Hermitian, unit trace, PSD within tolerance.
 
+    ``matrix`` is one d x d operator or an (N, d, d) stack of them, such as a
+    chunk of an ensemble; every check, the spectrum and the square root then
+    run once over the whole stack, and an error names the sample that failed.
+    Indexing a stack gives one state, or a sub-stack for an index array.
+
     The public constructor validates eagerly: the Hermiticity and trace
     checks, then one Jacobi eigendecomposition whose spectrum is checked
     for positivity and kept, so consumers (the matrix square root, the
@@ -65,40 +70,58 @@ class DensityMatrix:
         self._spectrum()
 
     @classmethod
-    def _lazy(cls, matrix) -> "DensityMatrix":
-        """A checked state whose eigendecomposition waits for first use."""
+    def _lazy(cls, matrix, indices=None) -> "DensityMatrix":
+        """A checked state whose eigendecomposition waits for first use.
+
+        ``indices`` are the sample indices of a stack's states (a stack
+        without them numbers its states from 0), or the one sample index of
+        a single state; errors name them.
+        """
         rho = cls.__new__(cls)
-        rho._check(matrix)
+        rho._check(matrix, indices)
         return rho
 
-    def _check(self, matrix):
+    def _check(self, matrix, indices=None):
         m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise StateError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise StateError("density matrix contains non-finite entries")
-        herm = float(np.abs(m - m.conj().T).max())
-        if herm > self.HERMITIAN_TOL:
-            raise StateError(
-                f"not Hermitian: max |M - M^H| entry is {herm:.3e},"
-                f" tolerance {self.HERMITIAN_TOL:.1e}"
-            )
-        trace_dev = abs(complex(np.trace(m)) - 1.0)
-        if trace_dev > self.TRACE_TOL:
-            raise StateError(
-                f"trace deviates from 1 by {trace_dev:.3e},"
-                f" tolerance {self.TRACE_TOL:.1e}"
-            )
+        if m.ndim == 3 and indices is None:
+            indices = np.arange(m.shape[0])
         self.matrix = m
-        self.dim = m.shape[0]
+        self.dim = m.shape[-1]
+        self.indices = indices
         self._eigenvalues = None
         self._eigenvectors = None
+        k = linalg._first(~np.isfinite(m).all(axis=(-2, -1)))
+        if k is not None:
+            raise StateError(self._sample(k) + "density matrix contains non-finite entries")
+        herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        k = linalg._first(herm > self.HERMITIAN_TOL)
+        if k is not None:
+            raise StateError(
+                self._sample(k) + f"not Hermitian: max |M - M^H| entry is"
+                f" {herm.flat[k]:.3e}, tolerance {self.HERMITIAN_TOL:.1e}"
+            )
+        trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+        k = linalg._first(trace_dev > self.TRACE_TOL)
+        if k is not None:
+            raise StateError(
+                self._sample(k) + f"trace deviates from 1 by {trace_dev.flat[k]:.3e},"
+                f" tolerance {self.TRACE_TOL:.1e}"
+            )
+
+    def _sample(self, k) -> str:
+        """Error prefix naming the sample at stack position ``k``, if it has an index."""
+        if self.indices is None:
+            return ""
+        index = self.indices if self.matrix.ndim == 2 else self.indices[k]
+        return f"sample {index}: "
 
     def _adopt_spectrum(self, eig: linalg.HermitianEigenDecomposition):
         try:
             w = linalg.clamp_psd_eigenvalues(eig.eigenvalues, context="density matrix")
         except linalg.NotPsdError as exc:
-            raise StateError(str(exc)) from exc
+            raise StateError(self._sample(exc.index) + str(exc)) from exc
         self._eigenvalues = w
         self._eigenvectors = eig.eigenvectors
 
@@ -106,6 +129,16 @@ class DensityMatrix:
         if self._eigenvalues is None:
             self._adopt_spectrum(linalg.hermitian_eigen(self.matrix, tol=self.HERMITIAN_TOL))
         return self._eigenvalues, self._eigenvectors
+
+    def __getitem__(self, k) -> "DensityMatrix":
+        """State ``k`` of a stack, or the sub-stack at an index array or mask."""
+        rho = DensityMatrix.__new__(DensityMatrix)
+        rho.matrix = self.matrix[k]
+        rho.dim = self.dim
+        rho.indices = self.indices[k]
+        rho._eigenvalues = None if self._eigenvalues is None else self._eigenvalues[k]
+        rho._eigenvectors = None if self._eigenvectors is None else self._eigenvectors[k]
+        return rho
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -119,11 +152,12 @@ class DensityMatrix:
     def sqrt(self) -> np.ndarray:
         """Principal square root, reusing the cached spectrum."""
         w, v = self._spectrum()
-        r = (v * np.sqrt(linalg.spectral_floor(w))) @ v.conj().T
-        return 0.5 * (r + r.conj().T)
+        r = (v * np.sqrt(linalg.spectral_floor(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+    def purity(self):
+        """Tr(rho^2): a float, or one per state of a stack."""
+        return per_state(np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1).real)
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,7 +167,14 @@ class DensityMatrix:
         }
 
     def __repr__(self):
+        if self.matrix.ndim == 3:
+            return f"DensityMatrix(dim={self.dim}, count={len(self.matrix)})"
         return f"DensityMatrix(dim={self.dim})"
+
+
+def per_state(values):
+    """A float for a single state's 0-d result, the array itself for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 class PureState:
@@ -292,24 +333,61 @@ class EnsembleSpec:
         return f"haar-pure(dim={dim})"
 
 
+def _gaussian_rows(seed: int, lo: int, hi: int, size: int) -> np.ndarray:
+    """Complex Gaussian vectors of length ``size`` for samples lo..hi-1, one row each.
+
+    Sample k's generator fills the real parts and then the imaginary parts
+    with one ``standard_normal(2 * size)`` call, the same bits as two calls
+    of ``size`` each.
+    """
+    z = np.empty((hi - lo, 2 * size))
+    for row, k in zip(z, range(lo, hi)):
+        sample_rng(seed, k).standard_normal(out=row)
+    return z[:, :size] + 1j * z[:, size:]
+
+
+def _haar_vectors(seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
+    v = _gaussian_rows(seed, lo, hi, dim)
+    v /= np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=1))[:, None]
+    return v
+
+
 def haar_pure_state(seed: int, index: int, dim: int) -> PureState:
     """Sample k of the Haar-uniform pure ensemble: a normalized complex Gaussian vector."""
-    rng = sample_rng(seed, index)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= math.sqrt(float((v.real * v.real + v.imag * v.imag).sum()))
-    return PureState(v)
+    return PureState(_haar_vectors(seed, index, index + 1, dim)[0])
+
+
+def _ginibre_matrices(seed: int, lo: int, hi: int, dim: int, rank: int) -> np.ndarray:
+    if not 1 <= rank <= dim:
+        raise StateError(f"rank must lie in [1, {dim}], got {rank}")
+    g = _gaussian_rows(seed, lo, hi, dim * rank).reshape(-1, dim, rank)
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def ginibre_density(seed: int, index: int, dim: int, rank: int) -> DensityMatrix:
     """Sample k of the Ginibre ensemble: G.G^H normalized, G complex Gaussian dim x rank."""
-    if not 1 <= rank <= dim:
-        raise StateError(f"rank must lie in [1, {dim}], got {rank}")
-    rng = sample_rng(seed, index)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
     # G.G^H is PSD by construction
-    return DensityMatrix._lazy(0.5 * (m + m.conj().T))
+    return DensityMatrix._lazy(_ginibre_matrices(seed, index, index + 1, dim, rank)[0], index)
+
+
+def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, dim: int, rank: int) -> DensityMatrix:
+    """States lo..hi-1 of the named ensemble as one lazily solved (hi - lo, dim, dim) stack.
+
+    Row k - lo is bit for bit the state that sample k draws on its own;
+    both ensembles are PSD by construction, so the stack is checked for
+    Hermiticity and trace now and solved, once for all its states, on first
+    use of the spectrum.
+    """
+    if kind == "haar-pure":
+        v = _haar_vectors(seed, lo, hi, dim)
+        m = v[:, :, None] * v.conj()[:, None, :]
+    elif kind == "ginibre":
+        m = _ginibre_matrices(seed, lo, hi, dim, rank)
+    else:
+        raise StateError(f"unknown ensemble kind {kind!r}")
+    return DensityMatrix._lazy(m, np.arange(lo, hi))
 
 
 def canonical_sample(seed: int, index: int, theta_mode: str = "zero") -> CanonicalThreeQubit:

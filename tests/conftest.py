@@ -8,12 +8,17 @@ from qcohere import linalg
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Shapes of every matrix handed to the Jacobi eigensolver during the test."""
+    """Shapes of the matrices handed to the Jacobi eigensolver during the test.
+
+    A stack of N matrices adds N entries, so the length counts matrices
+    solved, not solver calls.
+    """
     shapes = []
     original = linalg.hermitian_eigen
 
     def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        shape = np.shape(a)
+        shapes.extend([shape[-2:]] * (shape[0] if len(shape) == 3 else 1))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "hermitian_eigen", counting)

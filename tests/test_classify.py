@@ -1,6 +1,5 @@
 """Classifier tests: case labels, GHZ-window checks, witness, one-norm audit."""
 
-import concurrent.futures
 import math
 from concurrent.futures import Future
 
@@ -147,6 +146,21 @@ def test_checks_reject_points_outside_the_window():
         concurrence_sum_check(CanonicalThreeQubit(*POINT_A.lambdas(), theta=0.2))
 
 
+def test_ghz_window_predicate_is_the_checks_hypothesis():
+    assert classify.in_ghz_window(POINT_A)
+    for p in (POINT_B, W_MEMBER, GHZ, CanonicalThreeQubit(0.0, 0.2, 0.25, 0.35, math.sqrt(0.775))):
+        assert not classify.in_ghz_window(p)
+    for k in range(300):
+        p = canonical_sample(71, k, "zero")
+        try:
+            concurrence_sum_check(p)
+            coherence_product_check(p)
+            accepted = True
+        except HypothesisError:
+            accepted = False
+        assert classify.in_ghz_window(p) == accepted
+
+
 def test_coherence_product_check_reports_expansion_mismatch():
     record = coherence_product_check(POINT_A)
     assert record.holds
@@ -266,49 +280,82 @@ def test_one_norm_bound_audit_records():
     assert margin_a == pytest.approx(worst.margin, abs=1e-12)
 
 
-def test_pool_holds_a_bounded_window_of_chunks(monkeypatch):
+class InlineExecutor:
+    """Stands in for the process pool: runs each chunk when it is submitted."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.submitted = []
+
+    def submit(self, fn, job):
+        self.submitted.append(job)
+        future = Future()
+        future.set_result(fn(job))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool the engine starts, each an InlineExecutor; no process is started."""
+    started = []
+
+    def start(workers):
+        started.append(InlineExecutor(workers))
+        return started[-1]
+
+    monkeypatch.setattr(classify, "_process_pool", start)
+    return started
+
+
+def test_pool_holds_a_bounded_window_of_chunks(monkeypatch, pools):
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
     spec = EnsembleSpec(kind="haar-pure", seed=3, count=100)
-
-    def no_pool(max_workers):
-        raise AssertionError("the 1-worker path started a pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     inline = list(classify.scatter(spec, classify.Tally(), workers=1))
+    assert pools == []  # the 1-worker path starts no pool
 
-    submitted = []
-
-    class InlineExecutor:
-        """Stands in for the process pool: runs each chunk when it is submitted."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def submit(self, fn, job):
-            submitted.append(job)
-            future = Future()
-            future.set_result(fn(job))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     unconsumed, pooled = [], []
     for k, pair in enumerate(classify.scatter(spec, classify.Tally(), workers=2)):
         # chunks submitted minus chunks whose every state has been consumed
-        unconsumed.append(len(submitted) - k // 4)
+        unconsumed.append(len(pools[0].submitted) - k // 4)
         pooled.append(pair)
     assert max(unconsumed) == classify.WINDOW_PER_WORKER * 2
-    assert len(submitted) == 25
+    assert len(pools) == 1 and len(pools[0].submitted) == 25
     assert pooled == inline
 
 
+@pytest.mark.parametrize(
+    "workers, count, cpus, started",
+    [
+        (5000, 300, 2, [2]),  # the CPUs this process may use
+        (5000, 10, 64, [3]),  # one process per chunk of 4 states
+        (3, 300, 64, [3]),  # the worker count asked for
+        (5000, 4, 64, []),  # one chunk is evaluated inline
+    ],
+)
+def test_pool_starts_at_most_one_process_per_chunk_and_cpu(
+    monkeypatch, pools, workers, count, cpus, started
+):
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(classify, "_cpu_count", lambda: cpus)
+    spec = EnsembleSpec(kind="haar-pure", seed=3, count=count)
+    pairs = list(classify.scatter(spec, classify.Tally(), workers=workers))
+    assert len(pairs) == count
+    assert [pool.workers for pool in pools] == started
+
+
 def test_tally_keeps_the_earliest_extreme():
-    low = classify.Tally()
-    high = classify.Tally(highest=True)
-    for k, margin in enumerate((0.5, -1.0, 2.0, -1.0, 2.0)):
-        low.add(k, margin, margin < 0.0)
-        high.add(k, margin, margin > 1.0)
-    assert (low.violations, low.margin, low.index) == (2, -1.0, 1)
-    assert (high.violations, high.margin, high.index) == (2, 2.0, 2)
+    # ties inside a chunk and across chunks both go to the earliest index
+    margins = np.array([0.5, -1.0, 2.0, -1.0, 2.0])
+    for cuts in ((0, 5), (0, 2, 5), (0, 1, 2, 3, 4, 5), (0, 3, 5)):
+        low = classify.Tally()
+        high = classify.Tally(highest=True)
+        for lo, hi in zip(cuts, cuts[1:]):
+            chunk = margins[lo:hi]
+            low.fold(lo, chunk, chunk < 0.0)
+            high.fold(lo, chunk, chunk > 1.0)
+        assert (low.violations, low.margin, low.index) == (2, -1.0, 1), cuts
+        assert (high.violations, high.margin, high.index) == (2, 2.0, 2), cuts

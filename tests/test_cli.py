@@ -305,6 +305,23 @@ def test_commands_take_two_solves_per_state(tmp_path, capsys, monkeypatch, solve
     assert len(solves) == 2 * 30
 
 
+def test_one_norm_audit_solves_only_the_violating_states(tmp_path, capsys, monkeypatch, solves):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    code, _, _ = run(capsys, ["audit", "--target", "appendix-a", "--ensemble", "pure", "--n", "300",
+                              "--seed", "3", "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    violating = 0
+    for k in range(300):
+        _, _, margin_a, margin_b = classify.one_norm_margins(
+            classify.ensemble_state("haar-pure", 3, k, 4, 4)
+        )
+        violating += max(margin_a, margin_b) > classify.AUDIT_TOL
+    assert 0 < violating < 300
+    # two solves per violating state, and two for the Werner regression block
+    # (its eager validation and its spin-flip product)
+    assert len(solves) == 2 * violating + 2
+
+
 def test_unconverged_solver_exits_70(capsys, monkeypatch):
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
@@ -334,6 +351,8 @@ def _data_section(path):
 def test_outputs_match_for_any_worker_count_and_chunk_size(tmp_path, capsys, monkeypatch, argv):
     out = tmp_path / ("out.csv" if argv[0] == "sample" else "out.json")
     default_chunk = classify.CHUNK_SIZE
+    # let the pool start every worker asked for, whatever this machine's CPU count
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 4)
 
     def outputs(workers, chunk):
         monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
@@ -349,23 +368,24 @@ def test_outputs_match_for_any_worker_count_and_chunk_size(tmp_path, capsys, mon
     assert reference[0] == 0
     if argv[0] == "audit":
         assert reference[2]  # worst-case files were written and are compared too
-    for workers in (1, 3):
-        for chunk in (1, 7, default_chunk):
+    for workers in (1, 3, 4):
+        for chunk in (1, 7, default_chunk, 4096):
             assert outputs(workers, chunk) == reference, (workers, chunk)
 
 
 def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch):
     out = tmp_path / "scatter.csv"
     out.write_text("previous contents\n")
-    draw = classify.ensemble_state
+    draw = classify.ensemble_chunk
 
-    def draw_then_break(kind, seed, index, dim, rank):
-        # rows 0..19 are written before the solver starts failing
-        if index == 20:
+    def draw_then_break(kind, seed, lo, hi, dim, rank):
+        # chunks of 4 states: rows 0..19 are written before the solver starts failing
+        if lo == 20:
             monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
-        return draw(kind, seed, index, dim, rank)
+        return draw(kind, seed, lo, hi, dim, rank)
 
-    monkeypatch.setattr(classify, "ensemble_state", draw_then_break)
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(classify, "ensemble_chunk", draw_then_break)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     code, _, err = run(capsys, ["sample", "--n", "50", "--ensemble", "ginibre", "--seed", "7",
                                 "--out", str(out)])

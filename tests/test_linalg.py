@@ -90,23 +90,45 @@ def test_eigen_rejects_non_hermitian():
 
 
 def test_eigen_reconstruction_properties():
-    # 10^4 random Hermitian G + G^H across the dimensions in actual use
+    # 10^4 random Hermitian G + G^H across the dimensions in actual use, one
+    # stack per dimension; every bound holds for every matrix of the stack
     for dim, count in ((2, 5000), (4, 4000), (8, 1000)):
-        for _ in range(count):
-            h = random_hermitian(dim)
-            e = hermitian_eigen(h)
-            assert np.abs(e.reconstruct() - h).max() <= 1e-10
-            v = e.eigenvectors
-            assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
-            assert np.all(np.diff(e.eigenvalues) >= 0.0)
-            # independent oracle for the spectrum itself
-            assert np.abs(e.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-10
+        h = np.stack([random_hermitian(dim) for _ in range(count)])
+        e = hermitian_eigen(h)
+        assert e.eigenvalues.shape == (count, dim)
+        assert np.abs(e.reconstruct() - h).max() <= 1e-10
+        v = e.eigenvectors
+        assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(dim)).max() <= 1e-10
+        assert np.all(np.diff(e.eigenvalues, axis=-1) >= 0.0)
+        # independent oracle for the spectrum itself
+        assert np.abs(e.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-10
 
 
 def test_eigen_raises_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError, match="1 sweeps"):
         hermitian_eigen(random_hermitian(4))
+
+
+def test_eigen_raises_when_one_matrix_of_a_stack_runs_out(monkeypatch):
+    # six diagonal matrices converge before the first sweep; the seventh cannot
+    stack = np.stack([np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)] * 6 + [random_hermitian(4)])
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="1 sweeps: 1 of 7 matrices unconverged"):
+        hermitian_eigen(stack)
+    with pytest.raises(ConvergenceError, match="1 of 1 matrices"):
+        hermitian_eigen(stack[6:])
+    hermitian_eigen(stack[:6])
+
+
+def test_eigen_stack_errors_name_the_matrix():
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(NotHermitianError, match="matrix 2 of the stack is not Hermitian"):
+        hermitian_eigen(stack)
+    with pytest.raises(NotPsdError, match="-2.000e-01") as caught:
+        linalg.clamp_psd_eigenvalues(np.array([[0.0, 1.0], [-0.2, 1.2], [-0.3, 1.3]]))
+    assert caught.value.index == 1
 
 
 def test_psd_sqrt_identity():
@@ -265,3 +287,80 @@ def test_chain_norms_match_numpy_oracle_on_ginibre():
         nc = chain_norms(DensityMatrix(m))
         for key, value in numpy_norms(m).items():
             assert abs(nc[key] - value) <= 1e-12, (key, nc[key], value)
+
+
+# --- oracle corpus: stacks with hard spectra against numpy.linalg.eigvalsh ----
+
+
+def _unitaries(rng, count, dim):
+    """Seeded random unitaries: Q of a complex Gaussian QR, phases fixed by R."""
+    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _corpus(dim):
+    """Named (stack of Hermitian matrices, spectrum scale) with hard spectra."""
+    rng = np.random.default_rng(4000 + dim)
+    base = np.linspace(-1.0, 1.0, dim)
+    spectra = {
+        "generic": (rng.standard_normal((200, dim)), 1.0),
+        "exact-degenerate": (np.tile(np.repeat([0.3, -0.7], [dim // 2, dim - dim // 2]), (50, 1)), 1.0),
+        "identity": (np.ones((5, dim)), 1.0),
+        "zero": (np.zeros((5, dim)), 1.0),
+    }
+    for gap in (1e-8, 1e-11, 1e-14):
+        w = np.tile(base, (50, 1))
+        w[:, 1] = w[:, 0] + gap
+        spectra[f"gap-{gap:g}"] = (w, 1.0)
+    for rank in range(dim):
+        w = np.abs(rng.standard_normal((50, dim)))
+        w[:, rank:] = 0.0
+        spectra[f"rank-{rank}"] = (w, 1.0)
+    for scale in (1e8, 1e-8):
+        spectra[f"scaled-{scale:g}"] = (rng.standard_normal((100, dim)) * scale, scale)
+    corpus = {}
+    for name, (w, scale) in spectra.items():
+        u = _unitaries(rng, len(w), dim)
+        m = (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        corpus[name] = (0.5 * (m + m.conj().swapaxes(-1, -2)), scale)
+    # the diagonal and the basis-aligned cases exercise exact zeros
+    corpus["diagonal"] = (np.stack([np.diag(w).astype(complex) for w in spectra["generic"][0]]), 1.0)
+    return corpus
+
+
+@pytest.mark.parametrize("dim", (2, 4, 8))
+def test_solver_matches_eigvalsh_on_hard_stacks(dim):
+    # OFF_DIAGONAL_TARGET is absolute, so the bounds are absolute below scale 1
+    for name, (m, scale) in _corpus(dim).items():
+        e = hermitian_eigen(m)
+        bound = 1e-13 * max(1.0, scale)
+        assert np.abs(e.eigenvalues - np.linalg.eigvalsh(m)).max() <= bound, name
+        assert np.all(np.diff(e.eigenvalues, axis=-1) >= 0.0), name
+        assert np.abs(e.reconstruct() - m).max() <= 10 * bound, name
+        v = e.eigenvectors
+        assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(dim)).max() <= 1e-13, name
+
+
+def _bits(a: np.ndarray) -> bytes:
+    # compares signed zeros and NaN payloads too, unlike array_equal
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_results_are_bit_identical_for_any_batch_size():
+    # random matrices interleaved with degenerate, rank-deficient and diagonal
+    # ones, so converged and masked matrices sit beside active ones
+    rng = np.random.default_rng(4096)
+    hard = np.concatenate([m for m, _ in _corpus(4).values()])
+    g = rng.standard_normal((4096 - len(hard), 4, 4)) + 1j * rng.standard_normal((4096 - len(hard), 4, 4))
+    m = np.concatenate([g + g.conj().swapaxes(-1, -2), hard])[rng.permutation(4096)]
+    whole = hermitian_eigen(m)
+    for lo in range(0, 4096, 7):
+        part = hermitian_eigen(m[lo : lo + 7])
+        assert _bits(part.eigenvalues) == _bits(whole.eigenvalues[lo : lo + 7]), lo
+        assert _bits(part.eigenvectors) == _bits(whole.eigenvectors[lo : lo + 7]), lo
+    for k in range(0, 4096, 13):
+        one = hermitian_eigen(m[k])
+        assert _bits(one.eigenvalues) == _bits(whole.eigenvalues[k]), k
+        assert _bits(one.eigenvectors) == _bits(whole.eigenvectors[k]), k

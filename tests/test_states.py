@@ -16,11 +16,13 @@ from qcohere.states import (
     canonical_sample,
     canonical_state,
     density_matrix_from_json_dict,
+    ensemble_chunk,
     ghz_member,
     ginibre_density,
     haar_pure_state,
     partial_trace,
     read_density_matrix,
+    sample_rng,
     w_member,
     werner_state,
     write_density_matrix,
@@ -184,6 +186,55 @@ def test_sampling_is_deterministic_per_index():
     c1 = canonical_sample(9, 3, "uniform")
     c2 = canonical_sample(9, 3, "uniform")
     assert c1 == c2
+
+
+def test_chunk_rows_are_the_states_drawn_one_by_one():
+    for kind, rank in (("ginibre", 4), ("ginibre", 2), ("haar-pure", 4)):
+        chunk = ensemble_chunk(kind, 11, 5, 25, 4, rank)
+        assert chunk.matrix.shape == (20, 4, 4)
+        assert list(chunk.indices) == list(range(5, 25))
+        for k in range(5, 25):
+            one = haar_pure_state(11, k, 4).density() if kind == "haar-pure" else (
+                ginibre_density(11, k, 4, rank)
+            )
+            assert chunk.matrix[k - 5].tobytes() == one.matrix.tobytes(), (kind, k)
+            assert chunk[k - 5].matrix.tobytes() == one.matrix.tobytes(), (kind, k)
+
+
+def test_one_normal_call_per_state_draws_the_two_call_bits():
+    # the frozen contract: real parts, then imaginary parts, from sample k's generator
+    for k in range(20):
+        rng = sample_rng(11, k)
+        g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        assert (0.5 * (m + m.conj().T)).tobytes() == ginibre_density(11, k, 4, 2).matrix.tobytes()
+        rng = sample_rng(11, k)
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        v /= math.sqrt(float((v.real * v.real + v.imag * v.imag).sum()))
+        assert v.tobytes() == haar_pure_state(11, k, 4).amplitudes.tobytes()
+
+
+def test_stack_errors_name_the_sample():
+    good = np.eye(4, dtype=complex) / 4
+    stack = np.stack([good] * 4)
+    stack[2, 0, 1] = 0.3
+    with pytest.raises(StateError, match="sample 12: not Hermitian"):
+        DensityMatrix._lazy(stack, np.arange(10, 14))
+    stack = np.stack([good] * 4)
+    stack[3] *= 2.0
+    with pytest.raises(StateError, match="sample 3: trace deviates from 1 by 1.000e"):
+        DensityMatrix(stack)
+    stack = np.stack([good] * 4)
+    stack[1] = np.diag([1.5, -0.5, 0.0, 0.0])
+    lazy = DensityMatrix._lazy(stack, np.arange(7, 11))
+    with pytest.raises(StateError, match="sample 8: density matrix is not positive"):
+        lazy.sqrt()
+    # one state of a stack keeps its sample index
+    with pytest.raises(StateError, match="sample 8: density matrix is not positive"):
+        lazy[1].eigenvalues
+    with pytest.raises(StateError, match="^density matrix is not positive"):
+        DensityMatrix(stack[1])
 
 
 def test_haar_reduced_purity_matches_oracle_band():
