@@ -7,6 +7,12 @@ point (l4 = 0) can produce therefore certifies GHZ-class entanglement,
 while the W-consistent sign certifies nothing.  Reports carry the tangle
 so callers can see when a W-consistent label coexists with genuine
 three-way entanglement.
+
+The closed forms, checks and observables take one point or a stack of
+points (``CanonicalThreeQubit`` with (N,) amplitude arrays): the same
+arithmetic gives floats for the one and arrays for the other, and a
+check that fails names the first failing point of a stack.
+``sweep_columns`` evaluates a chunk of the sweep grid that way.
 """
 
 import os
@@ -26,11 +32,14 @@ from .measures import (
     reduced_coherences_analytic,
 )
 from .states import (
+    LAMBDA_NAMES,
     CanonicalThreeQubit,
     DensityMatrix,
     EnsembleSpec,
-    canonical_state,
+    _point,
+    canonical_amplitudes,
     ensemble_chunk,
+    per_state,
 )
 
 # Case labels emitted by discriminate(); these strings are part of the
@@ -54,6 +63,7 @@ OBS_O1 = 2.0 * np.kron(np.kron(SIGMA_X, SIGMA_Z), SIGMA_Z)
 OBS_O2 = 0.25 * np.kron(
     np.kron(IDENTITY_2 + SIGMA_Z, IDENTITY_2 + SIGMA_Z), IDENTITY_2 + SIGMA_Z
 )
+_OBSERVABLES = np.stack([OBS_O, OBS_O1, OBS_O2]).astype(np.complex128)
 
 
 class HypothesisError(ValueError):
@@ -65,16 +75,23 @@ def _require_theta_zero(p: CanonicalThreeQubit, what: str):
         raise OutOfFamilyError(f"{what} is defined on the zero-phase slice, got theta={p.theta}")
 
 
+def _window_margin(p: CanonicalThreeQubit):
+    """lambda0 + lambda1 - lambda4: the GHZ-window and parameter-witness margin."""
+    return p.lambda0 + p.lambda1 - p.lambda4
+
+
 def coherence_difference(p: CanonicalThreeQubit):
     """Difference coh_ab - coh_ac and its factors (l3 - l2, l0 + l1 - l4)."""
     _require_theta_zero(p, "the coherence difference")
     coh_ab, coh_ac, _ = reduced_coherences_analytic(p)
-    factors = (p.lambda3 - p.lambda2, p.lambda0 + p.lambda1 - p.lambda4)
+    factors = (p.lambda3 - p.lambda2, _window_margin(p))
     return coh_ab - coh_ac, factors
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The label of one point; for a stack every field but ``params`` is an (N,) array."""
+
     params: CanonicalThreeQubit
     measures: CanonicalMeasures
     coherence_difference: float
@@ -107,48 +124,52 @@ def discriminate(p: CanonicalThreeQubit) -> ClassificationReport:
     m = canonical_measures_analytic(p)
     diff, factors = coherence_difference(p)
     f_32, f_014 = factors
-    if abs(f_32) <= BOUNDARY_TOL or abs(f_014) <= BOUNDARY_TOL:
-        label = BOUNDARY
-    elif f_32 > 0.0:
-        label = CASE_I_GHZ if diff < 0.0 else CASE_I_W
-    else:
-        label = CASE_II_GHZ if diff >= 0.0 else CASE_II_W
+    label = np.where(
+        (abs(f_32) <= BOUNDARY_TOL) | (abs(f_014) <= BOUNDARY_TOL),
+        BOUNDARY,
+        np.where(
+            f_32 > 0.0,
+            np.where(diff < 0.0, CASE_I_GHZ, CASE_I_W),
+            np.where(diff >= 0.0, CASE_II_GHZ, CASE_II_W),
+        ),
+    )
     return ClassificationReport(
         params=p,
         measures=m,
         coherence_difference=diff,
         factored_difference=factors,
-        case_label=label,
+        case_label=per_state(label),
         tangle=m.tangle,
     )
 
 
-def coherence_monogamy_check(p: CanonicalThreeQubit) -> float:
+def coherence_monogamy_check(p: CanonicalThreeQubit):
     """Margin coh_ab^2 + coh_ac^2 - 2 coh_a^2; non-negative on the whole slice."""
-    coh_ab, coh_ac, coh_a = reduced_coherences_analytic(p)
-    return coh_ab * coh_ab + coh_ac * coh_ac - 2.0 * coh_a * coh_a
+    return measures._monogamy_margin(*reduced_coherences_analytic(p))
 
 
-def in_ghz_window(p: CanonicalThreeQubit) -> bool:
+def in_ghz_window(p: CanonicalThreeQubit):
     """Whether lambda0 > 0, lambda4 > 0 and lambda0 + lambda1 < lambda4.
 
     This is the window on which the concurrence-sum and coherence-product
-    checks are stated.
+    checks are stated.  A bool for one point, a mask for a stack.
     """
-    return p.lambda0 > 0.0 and p.lambda4 > 0.0 and p.lambda0 + p.lambda1 - p.lambda4 < 0.0
+    return (p.lambda0 > 0.0) & (p.lambda4 > 0.0) & (_window_margin(p) < 0.0)
 
 
 def _require_ghz_window(p: CanonicalThreeQubit, what: str):
     _require_theta_zero(p, what)
-    if in_ghz_window(p):
+    k = linalg._first(np.logical_not(in_ghz_window(p)))
+    if k is None:
         return
-    if p.lambda0 <= 0.0:
-        raise HypothesisError(f"{what} needs lambda0 > 0, got lambda0={p.lambda0}")
-    if p.lambda4 <= 0.0:
-        raise HypothesisError(f"{what} needs lambda4 > 0, got lambda4={p.lambda4}")
+    prefix, _ = _point(p.lambda0, k)
+    q = p[k] if prefix else p
+    if q.lambda0 <= 0.0:
+        raise HypothesisError(f"{prefix}{what} needs lambda0 > 0, got lambda0={q.lambda0}")
+    if q.lambda4 <= 0.0:
+        raise HypothesisError(f"{prefix}{what} needs lambda4 > 0, got lambda4={q.lambda4}")
     raise HypothesisError(
-        f"{what} needs lambda0 + lambda1 - lambda4 < 0,"
-        f" got {p.lambda0 + p.lambda1 - p.lambda4}"
+        f"{prefix}{what} needs lambda0 + lambda1 - lambda4 < 0, got {_window_margin(q)}"
     )
 
 
@@ -264,11 +285,16 @@ class ObservableTriple:
 
 
 def observables_expectations(p: CanonicalThreeQubit) -> ObservableTriple:
-    """Matrix-route expectations <O>, <O1>, <O2>; valid for any phase."""
-    psi = canonical_state(p).amplitudes
-    exp_o = float(np.vdot(psi, OBS_O @ psi).real)
-    exp_o1 = float(np.vdot(psi, OBS_O1 @ psi).real)
-    exp_o2 = float(np.vdot(psi, OBS_O2 @ psi).real)
+    """Matrix-route expectations <O>, <O1>, <O2>; valid for any phase.
+
+    All three come from the stacked observables, for one point or a whole
+    stack.  ``einsum`` keeps the products out of BLAS, whose threads only
+    add latency at these sizes.
+    """
+    psi = canonical_amplitudes(p)
+    o_psi = np.einsum("kij,...j->...ki", _OBSERVABLES, psi)
+    values = np.einsum("...i,...ki->...k", psi.conj(), o_psi).real
+    exp_o, exp_o1, exp_o2 = (per_state(values[..., i]) for i in range(3))
     return ObservableTriple(
         exp_o=exp_o,
         exp_o1=exp_o1,
@@ -308,17 +334,122 @@ class ParameterWitness:
         }
 
 
+def _witness_implication(p: CanonicalThreeQubit, triple: ObservableTriple) -> tuple:
+    """(lambda margin, whether ``margin < 0  =>  witness_holds`` holds) per point."""
+    margin = _window_margin(p)
+    return margin, (margin >= 0.0) | triple.witness_holds
+
+
 def parameter_witness(p: CanonicalThreeQubit) -> ParameterWitness:
-    if p.lambda0 <= 0.0:
-        raise HypothesisError(f"the parameter witness needs lambda0 > 0, got {p.lambda0}")
+    k = linalg._first(np.logical_not(p.lambda0 > 0.0))
+    if k is not None:
+        prefix, l0 = _point(p.lambda0, k)
+        raise HypothesisError(f"{prefix}the parameter witness needs lambda0 > 0, got {l0}")
     triple = observables_expectations(p)
-    margin = p.lambda0 + p.lambda1 - p.lambda4
-    ok = margin >= 0.0 or triple.witness_holds
+    margin, ok = _witness_implication(p, triple)
     return ParameterWitness(
         lambda_margin=margin,
         witness_implication_ok=ok,
         observables=triple,
     )
+
+
+# --- sweep -------------------------------------------------------------------
+
+SWEEP_COLUMNS = (
+    *LAMBDA_NAMES, "theta",
+    "c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle",
+    "coherence_difference", "factor_l3_minus_l2", "factor_l0_plus_l1_minus_l4", "case_label",
+    "monogamy_margin",
+    "sum_check_applicable", "sum_check_lhs", "sum_check_rhs", "sum_check_holds",
+    "product_check_holds",
+    "exp_o", "exp_o1", "exp_o2", "witness_holds", "witness_implication_ok",
+)
+
+
+# Grid points per stack that sweep_grid yields; a sweep evaluates and writes
+# one chunk at a time, so its memory does not grow with the resolution.
+SWEEP_CHUNK_SIZE = 512
+
+
+def sweep_grid(resolution: int, fixes=()):
+    """The squared-amplitude grid k_i / resolution in lexicographic order, in chunks.
+
+    ``fixes`` holds constraints ``("tie", i, j)`` (k_i = k_j) and
+    ``("value", i, v)`` (k_i / resolution = v^2 within 1e-12).  Yields
+    (<= SWEEP_CHUNK_SIZE, 5) integer arrays of (k0, ..., k4).
+    """
+    r = resolution
+    # every (k2, k3) with k2 + k3 <= r in lexicographic order; each (k0, k1)
+    # takes the ones that fit, which keeps the order
+    pairs = np.argwhere(np.add.outer(np.arange(r + 1), np.arange(r + 1)) <= r)
+    pair_sums = pairs.sum(axis=1)
+    pending = np.empty((0, 5), dtype=np.int64)
+    for k0 in range(r + 1):
+        for k1 in range(r + 1 - k0):
+            rest = r - k0 - k1
+            fit = pair_sums <= rest
+            ks = np.empty((int(fit.sum()), 5), dtype=np.int64)
+            ks[:, 0], ks[:, 1], ks[:, 2:4] = k0, k1, pairs[fit]
+            ks[:, 4] = rest - pair_sums[fit]
+            keep = np.ones(len(ks), dtype=bool)
+            for kind, i, target in fixes:
+                if kind == "tie":
+                    keep &= ks[:, i] == ks[:, target]
+                else:
+                    keep &= abs(ks[:, i] / r - target * target) <= 1e-12
+            pending = np.concatenate([pending, ks[keep]])
+            while len(pending) >= SWEEP_CHUNK_SIZE:
+                yield pending[:SWEEP_CHUNK_SIZE]
+                pending = pending[SWEEP_CHUNK_SIZE:]
+    if len(pending):
+        yield pending
+
+
+def _spread(where: np.ndarray, values) -> np.ndarray:
+    """``values``, given for the points of ``where``, placed at those points of the stack."""
+    values = np.asarray(values)
+    out = np.zeros(where.shape, dtype=values.dtype)
+    out[where] = values
+    return out
+
+
+def sweep_columns(p: CanonicalThreeQubit) -> tuple:
+    """The sweep's columns for a stack of zero-phase points, and where they apply.
+
+    Returns ``(columns, applies)``: ``columns`` maps each name of
+    SWEEP_COLUMNS, in order, to an (N,) array.  The window checks apply
+    inside the GHZ window and the parameter witness where lambda0 > 0;
+    ``applies`` maps those columns to their (N,) masks, and their cells
+    elsewhere carry no value.  The observables are evaluated once per point.
+    """
+    report = discriminate(p)
+    m = report.measures
+    triple = observables_expectations(p)
+    window = in_ghz_window(p)
+    inside = p[window]
+    sum_check = concurrence_sum_check(inside)
+    product_check = coherence_product_check(inside)
+    _, implication = _witness_implication(p, triple)
+    values = (
+        *p.lambdas(),
+        np.full(p.lambda0.shape, p.theta),
+        m.c_ab, m.c_ac, m.coh_ab, m.coh_ac, m.coh_a, m.tangle,
+        report.coherence_difference, *report.factored_difference, report.case_label,
+        coherence_monogamy_check(p),
+        window,
+        _spread(window, sum_check.lhs),
+        _spread(window, sum_check.rhs),
+        _spread(window, sum_check.holds),
+        _spread(window, product_check.holds),
+        triple.exp_o, triple.exp_o1, triple.exp_o2, triple.witness_holds,
+        implication,
+    )
+    applies = dict.fromkeys(
+        ("sum_check_lhs", "sum_check_rhs", "sum_check_holds", "product_check_holds"), window
+    )
+    applies["witness_implication_ok"] = p.lambda0 > 0.0
+    return dict(zip(SWEEP_COLUMNS, values, strict=True)), applies
 
 
 # --- ensemble audits --------------------------------------------------------

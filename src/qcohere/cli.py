@@ -28,6 +28,8 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__, classify, linalg, measures, states
 
 EXIT_OK = 0
@@ -39,7 +41,7 @@ EXIT_SOFTWARE = 70
 
 WORKERS_ENV = "QCOHERE_WORKERS"
 
-LAMBDA_NAMES = ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4")
+LAMBDA_NAMES = states.LAMBDA_NAMES
 
 _INPUT_ERRORS = (
     states.StateError,
@@ -374,91 +376,62 @@ def _parse_fix(texts) -> list:
                 value = float(rhs)
             except ValueError:
                 raise _UsageError(f"--fix value must be a number or a lambda name, got {rhs!r}")
+            if not math.isfinite(value):
+                raise _UsageError(f"--fix value must be finite, got {rhs!r}")
             if value < 0.0:
                 raise _UsageError(f"--fix value must be non-negative, got {value}")
             fixes.append(("value", LAMBDA_NAMES.index(lhs), value))
     return fixes
 
 
-def _grid_points(resolution: int, fixes: list):
-    """Lexicographic squared-amplitude grid k_i / resolution, filtered by fixes."""
-    r = resolution
-    for k0 in range(r + 1):
-        for k1 in range(r + 1 - k0):
-            for k2 in range(r + 1 - k0 - k1):
-                for k3 in range(r + 1 - k0 - k1 - k2):
-                    ks = (k0, k1, k2, k3, r - k0 - k1 - k2 - k3)
-                    ok = True
-                    for fix in fixes:
-                        if fix[0] == "tie":
-                            if ks[fix[1]] != ks[fix[2]]:
-                                ok = False
-                                break
-                        elif abs(ks[fix[1]] / r - fix[2] * fix[2]) > 1e-12:
-                            ok = False
-                            break
-                    if ok:
-                        yield ks
-
-
-_SWEEP_COLUMNS = (
-    "lambda0,lambda1,lambda2,lambda3,lambda4,theta,"
-    "c_ab,c_ac,coh_ab,coh_ac,coh_a,tangle,"
-    "coherence_difference,factor_l3_minus_l2,factor_l0_plus_l1_minus_l4,case_label,"
-    "monogamy_margin,"
-    "sum_check_applicable,sum_check_lhs,sum_check_rhs,sum_check_holds,"
-    "product_check_holds,"
-    "exp_o,exp_o1,exp_o2,witness_holds,witness_implication_ok"
-)
-
-
-def _sweep_row(ks, resolution: int) -> str:
-    lam = [math.sqrt(k / resolution) for k in ks]
-    p = states.CanonicalThreeQubit(*lam, theta=0.0)
-    report = classify.discriminate(p)
-    m = report.measures
-    triple = classify.observables_expectations(p)
-    cells = [_fmt(v) for v in lam]
-    cells.append(_fmt(0.0))
-    cells.extend(_fmt(v) for v in (m.c_ab, m.c_ac, m.coh_ab, m.coh_ac, m.coh_a, m.tangle))
-    cells.append(_fmt(report.coherence_difference))
-    cells.extend(_fmt(v) for v in report.factored_difference)
-    cells.append(report.case_label)
-    cells.append(_fmt(classify.coherence_monogamy_check(p)))
-    if classify.in_ghz_window(p):
-        sum_check = classify.concurrence_sum_check(p)
-        product_check = classify.coherence_product_check(p)
-        cells.extend(
-            (
-                "true",
-                _fmt(sum_check.lhs),
-                _fmt(sum_check.rhs),
-                "true" if sum_check.holds else "false",
-                "true" if product_check.holds else "false",
-            )
-        )
+def _cells(column, applies=None) -> list:
+    """CSV cells of one sweep column; empty where ``applies`` is false."""
+    values = column.tolist()
+    if column.dtype == bool:
+        cells = ["true" if v else "false" for v in values]
+    elif column.dtype.kind == "f":
+        cells = list(map(repr, values))  # Python floats already: this is _fmt
     else:
-        cells.extend(("false", "", "", "", ""))
-    cells.extend(_fmt(v) for v in (triple.exp_o, triple.exp_o1, triple.exp_o2))
-    cells.append("true" if triple.witness_holds else "false")
-    if p.lambda0 > 0.0:
-        witness = classify.parameter_witness(p)
-        cells.append("true" if witness.witness_implication_ok else "false")
-    else:
-        cells.append("")
-    return ",".join(cells)
+        cells = values
+    if applies is not None:
+        cells = [cell if a else "" for cell, a in zip(cells, applies.tolist())]
+    return cells
+
+
+def _sweep_rows(ks, roots, root_cells):
+    """CSV rows of one chunk of integer grid points.
+
+    The amplitudes take only the values sqrt(k / resolution), so their
+    cells come from ``root_cells``, formatted once per run.
+    """
+    p = states.CanonicalThreeQubit(*roots[ks.T], theta=0.0)
+    columns, applies = classify.sweep_columns(p)
+    lambda_cells = dict(zip(LAMBDA_NAMES, root_cells[ks.T]))
+    cells = [
+        lambda_cells[name].tolist() if name in lambda_cells else _cells(column, applies.get(name))
+        for name, column in columns.items()
+    ]
+    return map(",".join, zip(*cells))
 
 
 def _cmd_sweep(args) -> int:
-    if args.resolution < 2:
-        raise _UsageError(f"--resolution must be at least 2, got {args.resolution}")
+    r = args.resolution
+    if r < 2:
+        raise _UsageError(f"--resolution must be at least 2, got {r}")
     fixes = _parse_fix(args.fix)
     # the header carries the row count, so count the integer grid first
-    count = sum(1 for _ in _grid_points(args.resolution, fixes))
+    count = sum(len(ks) for ks in classify.sweep_grid(r, fixes))
     if not count:
         raise states.StateError("the requested constraints admit no grid points")
-    rows = (_sweep_row(ks, args.resolution) for ks in _grid_points(args.resolution, fixes))
-    _write_csv(args.out, _run_header("sweep", count=count), _SWEEP_COLUMNS, rows)
+    roots = np.array([math.sqrt(k / r) for k in range(r + 1)])
+    root_cells = np.array([_fmt(v) for v in roots])
+    rows = (
+        row
+        for ks in classify.sweep_grid(r, fixes)
+        for row in _sweep_rows(ks, roots, root_cells)
+    )
+    columns = ",".join(classify.SWEEP_COLUMNS)
+    _write_csv(args.out, _run_header("sweep", count=count), columns, rows)
     return EXIT_OK
 
 

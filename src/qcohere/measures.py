@@ -9,7 +9,9 @@ Two routes exist for the canonical three-qubit family: closed forms in
 the amplitudes (valid on the zero-phase slice, except the tangle which
 holds for any phase) and a matrix route that builds the state, reduces
 it and evaluates the general definitions.  The two are kept independent
-so each can audit the other.
+so each can audit the other.  The closed forms are plain arithmetic on
+the amplitudes, so they give floats for one point and arrays for a
+stack of points.
 """
 
 import math
@@ -23,6 +25,7 @@ from .states import (
     CanonicalThreeQubit,
     DensityMatrix,
     PureState,
+    _point,
     canonical_state,
     partial_trace,
     per_state,
@@ -268,13 +271,23 @@ def bipartition_concurrence(psi: PureState) -> float:
     return _cut_concurrence(partial_trace(psi.density(), (2, 2, 2), (0,)))
 
 
+def _ckw_margin(c_cut, c_ab, c_ac):
+    """C_A(BC)^2 - C_AB^2 - C_AC^2 (Coffman-Kundu-Wootters) of a three-qubit pure state."""
+    return c_cut * c_cut - c_ab * c_ab - c_ac * c_ac
+
+
+def _monogamy_margin(coh_ab, coh_ac, coh_a):
+    """coh_ab^2 + coh_ac^2 - 2 coh_a^2 from the AB, AC and A coherences."""
+    return coh_ab * coh_ab + coh_ac * coh_ac - 2.0 * coh_a * coh_a
+
+
 def _tangle(c_cut: float, c_ab: float, c_ac: float) -> float:
-    """C_A(BC)^2 - C_AB^2 - C_AC^2 of a three-qubit pure state.
+    """The CKW margin of a three-qubit pure state, which is its tangle.
 
     Values in [-TANGLE_CLAMP, 0) are rounding noise and collapse to zero;
     lower values mean an inconsistent construction.
     """
-    t = c_cut * c_cut - c_ab * c_ab - c_ac * c_ac
+    t = _ckw_margin(c_cut, c_ab, c_ac)
     if t < -TANGLE_CLAMP:
         raise NumericalInconsistencyError(
             f"tangle residual {t:.3e} is below -{TANGLE_CLAMP:.1e}"
@@ -300,7 +313,10 @@ def tangle_residual(psi: PureState) -> float:
 
 @dataclass(frozen=True)
 class CanonicalMeasures:
-    """Partial concurrences, reduced coherences and tangle of one canonical point."""
+    """Partial concurrences, reduced coherences and tangle of one canonical point.
+
+    For a stack of points every field is an (N,) array.
+    """
 
     c_ab: float
     c_ac: float
@@ -312,10 +328,14 @@ class CanonicalMeasures:
     def __post_init__(self):
         for name in ("c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle"):
             value = getattr(self, name)
-            if value < 0.0:
-                raise MeasureError(f"{name} must be non-negative, got {value}")
-        if self.tangle > 1.0 + 1e-10:
-            raise MeasureError(f"tangle exceeds 1: {self.tangle}")
+            k = linalg._first(value < 0.0)
+            if k is not None:
+                prefix, bad = _point(value, k)
+                raise MeasureError(f"{prefix}{name} must be non-negative, got {bad}")
+        k = linalg._first(self.tangle > 1.0 + 1e-10)
+        if k is not None:
+            prefix, bad = _point(self.tangle, k)
+            raise MeasureError(f"{prefix}tangle exceeds 1: {bad}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -366,8 +386,8 @@ def canonical_matrix_report(p: CanonicalThreeQubit) -> dict:
     report.update(
         {
             "bipartition_concurrence": cut,
-            "ckw_margin": cut * cut - m.c_ab**2 - m.c_ac**2,
-            "monogamy_margin": m.coh_ab**2 + m.coh_ac**2 - 2.0 * m.coh_a**2,
+            "ckw_margin": _ckw_margin(cut, m.c_ab, m.c_ac),
+            "monogamy_margin": _monogamy_margin(m.coh_ab, m.coh_ac, m.coh_a),
             "purity_ab": rho_ab.purity(),
             "purity_ac": rho_ac.purity(),
             "purity_a": rho_a.purity(),

@@ -24,6 +24,8 @@ from . import linalg
 
 GENERATOR_NAME = "numpy-pcg64-seedseq(seed,index)"
 
+LAMBDA_NAMES = ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4")
+
 MAX_SEED = 2**64 - 1
 
 
@@ -173,8 +175,8 @@ class DensityMatrix:
 
 
 def per_state(values):
-    """A float for a single state's 0-d result, the array itself for a stack."""
-    return float(values) if np.ndim(values) == 0 else values
+    """A Python scalar for a single state's or point's 0-d result, the array itself for a stack."""
+    return np.asarray(values).item() if np.ndim(values) == 0 else values
 
 
 class PureState:
@@ -242,7 +244,10 @@ class CanonicalThreeQubit:
     """Five-amplitude, one-phase canonical parametrization of a pure three-qubit state.
 
     Amplitudes sit on |000>, |100> (with the phase), |101>, |110> and
-    |111>; the squared amplitudes sum to one.
+    |111>; the squared amplitudes sum to one.  Each amplitude is a float
+    for one point, or an (N,) array for a stack of N points that share
+    one phase; the checks then run per point, an error names the first
+    point that fails, and indexing gives one point or a sub-stack.
     """
 
     lambda0: float
@@ -255,32 +260,66 @@ class CanonicalThreeQubit:
     NORM_TOL = 1e-10
 
     def __post_init__(self):
-        for name in ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4"):
+        shapes = sorted({np.shape(v) for v in self.lambdas()})
+        if len(shapes) != 1 or len(shapes[0]) > 1:
+            raise StateError(f"amplitudes must be five floats or five (N,) arrays, got {shapes}")
+        if shapes[0]:
+            for name in LAMBDA_NAMES:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if np.ndim(self.theta) != 0:
+            raise StateError(f"theta must be one phase, got shape {np.shape(self.theta)}")
+        for name in LAMBDA_NAMES:
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise StateError(f"{name} must be a non-negative real, got {value}")
+            k = linalg._first(~(np.isfinite(value) & (value >= 0.0)))
+            if k is not None:
+                prefix, bad = _point(value, k)
+                raise StateError(f"{prefix}{name} must be a non-negative real, got {bad}")
         if not 0.0 <= self.theta <= math.pi:
             raise StateError(f"theta must lie in [0, pi], got {self.theta}")
         dev = abs(sum(v * v for v in self.lambdas()) - 1.0)
-        if dev > self.NORM_TOL:
+        k = linalg._first(dev > self.NORM_TOL)
+        if k is not None:
+            prefix, bad = _point(dev, k)
             raise StateError(
-                f"squared amplitudes must sum to 1: deviation {dev:.3e},"
+                f"{prefix}squared amplitudes must sum to 1: deviation {bad:.3e},"
                 f" tolerance {self.NORM_TOL:.1e}"
             )
+
+    def __getitem__(self, k) -> "CanonicalThreeQubit":
+        """Point ``k`` of a stack, or the sub-stack at an index array or mask."""
+        values = [v[k] for v in self.lambdas()]
+        if np.ndim(values[0]) == 0:
+            values = [float(v) for v in values]
+        return CanonicalThreeQubit(*values, theta=self.theta)
 
     def lambdas(self) -> tuple:
         return (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
 
 
+def _point(values, k) -> tuple:
+    """Error prefix and value of entry ``k`` of a per-point quantity.
+
+    For a stack that is ``("point k: ", values[k])``; one point has no prefix.
+    """
+    if np.ndim(values) == 0:
+        return "", values
+    return f"point {k}: ", values[k]
+
+
+def canonical_amplitudes(p: CanonicalThreeQubit) -> np.ndarray:
+    """Amplitude vector of the canonical form, basis |q_A q_B q_C>; (N, 8) for a stack."""
+    amp = np.zeros(np.shape(p.lambda0) + (8,), dtype=np.complex128)
+    amp[..., 0] = p.lambda0
+    amp[..., 4] = p.lambda1 * complex(math.cos(p.theta), math.sin(p.theta))
+    amp[..., 5] = p.lambda2
+    amp[..., 6] = p.lambda3
+    amp[..., 7] = p.lambda4
+    return amp
+
+
 def canonical_state(p: CanonicalThreeQubit) -> PureState:
-    """Amplitude vector of the canonical form, basis |q_A q_B q_C>."""
-    amp = np.zeros(8, dtype=np.complex128)
-    amp[0] = p.lambda0
-    amp[4] = p.lambda1 * complex(math.cos(p.theta), math.sin(p.theta))
-    amp[5] = p.lambda2
-    amp[6] = p.lambda3
-    amp[7] = p.lambda4
-    return PureState(amp)
+    """The canonical form of one point as a validated pure state."""
+    return PureState(canonical_amplitudes(p))
 
 
 def ghz_member(p: CanonicalThreeQubit) -> PureState:

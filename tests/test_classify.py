@@ -1,12 +1,13 @@
 """Classifier tests: case labels, GHZ-window checks, witness, one-norm audit."""
 
+import itertools
 import math
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from qcohere import classify
+from qcohere import classify, measures
 from qcohere.classify import (
     BOUNDARY,
     CASE_I_GHZ,
@@ -28,7 +29,13 @@ from qcohere.classify import (
     parameter_witness,
 )
 from qcohere.measures import OutOfFamilyError
-from qcohere.states import CanonicalThreeQubit, EnsembleSpec, canonical_sample, werner_state
+from qcohere.states import (
+    CanonicalThreeQubit,
+    EnsembleSpec,
+    StateError,
+    canonical_sample,
+    werner_state,
+)
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
@@ -359,3 +366,137 @@ def test_tally_keeps_the_earliest_extreme():
             high.fold(lo, chunk, chunk > 1.0)
         assert (low.violations, low.margin, low.index) == (2, -1.0, 1), cuts
         assert (high.violations, high.margin, high.index) == (2, 2.0, 2), cuts
+
+
+def _stack_corpus():
+    """Zero-phase points: samples, the named points, boundaries and lambda0 = 0."""
+    points = [canonical_sample(83, k, "zero") for k in range(300)]
+    points += [POINT_A, POINT_B, GHZ, W_MEMBER, CanonicalThreeQubit(1.0, 0.0, 0.0, 0.0, 0.0)]
+    points += [CanonicalThreeQubit(0.0, 0.2, 0.25, 0.35, math.sqrt(0.775))]
+    points += [CanonicalThreeQubit(0.5, 0.5, 0.5, 0.5, 0.0)]
+    return points, CanonicalThreeQubit(*np.array([p.lambdas() for p in points]).T)
+
+
+def test_closed_forms_on_a_stack_are_the_per_point_values():
+    points, stack = _stack_corpus()
+    c_ab, c_ac = measures.partial_concurrences_analytic(stack)
+    cohs = measures.reduced_coherences_analytic(stack)
+    tangle = measures.tangle_analytic(stack)
+    diff, factors = coherence_difference(stack)
+    report = discriminate(stack)
+    margin = coherence_monogamy_check(stack)
+    window = classify.in_ghz_window(stack)
+    triple = observables_expectations(stack)
+    for k, p in enumerate(points):
+        assert (c_ab[k], c_ac[k]) == measures.partial_concurrences_analytic(p)
+        assert tuple(c[k] for c in cohs) == measures.reduced_coherences_analytic(p)
+        assert tangle[k] == measures.tangle_analytic(p)
+        assert (diff[k], factors[0][k], factors[1][k]) == (
+            coherence_difference(p)[0],
+            *coherence_difference(p)[1],
+        )
+        one = discriminate(p)
+        assert isinstance(one.case_label, str)
+        assert report.case_label[k] == one.case_label
+        assert report.measures.coh_ab[k] == one.measures.coh_ab
+        assert margin[k] == coherence_monogamy_check(p)
+        assert isinstance(classify.in_ghz_window(p), bool)
+        assert window[k] == classify.in_ghz_window(p)
+        one_triple = observables_expectations(p)
+        assert isinstance(one_triple.exp_o, float)
+        assert (triple.exp_o[k], triple.exp_o1[k], triple.exp_o2[k], triple.witness_holds[k]) == (
+            one_triple.exp_o,
+            one_triple.exp_o1,
+            one_triple.exp_o2,
+            one_triple.witness_holds,
+        )
+    assert 0 < window.sum() < len(points)
+    inside = [p for p, w in zip(points, window) if w]
+    sums, products = concurrence_sum_check(stack[window]), coherence_product_check(stack[window])
+    for k, p in enumerate(inside):
+        assert (sums.lhs[k], sums.rhs[k], sums.holds[k]) == (
+            concurrence_sum_check(p).lhs,
+            concurrence_sum_check(p).rhs,
+            concurrence_sum_check(p).holds,
+        )
+        assert products.holds[k] == coherence_product_check(p).holds
+        assert products.expansion_matches[k] == coherence_product_check(p).expansion_matches
+    positive = stack.lambda0 > 0.0
+    witness = parameter_witness(stack[positive])
+    for k, p in enumerate(p for p in points if p.lambda0 > 0.0):
+        one = parameter_witness(p)
+        assert (witness.lambda_margin[k], witness.witness_implication_ok[k]) == (
+            one.lambda_margin,
+            one.witness_implication_ok,
+        )
+
+
+def test_stack_errors_name_the_point():
+    ok = [POINT_A.lambdas()] * 4
+    with pytest.raises(StateError, match="^point 2: lambda1 must be a non-negative real, got -0.1"):
+        lam = np.array(ok)
+        lam[2, 1] = -0.1
+        CanonicalThreeQubit(*lam.T)
+    with pytest.raises(StateError, match="^point 3: lambda4 must be"):
+        lam = np.array(ok)
+        lam[3, 4] = np.nan
+        CanonicalThreeQubit(*lam.T)
+    with pytest.raises(StateError, match="^point 1: squared amplitudes must sum to 1"):
+        lam = np.array(ok)
+        lam[1, 0] = 0.31
+        CanonicalThreeQubit(*lam.T)
+    with pytest.raises(StateError, match="five floats or five"):
+        CanonicalThreeQubit(*np.array(ok).T[:4], np.ones(3))
+    with pytest.raises(StateError, match="one phase"):
+        CanonicalThreeQubit(*np.array(ok).T, theta=np.zeros(4))
+    def stack(*points):
+        return CanonicalThreeQubit(*np.array(points).T)
+
+    w_second = stack(POINT_A.lambdas(), W_MEMBER.lambdas())
+    with pytest.raises(HypothesisError, match="^point 1: the concurrence-sum check needs lambda4"):
+        concurrence_sum_check(w_second)
+    with pytest.raises(HypothesisError, match="^point 1: the coherence-product check needs"):
+        coherence_product_check(w_second)
+    with pytest.raises(HypothesisError, match="^point 1: .* lambda4 < 0, got 0.0$"):
+        concurrence_sum_check(stack(POINT_A.lambdas(), GHZ.lambdas()))
+    with pytest.raises(HypothesisError, match="^point 1: .* needs lambda0 > 0, got 0.0$"):
+        parameter_witness(stack(POINT_A.lambdas(), (0.0, 0.0, 0.0, 0.0, 1.0)))
+    # one point keeps its messages without a prefix
+    with pytest.raises(HypothesisError, match="^the concurrence-sum check needs lambda4 > 0"):
+        concurrence_sum_check(W_MEMBER)
+    with pytest.raises(StateError, match="^lambda1 must be"):
+        CanonicalThreeQubit(1.0, -0.1, 0.0, 0.0, 0.0)
+
+
+def test_indexing_a_stack_gives_points_and_sub_stacks():
+    points, stack = _stack_corpus()
+    assert stack[3] == points[3]
+    assert isinstance(stack[3].lambda0, float)
+    sub = stack[np.array([5, 1])]
+    assert [sub.lambda2[0], sub.lambda2[1]] == [points[5].lambda2, points[1].lambda2]
+    assert stack[np.zeros(len(points), dtype=bool)].lambda0.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "fixes",
+    [[], [("value", 4, 0.0)], [("tie", 2, 3)], [("value", 0, 0.5), ("tie", 1, 4)]],
+    ids=["none", "lambda4=0", "lambda2=lambda3", "lambda0=0.5,lambda1=lambda4"],
+)
+def test_sweep_grid_is_the_filtered_lexicographic_grid(monkeypatch, fixes):
+    r = 8
+    expected = [
+        ks
+        for ks in itertools.product(range(r + 1), repeat=5)
+        if sum(ks) == r
+        and all(
+            ks[i] == ks[v] if kind == "tie" else abs(ks[i] / r - v * v) <= 1e-12
+            for kind, i, v in fixes
+        )
+    ]
+    assert expected
+    for size in (1, 7, classify.SWEEP_CHUNK_SIZE):
+        monkeypatch.setattr(classify, "SWEEP_CHUNK_SIZE", size)
+        chunks = list(classify.sweep_grid(r, fixes))
+        assert all(1 <= len(ks) <= size for ks in chunks)
+        assert all(len(ks) == size for ks in chunks[:-1])
+        assert [tuple(row) for ks in chunks for row in ks.tolist()] == expected

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 from qcohere import classify, cli, linalg
-from qcohere.states import bell_state, haar_pure_state, werner_state, write_density_matrix
+from qcohere.states import (
+    CanonicalThreeQubit,
+    bell_state,
+    haar_pure_state,
+    werner_state,
+    write_density_matrix,
+)
 
 
 def run(capsys, argv):
@@ -271,6 +278,9 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, ["sweep", "--resolution", "1"])[0] == 64
     assert run(capsys, ["sample", "--n", "5", "--ensemble", "pure", "--rank", "2"])[0] == 64
     assert run(capsys, ["sweep", "--resolution", "4", "--fix", "bogus"])[0] == 64
+    # a non-finite value would compare false against every grid point and drop the constraint
+    assert run(capsys, ["sweep", "--resolution", "4", "--fix", "lambda0=nan"])[0] == 64
+    assert run(capsys, ["sweep", "--resolution", "4", "--fix", "lambda0=inf"])[0] == 64
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -393,3 +403,96 @@ def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch)
     assert "did not converge" in err
     assert out.read_text() == "previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
+
+
+# SHA-256 of the data section (every non-comment line, newline-terminated).
+# Captured from the per-point implementation the chunked sweep replaced.
+_SWEEP_DIGESTS = {
+    ("10", "lambda4=0"): "0fed194062701879e67c196f6e04db24b35e802db60bb57fd09d073b5a77d7e9",
+    ("12", "lambda2=lambda3"): "f70c9c9d8f121f36ae5152f38a7e8781efec1c77d66a49a5fcbd579a84ed42a0",
+}
+
+
+@pytest.mark.parametrize("resolution, fix", sorted(_SWEEP_DIGESTS))
+def test_sweep_data_section_is_pinned(capsys, resolution, fix):
+    code, stdout, _ = run(capsys, ["sweep", "--resolution", resolution, "--fix", fix])
+    assert code == 0
+    data = "".join(f"{line}\n" for line in data_lines(stdout))
+    assert hashlib.sha256(data.encode()).hexdigest() == _SWEEP_DIGESTS[resolution, fix]
+
+
+def test_sweep_rows_match_the_per_point_api(capsys):
+    code, stdout, _ = run(capsys, ["sweep", "--resolution", "6"])
+    assert code == 0
+    rows = parse_rows(stdout)
+    assert len(rows) == math.comb(10, 4)
+    flag = {True: "true", False: "false"}
+    windows = witnesses = 0
+    for row in rows:
+        lam = [float(row[name]) for name in cli.LAMBDA_NAMES]
+        p = CanonicalThreeQubit(*lam, theta=0.0)
+        report = classify.discriminate(p)
+        m = report.measures
+        triple = classify.observables_expectations(p)
+        expected = {
+            "theta": cli._fmt(0.0),
+            "c_ab": cli._fmt(m.c_ab),
+            "c_ac": cli._fmt(m.c_ac),
+            "coh_ab": cli._fmt(m.coh_ab),
+            "coh_ac": cli._fmt(m.coh_ac),
+            "coh_a": cli._fmt(m.coh_a),
+            "tangle": cli._fmt(m.tangle),
+            "coherence_difference": cli._fmt(report.coherence_difference),
+            "factor_l3_minus_l2": cli._fmt(report.factored_difference[0]),
+            "factor_l0_plus_l1_minus_l4": cli._fmt(report.factored_difference[1]),
+            "case_label": report.case_label,
+            "monogamy_margin": cli._fmt(classify.coherence_monogamy_check(p)),
+            "exp_o": cli._fmt(triple.exp_o),
+            "exp_o1": cli._fmt(triple.exp_o1),
+            "exp_o2": cli._fmt(triple.exp_o2),
+            "witness_holds": flag[triple.witness_holds],
+        }
+        if classify.in_ghz_window(p):
+            windows += 1
+            sum_check = classify.concurrence_sum_check(p)
+            expected.update(
+                sum_check_applicable="true",
+                sum_check_lhs=cli._fmt(sum_check.lhs),
+                sum_check_rhs=cli._fmt(sum_check.rhs),
+                sum_check_holds=flag[sum_check.holds],
+                product_check_holds=flag[classify.coherence_product_check(p).holds],
+            )
+        else:
+            expected.update(
+                sum_check_applicable="false",
+                sum_check_lhs="",
+                sum_check_rhs="",
+                sum_check_holds="",
+                product_check_holds="",
+            )
+        if p.lambda0 > 0.0:
+            witnesses += 1
+            witness = classify.parameter_witness(p)
+            expected["witness_implication_ok"] = flag[witness.witness_implication_ok]
+        else:
+            expected["witness_implication_ok"] = ""
+        assert {key: row[key] for key in expected} == expected, row
+        assert [cli._fmt(v) for v in lam] == [row[name] for name in cli.LAMBDA_NAMES]
+    assert 0 < windows < len(rows)
+    assert 0 < witnesses < len(rows)
+
+
+def test_sweep_output_is_the_same_for_any_chunk_size(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep.csv"
+
+    def data(chunk, *argv):
+        monkeypatch.setattr(classify, "SWEEP_CHUNK_SIZE", chunk)
+        code, _, _ = run(capsys, ["sweep", *argv, "--out", str(out)])
+        assert code == 0
+        return _data_section(out)
+
+    default_chunk = classify.SWEEP_CHUNK_SIZE
+    for argv in (["--resolution", "9"], ["--resolution", "8", "--fix", "lambda1=lambda3"]):
+        reference = data(default_chunk, *argv)
+        for chunk in (1, 7):
+            assert data(chunk, *argv) == reference, (argv, chunk)
