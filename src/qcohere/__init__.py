@@ -22,25 +22,20 @@ from .classify import (
     parameter_witness,
 )
 from .linalg import (
-    PAULI,
     ConvergenceError,
     HermitianEigenDecomposition,
-    PauliSet,
     hermitian_eigen,
     induced_one_norm,
 )
 from .measures import (
     CanonicalMeasures,
     ChainReport,
-    MeasureReport,
     bipartition_concurrence,
-    canonical_matrix_report,
     canonical_measures_analytic,
-    canonical_measures_matrix,
+    canonical_report,
     concurrence,
     inequality_chain,
     l1_coherence,
-    measure_report,
     partial_concurrences_analytic,
     reduced_coherences_analytic,
     spin_flip,
@@ -52,15 +47,9 @@ from .states import (
     DensityMatrix,
     EnsembleSpec,
     PureState,
-    bell_state,
     canonical_sample,
     canonical_state,
-    ghz_member,
-    ginibre_density,
-    haar_pure_state,
     partial_trace,
     read_density_matrix,
-    w_member,
     werner_state,
-    write_density_matrix,
 )

@@ -25,7 +25,6 @@ from . import linalg, measures
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Z
 from .measures import (
     CanonicalMeasures,
-    OutOfFamilyError,
     canonical_measures_analytic,
     concurrence,
     l1_coherence,
@@ -40,6 +39,7 @@ from .states import (
     canonical_amplitudes,
     ensemble_chunk,
     per_state,
+    require_zero_phase,
 )
 
 # Case labels emitted by discriminate(); these strings are part of the
@@ -70,11 +70,6 @@ class HypothesisError(ValueError):
     """A check was invoked on a point outside its hypothesis window."""
 
 
-def _require_theta_zero(p: CanonicalThreeQubit, what: str):
-    if p.theta != 0.0:
-        raise OutOfFamilyError(f"{what} is defined on the zero-phase slice, got theta={p.theta}")
-
-
 def _window_margin(p: CanonicalThreeQubit):
     """lambda0 + lambda1 - lambda4: the GHZ-window and parameter-witness margin."""
     return p.lambda0 + p.lambda1 - p.lambda4
@@ -82,7 +77,7 @@ def _window_margin(p: CanonicalThreeQubit):
 
 def coherence_difference(p: CanonicalThreeQubit):
     """Difference coh_ab - coh_ac and its factors (l3 - l2, l0 + l1 - l4)."""
-    _require_theta_zero(p, "the coherence difference")
+    require_zero_phase(p, "the coherence difference")
     coh_ab, coh_ac, _ = reduced_coherences_analytic(p)
     factors = (p.lambda3 - p.lambda2, _window_margin(p))
     return coh_ab - coh_ac, factors
@@ -120,7 +115,7 @@ def discriminate(p: CanonicalThreeQubit) -> ClassificationReport:
     every W-class point shares is 'W-consistent'; the opposite sign is a
     GHZ witness.  Exact zeros of either factor give 'boundary'.
     """
-    _require_theta_zero(p, "discrimination")
+    require_zero_phase(p, "discrimination")
     m = canonical_measures_analytic(p)
     diff, factors = coherence_difference(p)
     f_32, f_014 = factors
@@ -145,6 +140,7 @@ def discriminate(p: CanonicalThreeQubit) -> ClassificationReport:
 
 def coherence_monogamy_check(p: CanonicalThreeQubit):
     """Margin coh_ab^2 + coh_ac^2 - 2 coh_a^2; non-negative on the whole slice."""
+    require_zero_phase(p, "the coherence-monogamy check")
     return measures._monogamy_margin(*reduced_coherences_analytic(p))
 
 
@@ -158,7 +154,7 @@ def in_ghz_window(p: CanonicalThreeQubit):
 
 
 def _require_ghz_window(p: CanonicalThreeQubit, what: str):
-    _require_theta_zero(p, what)
+    require_zero_phase(p, what)
     k = linalg._first(np.logical_not(in_ghz_window(p)))
     if k is None:
         return
@@ -183,16 +179,6 @@ class ConcurrenceSumCheck:
     coh_ab: float
     coh_ac: float
     ordering_holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "coh_ab": self.coh_ab,
-            "coh_ac": self.coh_ac,
-            "ordering_holds": self.ordering_holds,
-        }
 
 
 def concurrence_sum_check(p: CanonicalThreeQubit) -> ConcurrenceSumCheck:
@@ -236,16 +222,6 @@ class CoherenceProductCheck:
     expansion_matches: bool
     holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coh_a": self.coh_a,
-            "coh_ac": self.coh_ac,
-            "product_minus_square_direct": self.product_minus_square_direct,
-            "product_minus_square_expansion": self.product_minus_square_expansion,
-            "expansion_matches": self.expansion_matches,
-            "holds": self.holds,
-        }
-
 
 def coherence_product_check(p: CanonicalThreeQubit) -> CoherenceProductCheck:
     """Check coh_a < coh_ac on the same window as the concurrence-sum check."""
@@ -275,14 +251,6 @@ class ObservableTriple:
     exp_o2: float
     witness_holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "exp_o": self.exp_o,
-            "exp_o1": self.exp_o1,
-            "exp_o2": self.exp_o2,
-            "witness_holds": self.witness_holds,
-        }
-
 
 def observables_expectations(p: CanonicalThreeQubit) -> ObservableTriple:
     """Matrix-route expectations <O>, <O1>, <O2>; valid for any phase.
@@ -305,7 +273,7 @@ def observables_expectations(p: CanonicalThreeQubit) -> ObservableTriple:
 
 def observable_closed_forms(p: CanonicalThreeQubit) -> tuple:
     """(4 l0 l4, 4 l0 l1, 2 l0^2): the zero-phase values of the three expectations."""
-    _require_theta_zero(p, "the observable closed forms")
+    require_zero_phase(p, "the observable closed forms")
     return (
         4.0 * p.lambda0 * p.lambda4,
         4.0 * p.lambda0 * p.lambda1,
@@ -325,13 +293,6 @@ class ParameterWitness:
     lambda_margin: float
     witness_implication_ok: bool
     observables: ObservableTriple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_margin": self.lambda_margin,
-            "witness_implication_ok": self.witness_implication_ok,
-            "observables": self.observables.to_json_dict(),
-        }
 
 
 def _witness_implication(p: CanonicalThreeQubit, triple: ObservableTriple) -> tuple:

@@ -176,42 +176,6 @@ def _resolve_ensemble(args, dim: int = 4):
     return spec, spec.describe(dim)
 
 
-def _parse_lambda_flags(lambdas_text: str, normalize_last: bool) -> list:
-    parts = [piece.strip() for piece in lambdas_text.split(",")]
-    if len(parts) == 5 and parts[4] == "auto":
-        parts = parts[:4]
-        normalize_last = True
-    if len(parts) == 4:
-        normalize_last = True
-    elif len(parts) != 5:
-        raise states.StateError(
-            f"--lambdas needs 4 or 5 comma-separated values, got {len(parts)}"
-        )
-    try:
-        values = [float(piece) for piece in parts]
-    except ValueError as exc:
-        raise states.StateError(f"--lambdas contains a non-numeric value: {exc}") from exc
-    if any(v < 0.0 for v in values):
-        raise states.StateError(f"amplitudes must be non-negative, got {values}")
-    if normalize_last and len(values) == 5:
-        values = values[:4]
-    if normalize_last:
-        radicand = 1.0 - sum(v * v for v in values)
-        if radicand < -1e-8:
-            raise states.StateError(
-                f"cannot complete lambda4: squared amplitudes already sum to {1.0 - radicand:.12f}"
-            )
-        values.append(math.sqrt(max(radicand, 0.0)))
-    total = sum(v * v for v in values)
-    deviation = abs(total - 1.0)
-    if deviation > 1e-8:
-        raise states.StateError(
-            f"squared amplitudes must sum to 1 within 1e-8, deviation {deviation:.3e}"
-        )
-    scale = math.sqrt(total)
-    return [v / scale for v in values]
-
-
 # --- sample -------------------------------------------------------------------
 
 
@@ -241,29 +205,6 @@ def _cmd_sample(args) -> int:
 # --- canonical ------------------------------------------------------------------
 
 
-_CANONICAL_KEYS = ("c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle")
-
-
-def _canonical_data(p: states.CanonicalThreeQubit) -> dict:
-    matrix_block = measures.canonical_matrix_report(p)
-    if p.theta == 0.0:
-        analytic_block = measures.canonical_measures_analytic(p).to_json_dict()
-    else:
-        analytic_block = {key: None for key in _CANONICAL_KEYS}
-        analytic_block["tangle"] = measures.tangle_analytic(p)
-    residuals = {
-        key: abs(analytic_block[key] - matrix_block[key])
-        for key in _CANONICAL_KEYS
-        if analytic_block.get(key) is not None
-    }
-    return {
-        "params": {"lambdas": list(p.lambdas()), "theta": p.theta},
-        "matrix": matrix_block,
-        "analytic": analytic_block,
-        "residuals": residuals,
-    }
-
-
 def _canonical_row(data: dict) -> tuple:
     """(column line, value line) of the flat CSV form."""
     columns, values = [], []
@@ -280,8 +221,8 @@ def _canonical_row(data: dict) -> tuple:
 
 
 def _cmd_canonical(args) -> int:
-    values = _parse_lambda_flags(args.lambdas, args.normalize_last)
-    data = _canonical_data(states.CanonicalThreeQubit(*values, theta=args.theta))
+    p = states.parse_lambdas(args.lambdas, args.normalize_last, args.theta)
+    data = measures.canonical_report(p)
     header = _run_header("canonical")
     if args.format == "csv":
         columns, row = _canonical_row(data)
@@ -295,10 +236,8 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.theta != 0.0:
-        raise states.StateError(f"classification is defined at theta=0, got {args.theta}")
-    values = _parse_lambda_flags(args.lambdas, args.normalize_last)
-    report = classify.discriminate(states.CanonicalThreeQubit(*values, theta=0.0))
+    p = states.parse_lambdas(args.lambdas, args.normalize_last, args.theta)
+    report = classify.discriminate(p)
     _write_json(None, _run_header("classify"), report.to_json_dict())
     return EXIT_OK
 

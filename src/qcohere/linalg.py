@@ -66,19 +66,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class PauliSet:
-    """The single-qubit operator basis used to build composite observables."""
-
-    identity: np.ndarray
-    sigma_x: np.ndarray
-    sigma_y: np.ndarray
-    sigma_z: np.ndarray
-
-
-PAULI = PauliSet(IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
 def _as_matrices(a) -> np.ndarray:
     """One matrix or an (N, rows, cols) stack, as finite complex128."""
     m = np.asarray(a, dtype=np.complex128)

@@ -29,6 +29,7 @@ from .states import (
     canonical_state,
     partial_trace,
     per_state,
+    require_zero_phase,
 )
 
 SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -43,17 +44,8 @@ class MeasureError(ValueError):
     pass
 
 
-class OutOfFamilyError(MeasureError):
-    """A closed form was asked for outside the zero-phase canonical slice."""
-
-
 class NumericalInconsistencyError(MeasureError):
     """Two routes to the same quantity disagree beyond their noise band."""
-
-
-def _require_theta_zero(p: CanonicalThreeQubit, what: str):
-    if p.theta != 0.0:
-        raise OutOfFamilyError(f"{what} is a zero-phase closed form, got theta={p.theta}")
 
 
 def l1_coherence(rho: DensityMatrix):
@@ -93,29 +85,6 @@ def concurrence(rho: DensityMatrix):
     if rho.dim != 4:
         raise MeasureError(f"concurrence is defined for two qubits (dim 4), got dim {rho.dim}")
     return per_state(_wootters(_spin_flip_roots(rho)))
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Basis-fixed coherence, entanglement and purity of one two-qubit state."""
-
-    l1_coherence: float
-    concurrence: float
-    purity: float
-
-    def __post_init__(self):
-        if self.l1_coherence < 0.0:
-            raise MeasureError(f"l1 coherence must be non-negative, got {self.l1_coherence}")
-        if not -1e-10 <= self.concurrence <= 1.0 + 1e-10:
-            raise MeasureError(f"concurrence must lie in [0, 1], got {self.concurrence}")
-
-
-def measure_report(rho: DensityMatrix) -> MeasureReport:
-    return MeasureReport(
-        l1_coherence=l1_coherence(rho),
-        concurrence=concurrence(rho),
-        purity=rho.purity(),
-    )
 
 
 @dataclass(frozen=True)
@@ -230,13 +199,13 @@ def inequality_chain(rho: DensityMatrix) -> ChainReport:
 
 def partial_concurrences_analytic(p: CanonicalThreeQubit) -> tuple:
     """(C_AB, C_AC) = (2 l0 l3, 2 l0 l2) on the zero-phase slice."""
-    _require_theta_zero(p, "partial concurrence")
+    require_zero_phase(p, "the partial concurrence")
     return 2.0 * p.lambda0 * p.lambda3, 2.0 * p.lambda0 * p.lambda2
 
 
 def reduced_coherences_analytic(p: CanonicalThreeQubit) -> tuple:
     """l1-coherences of the AB, AC and A reductions on the zero-phase slice."""
-    _require_theta_zero(p, "reduced coherence")
+    require_zero_phase(p, "the reduced coherence")
     l0, l1_, l2, l3, l4 = p.lambdas()
     coh_ab = 2.0 * (l0 * l1_ + l0 * l3 + l1_ * l3 + l2 * l4)
     coh_ac = 2.0 * (l0 * l1_ + l0 * l2 + l1_ * l2 + l3 * l4)
@@ -311,6 +280,10 @@ def tangle_residual(psi: PureState) -> float:
     return _tangle(_cut_concurrence(rho_a), *_pair_concurrences(rho_ab, rho_ac))
 
 
+# The six canonical measures, in their serialized order.
+CANONICAL_KEYS = ("c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle")
+
+
 @dataclass(frozen=True)
 class CanonicalMeasures:
     """Partial concurrences, reduced coherences and tangle of one canonical point.
@@ -326,7 +299,7 @@ class CanonicalMeasures:
     tangle: float
 
     def __post_init__(self):
-        for name in ("c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle"):
+        for name in CANONICAL_KEYS:
             value = getattr(self, name)
             k = linalg._first(value < 0.0)
             if k is not None:
@@ -338,14 +311,7 @@ class CanonicalMeasures:
             raise MeasureError(f"{prefix}tangle exceeds 1: {bad}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "c_ab": self.c_ab,
-            "c_ac": self.c_ac,
-            "coh_ab": self.coh_ab,
-            "coh_ac": self.coh_ac,
-            "coh_a": self.coh_a,
-            "tangle": self.tangle,
-        }
+        return {key: getattr(self, key) for key in CANONICAL_KEYS}
 
 
 def canonical_measures_analytic(p: CanonicalThreeQubit) -> CanonicalMeasures:
@@ -355,42 +321,48 @@ def canonical_measures_analytic(p: CanonicalThreeQubit) -> CanonicalMeasures:
     return CanonicalMeasures(c_ab, c_ac, coh_ab, coh_ac, coh_a, tangle_analytic(p))
 
 
-def _matrix_measures(rho_ab, rho_ac, rho_a) -> CanonicalMeasures:
+def canonical_report(p: CanonicalThreeQubit) -> dict:
+    """One canonical point by both routes, with their residuals, as a JSON object.
+
+    ``matrix`` holds the six measures from the matrix route (any phase) and,
+    beside them, the A|(BC) concurrence, the CKW and coherence-monogamy
+    margins and the purities of the reductions, all from one projector and
+    one set of reductions.  ``analytic`` holds the closed forms; off the
+    zero-phase slice only the tangle has one, and the other five are None.
+    ``residuals`` holds |analytic - matrix| for every closed form there is.
+    """
+    rho_ab, rho_ac, rho_a = _reductions(canonical_state(p))
     c_ab, c_ac = _pair_concurrences(rho_ab, rho_ac)
-    return CanonicalMeasures(
+    cut = _cut_concurrence(rho_a)
+    m = CanonicalMeasures(
         c_ab=c_ab,
         c_ac=c_ac,
         coh_ab=l1_coherence(rho_ab),
         coh_ac=l1_coherence(rho_ac),
         coh_a=l1_coherence(rho_a),
-        tangle=_tangle(_cut_concurrence(rho_a), c_ab, c_ac),
+        tangle=_tangle(cut, c_ab, c_ac),
     )
-
-
-def canonical_measures_matrix(p: CanonicalThreeQubit) -> CanonicalMeasures:
-    """Matrix-route canonical measures; valid for any phase."""
-    return _matrix_measures(*_reductions(canonical_state(p)))
-
-
-def canonical_matrix_report(p: CanonicalThreeQubit) -> dict:
-    """Matrix-route measures of one canonical point as a JSON object.
-
-    Beside the six measures it carries the A|(BC) concurrence, the CKW and
-    coherence-monogamy margins and the purities of the reductions, all from
-    one projector and one set of reductions.
-    """
-    rho_ab, rho_ac, rho_a = _reductions(canonical_state(p))
-    m = _matrix_measures(rho_ab, rho_ac, rho_a)
-    cut = _cut_concurrence(rho_a)
-    report = m.to_json_dict()
-    report.update(
-        {
-            "bipartition_concurrence": cut,
-            "ckw_margin": _ckw_margin(cut, m.c_ab, m.c_ac),
-            "monogamy_margin": _monogamy_margin(m.coh_ab, m.coh_ac, m.coh_a),
-            "purity_ab": rho_ab.purity(),
-            "purity_ac": rho_ac.purity(),
-            "purity_a": rho_a.purity(),
-        }
-    )
-    return report
+    matrix = {
+        **m.to_json_dict(),
+        "bipartition_concurrence": cut,
+        "ckw_margin": _ckw_margin(cut, m.c_ab, m.c_ac),
+        "monogamy_margin": _monogamy_margin(m.coh_ab, m.coh_ac, m.coh_a),
+        "purity_ab": rho_ab.purity(),
+        "purity_ac": rho_ac.purity(),
+        "purity_a": rho_a.purity(),
+    }
+    if p.theta == 0.0:
+        analytic = canonical_measures_analytic(p).to_json_dict()
+    else:
+        analytic = dict.fromkeys(CANONICAL_KEYS)
+        analytic["tangle"] = tangle_analytic(p)
+    return {
+        "params": {"lambdas": list(p.lambdas()), "theta": p.theta},
+        "matrix": matrix,
+        "analytic": analytic,
+        "residuals": {
+            key: abs(analytic[key] - matrix[key])
+            for key in CANONICAL_KEYS
+            if analytic[key] is not None
+        },
+    }

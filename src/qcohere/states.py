@@ -33,8 +33,8 @@ class StateError(ValueError):
     """A state fails one of its construction invariants."""
 
 
-class MembershipError(StateError):
-    """A canonical parameter point fails a class-membership precondition."""
+class OutOfFamilyError(StateError):
+    """A zero-phase closed form or check was asked for off the zero-phase slice."""
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -296,6 +296,12 @@ class CanonicalThreeQubit:
         return (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
 
 
+def require_zero_phase(p: CanonicalThreeQubit, what: str):
+    """The one precondition of every zero-phase closed form and check."""
+    if p.theta != 0.0:
+        raise OutOfFamilyError(f"{what} is defined on the zero-phase slice, got theta={p.theta}")
+
+
 def _point(values, k) -> tuple:
     """Error prefix and value of entry ``k`` of a per-point quantity.
 
@@ -320,31 +326,6 @@ def canonical_amplitudes(p: CanonicalThreeQubit) -> np.ndarray:
 def canonical_state(p: CanonicalThreeQubit) -> PureState:
     """The canonical form of one point as a validated pure state."""
     return PureState(canonical_amplitudes(p))
-
-
-def ghz_member(p: CanonicalThreeQubit) -> PureState:
-    """Canonical point restricted to the GHZ-class window lambda0, lambda4 > 0."""
-    if p.theta != 0.0:
-        raise MembershipError(f"GHZ-class window is defined at theta=0, got theta={p.theta}")
-    if p.lambda0 <= 0.0 or p.lambda4 <= 0.0:
-        raise MembershipError(
-            "GHZ-class membership needs lambda0 > 0 and lambda4 > 0,"
-            f" got lambda0={p.lambda0}, lambda4={p.lambda4}"
-        )
-    return canonical_state(p)
-
-
-def w_member(p: CanonicalThreeQubit) -> PureState:
-    """Canonical point restricted to the W-class slice lambda4 = 0, lambda0 > 0."""
-    if p.theta != 0.0:
-        raise MembershipError(f"W-class slice is defined at theta=0, got theta={p.theta}")
-    if p.lambda4 != 0.0:
-        raise MembershipError(f"W-class slice needs lambda4 = 0, got lambda4={p.lambda4}")
-    if p.lambda0 <= 0.0:
-        # lambda0 = 0 makes both partial concurrences vanish; the slice is
-        # degenerate there and membership is not decidable from this form.
-        raise MembershipError("W-class slice needs lambda0 > 0")
-    return canonical_state(p)
 
 
 @dataclass(frozen=True)
@@ -391,11 +372,6 @@ def _haar_vectors(seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
     return v
 
 
-def haar_pure_state(seed: int, index: int, dim: int) -> PureState:
-    """Sample k of the Haar-uniform pure ensemble: a normalized complex Gaussian vector."""
-    return PureState(_haar_vectors(seed, index, index + 1, dim)[0])
-
-
 def _ginibre_matrices(seed: int, lo: int, hi: int, dim: int, rank: int) -> np.ndarray:
     if not 1 <= rank <= dim:
         raise StateError(f"rank must lie in [1, {dim}], got {rank}")
@@ -403,12 +379,6 @@ def _ginibre_matrices(seed: int, lo: int, hi: int, dim: int, rank: int) -> np.nd
     m = g @ g.conj().swapaxes(-1, -2)
     m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
-def ginibre_density(seed: int, index: int, dim: int, rank: int) -> DensityMatrix:
-    """Sample k of the Ginibre ensemble: G.G^H normalized, G complex Gaussian dim x rank."""
-    # G.G^H is PSD by construction
-    return DensityMatrix._lazy(_ginibre_matrices(seed, index, index + 1, dim, rank)[0], index)
 
 
 def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, dim: int, rank: int) -> DensityMatrix:
@@ -454,10 +424,52 @@ def werner_state(p: float) -> DensityMatrix:
     return DensityMatrix(p * bell + (1.0 - p) * np.eye(4) / 4.0)
 
 
-def bell_state() -> PureState:
-    """(|00> + |11>)/sqrt(2)."""
-    s = 1.0 / math.sqrt(2.0)
-    return PureState([s, 0.0, 0.0, s])
+# --- amplitude-list text format --------------------------------------------
+#
+# A canonical point given as text is a comma-separated list of its
+# amplitudes: five values, or four whose fifth is completed from
+# normalization (also asked for by ``auto`` as the fifth value).
+
+
+def parse_lambdas(
+    text: str, normalize_last: bool = False, theta: float = 0.0
+) -> CanonicalThreeQubit:
+    """The canonical point that an amplitude list names.
+
+    Four values, ``auto`` as the fifth, or ``normalize_last`` complete
+    lambda4 from normalization; ``normalize_last`` with five numeric values
+    is refused, since it would replace the given lambda4.  Squared
+    amplitudes that sum to 1 within 1e-8 are renormalized exactly.
+    """
+    parts = [piece.strip() for piece in text.split(",")]
+    if len(parts) not in (4, 5):
+        raise StateError(f"amplitude list needs 4 or 5 comma-separated values, got {len(parts)}")
+    if len(parts) == 5 and parts[4] == "auto":
+        parts = parts[:4]
+    elif len(parts) == 5 and normalize_last:
+        raise StateError(
+            "five amplitudes conflict with normalize-last, which would replace the given"
+            f" lambda4={parts[4]}: give four values, or 'auto' as the fifth"
+        )
+    try:
+        values = [float(piece) for piece in parts]
+    except ValueError as exc:
+        raise StateError(f"amplitude list contains a non-numeric value: {exc}") from exc
+    if any(v < 0.0 for v in values):
+        raise StateError(f"amplitudes must be non-negative, got {values}")
+    if len(values) == 4:
+        radicand = 1.0 - sum(v * v for v in values)
+        if radicand < -1e-8:
+            raise StateError(
+                f"cannot complete lambda4: squared amplitudes already sum to {1.0 - radicand:.12f}"
+            )
+        values.append(math.sqrt(max(radicand, 0.0)))
+    total = sum(v * v for v in values)
+    deviation = abs(total - 1.0)
+    if deviation > 1e-8:
+        raise StateError(f"squared amplitudes must sum to 1 within 1e-8, deviation {deviation:.3e}")
+    scale = math.sqrt(total)
+    return CanonicalThreeQubit(*(v / scale for v in values), theta=theta)
 
 
 # --- density-matrix file format -------------------------------------------
@@ -512,9 +524,3 @@ def read_density_matrix(path) -> DensityMatrix:
         except json.JSONDecodeError as exc:
             raise StateError(f"density-matrix file is not valid JSON: {exc}") from exc
     return density_matrix_from_json_dict(obj)
-
-
-def write_density_matrix(path, rho: DensityMatrix):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rho.to_json_dict(), fh)
-        fh.write("\n")

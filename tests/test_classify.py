@@ -28,10 +28,10 @@ from qcohere.classify import (
     one_norm_margins,
     parameter_witness,
 )
-from qcohere.measures import OutOfFamilyError
 from qcohere.states import (
     CanonicalThreeQubit,
     EnsembleSpec,
+    OutOfFamilyError,
     StateError,
     canonical_sample,
     werner_state,

@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from qcohere import classify, cli, linalg
-from qcohere.states import (
-    CanonicalThreeQubit,
-    bell_state,
-    haar_pure_state,
-    werner_state,
-    write_density_matrix,
-)
+from qcohere.states import CanonicalThreeQubit, PureState, _haar_vectors, werner_state
 
 
 def run(capsys, argv):
@@ -73,7 +67,7 @@ def test_sample_pure_has_no_violations(tmp_path, capsys):
     assert float(target["l1_coherence"]) - float(target["concurrence"]) == pytest.approx(
         data["min_margin"], abs=1e-12
     )
-    amp = haar_pure_state(42, k, 4).amplitudes
+    amp = _haar_vectors(42, k, k + 1, 4)[0]
     oracle_conc = 2.0 * abs(amp[0] * amp[3] - amp[1] * amp[2])
     m = np.outer(amp, amp.conj())
     oracle_coh = float(np.abs(m).sum() - np.abs(np.diagonal(m)).sum())
@@ -146,6 +140,20 @@ def test_canonical_rejects_bad_normalization(capsys):
     assert "deviation" in err
 
 
+@pytest.mark.parametrize("command", ["canonical", "classify"])
+def test_five_values_conflict_with_normalize_last(capsys, command):
+    code, stdout, err = run(capsys, [command, "--lambdas", "0.6,0.2,0.3,0.5,0.9",
+                                     "--normalize-last"])
+    assert code == 65
+    assert stdout == ""
+    assert "normalize-last" in err and "lambda4=0.9" in err
+    # 'auto' as the fifth value asks for the same completion, so it still works
+    code, stdout, _ = run(capsys, [command, "--lambdas", "0.6,0.2,0.3,0.5,auto",
+                                   "--normalize-last"])
+    assert code == 0
+    assert json_data(stdout)["params"]["lambdas"][4] == pytest.approx(math.sqrt(0.26), abs=1e-12)
+
+
 def test_classify_labels(capsys):
     code, stdout, _ = run(capsys, ["classify", "--lambdas", "0.3,0.2,0.25,0.35,auto"])
     assert code == 0
@@ -208,7 +216,7 @@ def test_audit_one_norm_writes_worst_case_files(tmp_path, capsys):
 
 def test_audit_state_file_paths(tmp_path, capsys):
     werner_path = tmp_path / "werner.json"
-    write_density_matrix(werner_path, werner_state(0.9))
+    werner_path.write_text(json.dumps(werner_state(0.9).to_json_dict()))
     code, stdout, _ = run(capsys, ["audit", "--target", "appendix-a",
                                    "--state-file", str(werner_path)])
     assert code == 0
@@ -217,7 +225,9 @@ def test_audit_state_file_paths(tmp_path, capsys):
     assert data["entangled"]
 
     bell_path = tmp_path / "bell.json"
-    write_density_matrix(bell_path, bell_state().density())
+    s2 = 1.0 / math.sqrt(2.0)
+    bell = PureState([s2, 0.0, 0.0, s2]).density()
+    bell_path.write_text(json.dumps(bell.to_json_dict()))
     code, stdout, _ = run(capsys, ["audit", "--target", "theorem1-chain",
                                    "--state-file", str(bell_path)])
     assert code == 0
@@ -419,6 +429,36 @@ def test_sweep_data_section_is_pinned(capsys, resolution, fix):
     assert code == 0
     data = "".join(f"{line}\n" for line in data_lines(stdout))
     assert hashlib.sha256(data.encode()).hexdigest() == _SWEEP_DIGESTS[resolution, fix]
+
+
+# SHA-256 of the data sections of the README's canonical and classify
+# examples: the CSV lines as for the sweep, and for JSON the ``data`` object
+# dumped as the CLI dumps it.  Captured before the amplitude-list parsing and
+# the canonical report moved out of the CLI.
+_POINT_DIGESTS = {
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last"):
+        "691dd61c3b1169b43c8ec0a11dea69383147c32244c76fa18b19248304aecc74",
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--format", "csv"):
+        "dd7b66e6749cb6bd1f0fdab4d5bf97d3749b67e44feaba7ba08e292dc25fd9b0",
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--theta", "1.0471976"):
+        "6c4bad5b7c8212cbbe0ba58ee61702ef75b8b2be4c0143e844a3a736b0d73d79",
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--theta", "1.0471976",
+     "--format", "csv"):
+        "818d3978791a6364ad9e831c58e4cb647c80a8c40801d303c7d119561cbc6005",
+    ("classify", "--lambdas", "0.3,0.2,0.25,0.35,auto"):
+        "6d34f112160e302be66a22f54f229769d63ca4e0700a2af7ef7d8b2dfddf5c46",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_POINT_DIGESTS), ids=" ".join)
+def test_point_data_sections_are_pinned(capsys, argv):
+    code, stdout, _ = run(capsys, list(argv))
+    assert code == 0
+    if "csv" in argv:
+        data = "".join(f"{line}\n" for line in data_lines(stdout))
+    else:
+        data = json.dumps(json_data(stdout), indent=2, sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == _POINT_DIGESTS[argv]
 
 
 def test_sweep_rows_match_the_per_point_api(capsys):

@@ -12,15 +12,14 @@ import pytest
 
 from qcohere import classify
 from qcohere.measures import (
+    CANONICAL_KEYS,
     MeasureError,
-    OutOfFamilyError,
     bipartition_concurrence,
     canonical_measures_analytic,
-    canonical_measures_matrix,
+    canonical_report,
     concurrence,
     inequality_chain,
     l1_coherence,
-    measure_report,
     partial_concurrences_analytic,
     reduced_coherences_analytic,
     spin_flip,
@@ -30,18 +29,19 @@ from qcohere.measures import (
 from qcohere.states import (
     CanonicalThreeQubit,
     DensityMatrix,
+    OutOfFamilyError,
     PureState,
-    bell_state,
+    _haar_vectors,
     canonical_sample,
     canonical_state,
-    ginibre_density,
-    haar_pure_state,
+    ensemble_chunk,
     partial_trace,
     werner_state,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
+BELL = PureState([S2, 0.0, 0.0, S2])
 
 # regression points used across the suite
 POINT_A = CanonicalThreeQubit(0.3, 0.2, 0.25, 0.35, math.sqrt(0.685))
@@ -65,13 +65,13 @@ def oracle_pure_concurrence(amp: np.ndarray) -> float:
 
 def test_l1_coherence_examples():
     assert l1_coherence(DensityMatrix(np.eye(4) / 4)) == 0.0
-    assert l1_coherence(bell_state().density()) == pytest.approx(1.0, abs=1e-12)
+    assert l1_coherence(BELL.density()) == pytest.approx(1.0, abs=1e-12)
     # two off-diagonal entries of 0.45 each
     assert l1_coherence(werner_state(0.9)) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_spin_flip_fixed_points():
-    bell = bell_state().density()
+    bell = BELL.density()
     assert np.abs(spin_flip(bell) - bell.matrix).max() <= 1e-12
     mixed = DensityMatrix(np.eye(4) / 4)
     assert np.abs(spin_flip(mixed) - mixed.matrix).max() <= 1e-12
@@ -85,13 +85,11 @@ def test_spin_flip_moves_basis_projector():
 
 
 def test_concurrence_bell():
-    assert concurrence(bell_state().density()) == pytest.approx(1.0, abs=1e-10)
+    assert concurrence(BELL.density()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_concurrence_product_state_is_zero():
-    for k in range(50):
-        a = haar_pure_state(2, k, 2).amplitudes
-        b = haar_pure_state(3, k, 2).amplitudes
+    for a, b in zip(_haar_vectors(2, 0, 50, 2), _haar_vectors(3, 0, 50, 2)):
         rho = PureState(np.kron(a, b)).density()
         assert concurrence(rho) <= 1e-8
 
@@ -103,28 +101,28 @@ def test_concurrence_werner():
 
 
 def test_concurrence_agrees_with_general_solver_oracle():
-    for k in range(300):
-        rho = ginibre_density(17, k, 4, 4)
-        assert concurrence(rho) == pytest.approx(oracle_concurrence(rho.matrix), abs=1e-8)
+    rho = ensemble_chunk("ginibre", 17, 0, 300, 4, 4)
+    for value, m in zip(concurrence(rho), rho.matrix):
+        assert value == pytest.approx(oracle_concurrence(m), abs=1e-8)
 
 
 def test_concurrence_agrees_with_pure_closed_form():
-    for k in range(300):
-        psi = haar_pure_state(23, k, 4)
+    for amplitudes in _haar_vectors(23, 0, 300, 4):
+        psi = PureState(amplitudes)
         assert concurrence(psi.density()) == pytest.approx(
             oracle_pure_concurrence(psi.amplitudes), abs=1e-8
         )
 
 
 def test_measure_report_fields():
-    report = measure_report(werner_state(0.9))
-    assert report.l1_coherence == pytest.approx(0.9, abs=1e-12)
-    assert report.concurrence == pytest.approx(0.85, abs=1e-10)
-    assert report.purity == pytest.approx(0.9 * 0.9 + (1 - 0.81) / 4, abs=1e-12)
+    rho = werner_state(0.9)
+    assert l1_coherence(rho) == pytest.approx(0.9, abs=1e-12)
+    assert concurrence(rho) == pytest.approx(0.85, abs=1e-10)
+    assert rho.purity() == pytest.approx(0.9 * 0.9 + (1 - 0.81) / 4, abs=1e-12)
 
 
 def test_chain_bell_saturates():
-    rep = inequality_chain(bell_state().density())
+    rep = inequality_chain(BELL.density())
     assert rep.concurrence == pytest.approx(1.0, abs=1e-10)
     assert rep.l1_coherence == pytest.approx(1.0, abs=1e-12)
     assert rep.sqrt_lambda_max == pytest.approx(1.0, abs=1e-10)
@@ -154,12 +152,8 @@ def test_chain_maximally_mixed():
 
 
 def test_chain_end_to_end_on_samples():
-    for k in range(1000):
-        rho = ginibre_density(29, k, 4, 4)
-        assert inequality_chain(rho).end_to_end.holds
-    for k in range(1000):
-        rho = haar_pure_state(31, k, 4).density()
-        assert inequality_chain(rho).end_to_end.holds
+    assert inequality_chain(ensemble_chunk("ginibre", 29, 0, 1000, 4, 4)).end_to_end.holds.all()
+    assert inequality_chain(ensemble_chunk("haar-pure", 31, 0, 1000, 4, 4)).end_to_end.holds.all()
 
 
 def test_partial_concurrences_examples():
@@ -248,23 +242,25 @@ def test_tangle_residual_matches_closed_form_for_any_phase():
 
 def test_canonical_measures_routes_agree():
     analytic = canonical_measures_analytic(POINT_A)
-    matrix = canonical_measures_matrix(POINT_A)
-    for field in ("c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle"):
-        assert getattr(matrix, field) == pytest.approx(getattr(analytic, field), abs=1e-8)
+    report = canonical_report(POINT_A)
+    for field in CANONICAL_KEYS:
+        assert report["matrix"][field] == pytest.approx(getattr(analytic, field), abs=1e-8)
+        assert report["analytic"][field] == getattr(analytic, field)
+        assert report["residuals"][field] <= 1e-8
 
 
 def test_l1_coherence_is_basis_dependent():
     # a Hadamard on one qubit moves the Bell state's coherence from 1 to 3
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     u = np.kron(h, np.eye(2))
-    bell = bell_state().density()
+    bell = BELL.density()
     rotated = DensityMatrix(u @ bell.matrix @ u.conj().T)
     assert abs(l1_coherence(rotated) - l1_coherence(bell)) > 1.0
 
 
 def test_tangle_rejects_wrong_dimension():
     with pytest.raises(MeasureError):
-        tangle_residual(bell_state())
+        tangle_residual(BELL)
 
 
 # --- solve-count guards: each spectrum is computed once per state -----------
@@ -274,7 +270,7 @@ def test_chain_takes_two_solves_with_validation(solves):
     # the state's own spectrum (its PSD validation) and the spin-flip product
     for k in range(5):
         solves.clear()
-        inequality_chain(ginibre_density(29, k, 4, 4))
+        inequality_chain(classify.ensemble_state("ginibre", 29, k, 4, 4))
         assert len(solves) == 2
 
 
@@ -291,5 +287,5 @@ def test_pure_one_norm_margins_take_no_solve(solves):
 
 
 def test_canonical_measures_matrix_skips_the_eight_dim_solve(solves):
-    canonical_measures_matrix(POINT_A)
+    canonical_report(POINT_A)
     assert solves and all(shape == (4, 4) for shape in solves)

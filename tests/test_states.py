@@ -6,30 +6,26 @@ import math
 import numpy as np
 import pytest
 
+from qcohere.classify import ensemble_state
 from qcohere.states import (
     CanonicalThreeQubit,
     DensityMatrix,
-    MembershipError,
     PureState,
     StateError,
-    bell_state,
+    _haar_vectors,
     canonical_sample,
     canonical_state,
     density_matrix_from_json_dict,
     ensemble_chunk,
-    ghz_member,
-    ginibre_density,
-    haar_pure_state,
     partial_trace,
     read_density_matrix,
     sample_rng,
-    w_member,
     werner_state,
-    write_density_matrix,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
+BELL = PureState([S2, 0.0, 0.0, S2])
 
 
 def test_pure_to_density_basis_state():
@@ -38,15 +34,15 @@ def test_pure_to_density_basis_state():
 
 
 def test_pure_to_density_bell():
-    rho = bell_state().density()
+    rho = BELL.density()
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
     assert np.abs(rho.matrix - expected).max() <= 1e-15
 
 
 def test_pure_density_purity_is_one():
-    for k in range(1000):
-        rho = haar_pure_state(11, k, 4).density()
+    for amplitudes in _haar_vectors(11, 0, 1000, 4):
+        rho = PureState(amplitudes).density()
         assert abs(rho.purity() - 1.0) <= 1e-12
 
 
@@ -81,14 +77,14 @@ def test_partial_trace_ghz_to_pair():
 
 
 def test_partial_trace_bell_to_single_qubit():
-    rho = bell_state().density()
+    rho = BELL.density()
     single = partial_trace(rho, (2, 2), (0,))
     assert np.abs(single.matrix - np.eye(2) / 2).max() <= 1e-14
 
 
 def test_partial_trace_preserves_trace_and_hermiticity():
-    for k in range(200):
-        rho = haar_pure_state(3, k, 8).density()
+    for amplitudes in _haar_vectors(3, 0, 200, 8):
+        rho = PureState(amplitudes).density()
         for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
             red = partial_trace(rho, (2, 2, 2), keep)
             assert abs(complex(np.trace(red.matrix)) - 1.0) <= 1e-12
@@ -96,7 +92,7 @@ def test_partial_trace_preserves_trace_and_hermiticity():
 
 
 def test_partial_trace_rejects_bad_arguments():
-    rho = bell_state().density()
+    rho = BELL.density()
     with pytest.raises(StateError, match="multiply"):
         partial_trace(rho, (2, 4), (0,))
     with pytest.raises(StateError, match="proper subset"):
@@ -161,27 +157,12 @@ def test_canonical_invariant_violations_name_the_field():
         CanonicalThreeQubit(1.0, 0.5, 0.0, 0.0, 0.0)
 
 
-def test_ghz_member_window():
-    ghz_member(CanonicalThreeQubit(S2, 0.0, 0.0, 0.0, S2))
-    ghz_member(CanonicalThreeQubit(0.3, 0.2, 0.25, 0.35, math.sqrt(0.685)))
-    with pytest.raises(MembershipError, match="lambda4"):
-        ghz_member(CanonicalThreeQubit(S3, 0.0, S3, S3, 0.0))
-
-
-def test_w_member_window():
-    w_member(CanonicalThreeQubit(S3, 0.0, S3, S3, 0.0))
-    with pytest.raises(MembershipError, match="lambda4"):
-        w_member(CanonicalThreeQubit(0.6, 0.2, 0.3, 0.5, math.sqrt(0.26)))
-    with pytest.raises(MembershipError, match="lambda0"):
-        w_member(CanonicalThreeQubit(0.0, S3, S3, S3, 0.0))
-
-
 def test_sampling_is_deterministic_per_index():
-    a = haar_pure_state(42, 0, 4).amplitudes
-    b = haar_pure_state(42, 0, 4).amplitudes
+    a = _haar_vectors(42, 0, 1, 4)
+    b = _haar_vectors(42, 0, 1, 4)
     assert np.array_equal(a, b)
-    g1 = ginibre_density(7, 5, 4, 4).matrix
-    g2 = ginibre_density(7, 5, 4, 4).matrix
+    g1 = ensemble_state("ginibre", 7, 5, 4, 4).matrix
+    g2 = ensemble_state("ginibre", 7, 5, 4, 4).matrix
     assert np.array_equal(g1, g2)
     c1 = canonical_sample(9, 3, "uniform")
     c2 = canonical_sample(9, 3, "uniform")
@@ -194,9 +175,7 @@ def test_chunk_rows_are_the_states_drawn_one_by_one():
         assert chunk.matrix.shape == (20, 4, 4)
         assert list(chunk.indices) == list(range(5, 25))
         for k in range(5, 25):
-            one = haar_pure_state(11, k, 4).density() if kind == "haar-pure" else (
-                ginibre_density(11, k, 4, rank)
-            )
+            one = ensemble_state(kind, 11, k, 4, rank)
             assert chunk.matrix[k - 5].tobytes() == one.matrix.tobytes(), (kind, k)
             assert chunk[k - 5].matrix.tobytes() == one.matrix.tobytes(), (kind, k)
 
@@ -208,11 +187,13 @@ def test_one_normal_call_per_state_draws_the_two_call_bits():
         g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         m = g @ g.conj().T
         m /= np.trace(m).real
-        assert (0.5 * (m + m.conj().T)).tobytes() == ginibre_density(11, k, 4, 2).matrix.tobytes()
+        assert (0.5 * (m + m.conj().T)).tobytes() == (
+            ensemble_state("ginibre", 11, k, 4, 2).matrix.tobytes()
+        )
         rng = sample_rng(11, k)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= math.sqrt(float((v.real * v.real + v.imag * v.imag).sum()))
-        assert v.tobytes() == haar_pure_state(11, k, 4).amplitudes.tobytes()
+        assert v.tobytes() == _haar_vectors(11, k, k + 1, 4)[0].tobytes()
 
 
 def test_stack_errors_name_the_sample():
@@ -240,33 +221,27 @@ def test_stack_errors_name_the_sample():
 def test_haar_reduced_purity_matches_oracle_band():
     # Monte Carlo oracle at 10^6 samples gives 0.7999 (analytic 4/5) for the
     # single-qubit reduction of a Haar two-qubit pure state
-    total = 0.0
     n = 100_000
-    for k in range(n):
-        a = haar_pure_state(42, k, 4).amplitudes.reshape(2, 2)
-        ra = a @ a.conj().T
-        total += float(np.trace(ra @ ra).real)
+    rho = ensemble_chunk("haar-pure", 42, 0, n, 4, 4).matrix.reshape(n, 2, 2, 2, 2)
+    ra = np.einsum("kajbj->kab", rho)
+    total = float(np.trace(ra @ ra, axis1=-2, axis2=-1).real.sum())
     assert 0.79 <= total / n <= 0.81
 
 
 def test_ginibre_invariants_and_rank_one_purity():
-    for k in range(200):
-        rho = ginibre_density(5, k, 4, 2)
-        assert rho.dim == 4
-        assert abs(complex(np.trace(rho.matrix)) - 1.0) <= 1e-12
-    for k in range(200):
-        assert abs(ginibre_density(5, k, 4, 1).purity() - 1.0) <= 1e-10
+    rho = ensemble_chunk("ginibre", 5, 0, 200, 4, 2)
+    assert rho.dim == 4
+    assert np.abs(np.trace(rho.matrix, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
+    assert np.abs(ensemble_chunk("ginibre", 5, 0, 200, 4, 1).purity() - 1.0).max() <= 1e-10
     with pytest.raises(StateError, match="rank"):
-        ginibre_density(5, 0, 4, 5)
+        ensemble_chunk("ginibre", 5, 0, 1, 4, 5)
 
 
 def test_ginibre_purity_matches_oracle_band():
     # Monte Carlo oracle at 10^6 samples gives 0.47057 (analytic 8/17) for
     # the full-rank dim-4 ensemble
-    total = 0.0
     n = 100_000
-    for k in range(n):
-        total += ginibre_density(7, k, 4, 4).purity()
+    total = float(ensemble_chunk("ginibre", 7, 0, n, 4, 4).purity().sum())
     assert 0.4606 <= total / n <= 0.4806
 
 
@@ -301,7 +276,7 @@ def test_werner_state_values():
 def test_density_matrix_json_round_trip(tmp_path):
     rho = werner_state(0.9)
     path = tmp_path / "state.json"
-    write_density_matrix(path, rho)
+    path.write_text(json.dumps(rho.to_json_dict()))
     back = read_density_matrix(path)
     assert np.array_equal(back.matrix, rho.matrix)
     obj = json.loads(path.read_text())
