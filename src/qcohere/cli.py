@@ -1,9 +1,10 @@
 """Command-line interface: seeded experiments and single-state analysis.
 
 Reproducibility contract: every output embeds a run header (tool
-version, seed, ensemble, count, generator, UTC timestamp).  The header
-carries the timestamp, so re-running a command with identical flags
-reproduces the *data section* byte for byte: for CSV that is every
+version, seed, ensemble, count, generator, worker count, numpy and Python
+versions, UTC timestamp).  Only the header carries what may change from
+run to run, so re-running a command with identical flags reproduces the
+*data section* byte for byte: for CSV that is every
 non-comment line, for JSON the ``data`` object.  Ensemble commands
 evaluate their states in ``QCOHERE_WORKERS`` processes by sample index
 and fold the results in index order (the engine lives in ``classify``);
@@ -15,8 +16,8 @@ beside the ``--out`` path that replaces it only when the command succeeds.
 Exit codes: 0 success (and no violations where a violation count is the
 tested claim); 1 claim violation found (``sample`` and the
 ``theorem1-chain`` audit target); 2 I/O failure; 64 usage error;
-65 invalid state input; 70 internal numerical failure (the eigensolver
-did not converge).
+65 invalid state input; 70 internal failure (the eigensolver did not
+converge, or chunk seeding disagrees with the frozen generator).
 """
 
 import argparse
@@ -24,6 +25,7 @@ import contextlib
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -59,7 +61,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _run_header(command, seed=None, ensemble=None, count=None) -> dict:
+def _run_header(command, seed=None, ensemble=None, count=None, workers=None) -> dict:
+    """Run metadata; ``workers`` is the requested worker count of an ensemble command."""
     return {
         "tool": "qcohere",
         "version": __version__,
@@ -68,6 +71,9 @@ def _run_header(command, seed=None, ensemble=None, count=None) -> dict:
         "ensemble": ensemble,
         "count": count,
         "generator": states.GENERATOR_NAME if seed is not None else None,
+        "workers": workers,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
@@ -182,8 +188,11 @@ def _resolve_ensemble(args, dim: int = 4):
 def _cmd_sample(args) -> int:
     spec, descriptor = _resolve_ensemble(args)
     tally = classify.Tally()
-    pairs = classify.scatter(spec, tally, workers=_worker_count())
-    header = _run_header("sample", seed=spec.seed, ensemble=descriptor, count=spec.count)
+    workers = _worker_count()
+    pairs = classify.scatter(spec, tally, workers=workers)
+    header = _run_header(
+        "sample", seed=spec.seed, ensemble=descriptor, count=spec.count, workers=workers
+    )
     rows = (f"{_fmt(conc)},{_fmt(coh)}" for conc, coh in pairs)
     _write_csv(args.out, header, "concurrence,l1_coherence", rows)
     summary = _json_document(
@@ -290,7 +299,9 @@ def _cmd_audit(args) -> int:
         # while the state stays entangled, so the audit always has a witness
         werner = classify.one_norm_report(states.werner_state(0.9))
         data["werner_regression"] = {"mixing_weight": 0.9, **werner}
-    header = _run_header("audit", seed=spec.seed, ensemble=descriptor, count=spec.count)
+    header = _run_header(
+        "audit", seed=spec.seed, ensemble=descriptor, count=spec.count, workers=workers
+    )
     _write_json(args.out, header, data)
     return code
 
@@ -474,7 +485,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"qcohere: i/o error: {exc}\n")
         return EXIT_IO
-    except linalg.ConvergenceError as exc:
+    except (linalg.ConvergenceError, states.SeedingError) as exc:
         sys.stderr.write(f"qcohere: internal error: {exc}\n")
         return EXIT_SOFTWARE
 

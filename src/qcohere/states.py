@@ -11,7 +11,9 @@ Conventions fixed here and used everywhere else:
   so the k-th state is bit-identical no matter how the index range is
   split across workers.  The generator choice (PCG64 behind
   ``numpy.random.default_rng``) is frozen; outputs record it as
-  ``GENERATOR_NAME``.
+  ``GENERATOR_NAME``.  ``sample_rng`` builds that generator for one
+  sample; an ensemble chunk computes the same generator states for all of
+  its samples at once and checks its first sample against ``sample_rng``.
 """
 
 import json
@@ -35,6 +37,10 @@ class StateError(ValueError):
 
 class OutOfFamilyError(StateError):
     """A zero-phase closed form or check was asked for off the zero-phase slice."""
+
+
+class SeedingError(RuntimeError):
+    """A chunk's generator states disagree with the frozen per-sample generator."""
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -353,16 +359,108 @@ class EnsembleSpec:
         return f"haar-pure(dim={dim})"
 
 
+# --- chunk seeding ------------------------------------------------------------
+#
+# Building ``sample_rng(seed, k)`` costs about 20 us, most of an ensemble
+# state.  What it computes is cheap arithmetic: numpy's SeedSequence mixes
+# the entropy words into a pool of four uint32 words with O'Neill's seed_seq
+# hash, draws PCG64's 128-bit seed and stream from the pool, and PCG64 takes
+# two steps of its LCG (pcg64_srandom_r; O'Neill, "PCG: A Family of Simple
+# Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014).  The seed's words are mixed once per chunk; only the
+# index words are mixed per sample, as uint32 arrays over the chunk.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A) -> tuple:
+    """seed_seq's hash of ``value`` (an int or a uint32 array) and the next hash constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _pcg64_states(seed: int, lo: int, hi: int) -> list:
+    """PCG64 (state, inc) of samples lo..hi-1: what ``sample_rng(seed, k)`` starts from."""
+    # beside a spawn key the seed's words are zero-padded to the pool size,
+    # so a seed of one word and of two fill the pool alike
+    const = _INIT_A
+    pool = []
+    for word in (seed & _MASK32, seed >> 32, 0, 0):
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    # then each index word is mixed into every pool word: an index below
+    # 2**32 is one word, a larger one two
+    k = np.arange(lo, hi, dtype=np.uint64)
+    pools = np.repeat(np.array(pool, dtype=np.uint32)[:, None], hi - lo, axis=1)
+    for rows, words in ((slice(None), k), (k >> 32 > 0, k >> 32)):
+        words = (words[rows] & _MASK32).astype(np.uint32)
+        for dst in range(4):
+            h, const = _hashmix(words, const)
+            pools[dst, rows] = _mix(pools[dst, rows], h)
+    # generate_state(4, uint64): eight hashed pool words, little-endian pairs
+    const = _INIT_B
+    out = []
+    for i in range(8):
+        h, const = _hashmix(pools[i % 4], const, _MULT_B)
+        out.append(h.astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)
+    )
+    # pcg64_srandom_r: inc = stream << 1 | 1; step; state += seed; step
+    seeded = []
+    for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        seeded.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return seeded
+
+
 def _gaussian_rows(seed: int, lo: int, hi: int, size: int) -> np.ndarray:
     """Complex Gaussian vectors of length ``size`` for samples lo..hi-1, one row each.
 
     Sample k's generator fills the real parts and then the imaginary parts
     with one ``standard_normal(2 * size)`` call, the same bits as two calls
-    of ``size`` each.
+    of ``size`` each.  One generator is set to each sample's state from
+    ``_pcg64_states`` in turn; the first sample is also drawn through
+    ``sample_rng``, and a row that differs from it in any byte raises
+    ``SeedingError``.
     """
+    # sample_rng checks the seed and the first index before anything is hashed
+    rng = sample_rng(seed, lo)
+    if hi - 1 > MAX_SEED:
+        raise StateError(f"sample index must be below 2**64, got {hi - 1}")
+    oracle = rng.standard_normal(2 * size)
+    bit_generator = rng.bit_generator
     z = np.empty((hi - lo, 2 * size))
-    for row, k in zip(z, range(lo, hi)):
-        sample_rng(seed, k).standard_normal(out=row)
+    for row, (state, inc) in zip(z, _pcg64_states(seed, lo, hi)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=row)
+    if len(z) and z[0].tobytes() != oracle.tobytes():
+        raise SeedingError(
+            f"chunk seeding disagrees with the frozen generator at sample {lo} (seed {seed},"
+            f" numpy {np.__version__})"
+        )
     return z[:, :size] + 1j * z[:, size:]
 
 

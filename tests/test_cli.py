@@ -5,11 +5,12 @@ import hashlib
 import io
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
-from qcohere import classify, cli, linalg
+from qcohere import classify, cli, linalg, states
 from qcohere.states import CanonicalThreeQubit, PureState, _haar_vectors, werner_state
 
 
@@ -79,20 +80,36 @@ def test_sample_header_comments_embed_run_metadata(tmp_path, capsys):
     out = tmp_path / "meta.csv"
     run(capsys, ["sample", "--n", "5", "--seed", "3", "--out", str(out)])
     comments = [line for line in out.read_text().splitlines() if line.startswith("#")]
-    keys = {line.split(":")[0][2:] for line in comments}
+    fields = dict(line[2:].split(": ", 1) for line in comments)
     assert {"tool", "version", "command", "seed", "ensemble", "count",
-            "generator", "timestamp"} <= keys
+            "generator", "workers", "numpy", "python", "timestamp"} <= set(fields)
+    assert fields["numpy"] == np.__version__
+    assert fields["python"] == platform.python_version()
+
+
+def test_audit_header_names_workers_and_versions(capsys, monkeypatch):
+    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    _, stdout, _ = run(capsys, ["audit", "--target", "appendix-a", "--n", "20",
+                                "--ensemble", "pure", "--seed", "3"])
+    header = json.loads(stdout)["run_header"]
+    assert header["workers"] == 2
+    assert header["numpy"] == np.__version__
+    assert header["python"] == platform.python_version()
+    assert not {"workers", "numpy", "python"} & set(json_data(stdout))
 
 
 def test_sample_sharded_run_matches_single_worker(tmp_path, capsys, monkeypatch):
-    single, sharded = tmp_path / "one.csv", tmp_path / "many.csv"
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    run(capsys, ["sample", "--n", "600", "--ensemble", "ginibre", "--seed", "5",
-                 "--out", str(single)])
-    monkeypatch.setenv(cli.WORKERS_ENV, "3")
-    run(capsys, ["sample", "--n", "600", "--ensemble", "ginibre", "--seed", "5",
-                 "--out", str(sharded)])
-    assert data_lines(single.read_text()) == data_lines(sharded.read_text())
+    argv = ["sample", "--n", "600", "--ensemble", "ginibre", "--seed", "5"]
+    sections, headers = [], []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        out = tmp_path / f"w{workers}.csv"
+        assert run(capsys, [*argv, "--out", str(out)])[0] == 0
+        text = out.read_text()
+        sections.append(data_lines(text))
+        headers.append([line for line in text.splitlines() if line.startswith("# workers:")])
+    assert sections[0] == sections[1] == sections[2]
+    assert headers == [["# workers: 1"], ["# workers: 2"], ["# workers: 3"]]
 
 
 def test_canonical_example_values(capsys):
@@ -412,6 +429,25 @@ def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch)
     assert code == cli.EXIT_SOFTWARE == 70
     assert "did not converge" in err
     assert out.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
+
+
+def test_chunk_seeding_mismatch_exits_70_and_keeps_the_out_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "scatter.csv"
+    out.write_bytes(b"previous contents\n")
+    replica = states._pcg64_states
+
+    def one_bit_off(seed, lo, hi):
+        (state, inc), *rest = replica(seed, lo, hi)
+        return [(state ^ 1, inc), *rest]
+
+    monkeypatch.setattr(states, "_pcg64_states", one_bit_off)
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    code, _, err = run(capsys, ["sample", "--n", "50", "--ensemble", "ginibre", "--seed", "7",
+                                "--out", str(out)])
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert err.startswith("qcohere: internal error: chunk seeding disagrees")
+    assert out.read_bytes() == b"previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
 
 

@@ -106,6 +106,25 @@ def test_concurrence_agrees_with_general_solver_oracle():
         assert value == pytest.approx(oracle_concurrence(m), abs=1e-8)
 
 
+def haar_unitaries(rng, n: int, d: int) -> np.ndarray:
+    """(n, d, d) Haar unitaries: QR of complex Ginibre matrices, R's diagonal phases removed."""
+    q, r = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_concurrence_is_local_unitary_invariant(rank):
+    rho = ensemble_chunk("ginibre", 41, 0, 256, 4, rank)
+    rng = np.random.default_rng(2105)
+    u = np.einsum("nab,ncd->nacbd", haar_unitaries(rng, 256, 2), haar_unitaries(rng, 256, 2))
+    u = u.reshape(256, 4, 4)
+    rotated = DensityMatrix(u @ rho.matrix @ u.conj().swapaxes(-1, -2))
+    before, after = concurrence(rho), concurrence(rotated)
+    assert np.count_nonzero(before > 0.0) >= 32
+    assert np.abs(after - before).max() <= 1e-12
+
+
 def test_concurrence_agrees_with_pure_closed_form():
     for amplitudes in _haar_vectors(23, 0, 300, 4):
         psi = PureState(amplitudes)

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from qcohere import states
 from qcohere.classify import ensemble_state
 from qcohere.states import (
+    MAX_SEED,
     CanonicalThreeQubit,
     DensityMatrix,
     PureState,
+    SeedingError,
     StateError,
     _haar_vectors,
     canonical_sample,
@@ -194,6 +197,65 @@ def test_one_normal_call_per_state_draws_the_two_call_bits():
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= math.sqrt(float((v.real * v.real + v.imag * v.imag).sum()))
         assert v.tobytes() == _haar_vectors(11, k, k + 1, 4)[0].tobytes()
+
+
+def _rows_one_generator_each(seed, lo, hi, size):
+    """The reference draw: one ``sample_rng`` per sample."""
+    z = np.empty((hi - lo, 2 * size))
+    for row, k in zip(z, range(lo, hi)):
+        sample_rng(seed, k).standard_normal(out=row)
+    return z[:, :size] + 1j * z[:, size:]
+
+
+# the edge cases of numpy's split of the entropy into 32-bit words: seeds of
+# one and two words, indices of one and two words, and a chunk that straddles
+# 2**32; the indices 0, 1, 2**32-1, 2**32 and 10**6 sit past the first row
+CORPUS_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+CORPUS_CHUNKS = ((0, 3), (2**32 - 2, 2**32 + 2), (10**6 - 1, 10**6 + 2))
+CORPUS_KINDS = (("haar-pure", 4), ("ginibre", 2), ("ginibre", 4))  # rows of 4, 8 and 16
+
+
+def test_chunk_rows_match_one_generator_per_sample_byte_for_byte(monkeypatch):
+    for seed in CORPUS_SEEDS:
+        for lo, hi in CORPUS_CHUNKS:
+            for kind, rank in CORPUS_KINDS:
+                chunk = ensemble_chunk(kind, seed, lo, hi, 4, rank).matrix
+                with monkeypatch.context() as m:
+                    m.setattr(states, "_gaussian_rows", _rows_one_generator_each)
+                    reference = ensemble_chunk(kind, seed, lo, hi, 4, rank).matrix
+                assert chunk.tobytes() == reference.tobytes(), (seed, lo, kind, rank)
+            for k, (state, inc) in zip(range(lo, hi), states._pcg64_states(seed, lo, hi)):
+                frozen = sample_rng(seed, k).bit_generator.state["state"]
+                assert (state, inc) == (frozen["state"], frozen["inc"]), (seed, k)
+
+
+def test_chunk_checks_seed_and_index_before_hashing(monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("hashed before the argument checks")
+
+    monkeypatch.setattr(states, "_pcg64_states", no_hashing)
+    for kind, rank in (("haar-pure", 4), ("ginibre", 4)):
+        with pytest.raises(StateError, match="sample index must be non-negative, got -1"):
+            ensemble_chunk(kind, 3, -1, 2, 4, rank)
+        with pytest.raises(StateError, match="seed must be a 64-bit unsigned integer"):
+            ensemble_chunk(kind, MAX_SEED + 1, 0, 2, 4, rank)
+        with pytest.raises(StateError, match="seed must be a 64-bit unsigned integer"):
+            ensemble_chunk(kind, -1, 0, 2, 4, rank)
+        with pytest.raises(StateError, match=r"sample index must be below 2\*\*64"):
+            ensemble_chunk(kind, 3, 2**64 - 1, 2**64 + 1, 4, rank)
+
+
+def test_chunk_seeding_that_disagrees_with_the_frozen_generator_fails(monkeypatch):
+    replica = states._pcg64_states
+
+    def one_bit_off(seed, lo, hi):
+        (state, inc), *rest = replica(seed, lo, hi)
+        return [(state ^ 1 << 77, inc), *rest]
+
+    monkeypatch.setattr(states, "_pcg64_states", one_bit_off)
+    for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
+        with pytest.raises(SeedingError, match="sample 5 .seed 11"):
+            ensemble_chunk(kind, 11, 5, 25, 4, rank)
 
 
 def test_stack_errors_name_the_sample():
