@@ -4,8 +4,8 @@ Reproducibility contract: every output embeds a run header (tool
 version, seed, ensemble, count, generator, worker count, numpy and Python
 versions, UTC timestamp).  Only the header carries what may change from
 run to run, so re-running a command with identical flags reproduces the
-*data section* byte for byte: for CSV that is every
-non-comment line, for JSON the ``data`` object.  Ensemble commands
+*data section* byte for byte: for CSV that is every non-comment line, for
+JSON the ``data`` object.  Ensemble commands
 evaluate their states in ``QCOHERE_WORKERS`` processes by sample index
 and fold the results in index order (the engine lives in ``classify``);
 because every sample owns its generator, the output is identical for any

@@ -406,14 +406,15 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> list:
                 h, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], h)
     # then each index word is mixed into every pool word: an index below
-    # 2**32 is one word, a larger one two
+    # 2**32 is one word, and the indices from 2**32 on, a tail of the chunk,
+    # are two
     k = np.arange(lo, hi, dtype=np.uint64)
-    pools = np.repeat(np.array(pool, dtype=np.uint32)[:, None], hi - lo, axis=1)
-    for rows, words in ((slice(None), k), (k >> 32 > 0, k >> 32)):
-        words = (words[rows] & _MASK32).astype(np.uint32)
+    pools = [np.full(hi - lo, h, dtype=np.uint32) for h in pool]
+    for tail, words in ((0, k), (max(0, 2**32 - lo), k >> 32)):
+        words = (words[tail:] & _MASK32).astype(np.uint32)
         for dst in range(4):
             h, const = _hashmix(words, const)
-            pools[dst, rows] = _mix(pools[dst, rows], h)
+            pools[dst][tail:] = _mix(pools[dst][tail:], h)
     # generate_state(4, uint64): eight hashed pool words, little-endian pairs
     const = _INIT_B
     out = []
