@@ -624,8 +624,8 @@ def _chain_chunk(rho: DensityMatrix) -> dict:
 
 def _one_norm_chunk(rho: DensityMatrix) -> tuple:
     _, _, margin_a, margin_b = one_norm_margins(rho)
-    # the concurrence costs two solves, so only violating states pay for it,
-    # all of them in one stack
+    # the concurrence of a mixed state costs a solve, so only violating
+    # states pay for it, all of them in one stack
     violated = (margin_a > AUDIT_TOL) | (margin_b > AUDIT_TOL)
     entangled = np.zeros_like(violated)
     if violated.any():

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Jacobi sweeps stop once every off-diagonal modulus is below this.  A
+# Jacobi sweeps stop once no off-diagonal modulus exceeds this times the
+# matrix's Frobenius norm, so the accuracy is the same at every scale.  A
 # matrix still above it after MAX_SWEEPS full sweeps raises ConvergenceError:
 # 4x4 inputs converge in a handful of sweeps, so hitting the cap is a fault.
 OFF_DIAGONAL_TARGET = 1e-13
@@ -26,7 +27,7 @@ MAX_SWEEPS = 100
 # not floating-point dust.
 PSD_CLAMP = 1e-10
 
-# Spectrum entries below OFF_DIAGONAL_TARGET relative to the largest one
+# Spectrum entries below RESOLUTION_FLOOR relative to the largest one
 # are beneath the solver's resolution.  Square roots amplify that noise
 # (1e-16 becomes 1e-8), so PSD consumers floor such entries to exact zero.
 RESOLUTION_FLOOR = 1e-13
@@ -78,8 +79,9 @@ def _as_matrices(a) -> np.ndarray:
 
 def _first(flags: np.ndarray):
     """Position of the first true entry of a 0-d or 1-d mask, or None."""
-    hits = np.flatnonzero(flags)
-    return int(hits[0]) if hits.size else None
+    if not np.asarray(flags).any():
+        return None
+    return int(np.flatnonzero(flags)[0])
 
 
 @dataclass(frozen=True)
@@ -172,25 +174,26 @@ def _upper_triangle(n: int) -> np.ndarray:
 _IM_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
-def _rotate(w: np.ndarray, n: int, r: _Round) -> np.ndarray:
+def _rotate(w: np.ndarray, n: int, r: _Round, target: np.ndarray) -> np.ndarray:
     """One round of Jacobi rotations applied to every matrix of the stack ``w``.
 
     ``w`` has shape (2, 2n, n, N): real and imaginary parts, the matrix in
     rows :n and the accumulated unitary in rows n:, and the stack axis last.
-    Each pair (p, q) with |a_pq| at or above OFF_DIAGONAL_TARGET gets the
-    unitary U = [[c, -sigma], [conj(sigma), c]] on rows and columns p, q,
-    with tau = (a_pp - a_qq) / 2|a_pq|, t = sign(tau) / (|tau| + sqrt(1 +
-    tau^2)), c = 1 / sqrt(1 + t^2) and sigma = t c a_pq / |a_pq|; then
-    A <- U^H A U annihilates a_pq, and V <- V U.  Smaller pairs get the
-    identity (t = 0), so every matrix follows its own trajectory whatever
-    the rest of the stack does.  Only + - * / and sqrt are used, each
-    correctly rounded elementwise, which is what makes a matrix's result
-    independent of the stack it sits in.  Returns the rotated stack.
+    ``target`` (N,) is each matrix's convergence target.  Each pair (p, q)
+    with |a_pq| above its matrix's target gets the unitary U = [[c, -sigma],
+    [conj(sigma), c]] on rows and columns p, q, with tau = (a_pp - a_qq) /
+    2|a_pq|, t = sign(tau) / (|tau| + sqrt(1 + tau^2)), c = 1 / sqrt(1 +
+    t^2) and sigma = t c a_pq / |a_pq|; then A <- U^H A U annihilates a_pq,
+    and V <- V U.  Smaller pairs get the identity (t = 0), so every matrix
+    follows its own trajectory whatever the rest of the stack does.  Only
+    + - * / and sqrt are used, each correctly rounded elementwise, which is
+    what makes a matrix's result independent of the stack it sits in.
+    Returns the rotated stack.
     """
     flat = w[:, :n].reshape(2, n * n, -1)
     apq = flat[:, r.pq]
     g = np.sqrt((apq * apq).sum(axis=0))
-    active = g >= OFF_DIAGONAL_TARGET
+    active = g > target
     g = np.where(active, g, 1.0)
     tau = (flat[0, r.pp] - flat[0, r.qq]) / (g + g)
     t = active / (tau + np.copysign(np.sqrt(1.0 + tau * tau), tau))
@@ -222,11 +225,15 @@ def _jacobi_stack(m: np.ndarray):
     Returns (diagonals (N, n), unitaries (N, n, n)) unsorted.  An odd n is
     padded with a zero row and column, whose pairs are never rotated.  A
     matrix leaves the working stack at the start of the first sweep that
-    finds every off-diagonal modulus below OFF_DIAGONAL_TARGET;
-    ConvergenceError is raised when any matrix is still in it after
-    MAX_SWEEPS sweeps.
+    finds no off-diagonal modulus above its target, OFF_DIAGONAL_TARGET
+    times its Frobenius norm; ConvergenceError is raised when any matrix is
+    still in it after MAX_SWEEPS sweeps.
     """
     count, n = m.shape[0], m.shape[-1]
+    # each matrix's squares are summed along one contiguous row of n*n, so
+    # its target does not depend on the stack it sits in
+    squares = (m.real * m.real + m.imag * m.imag).reshape(count, n * n)
+    target = OFF_DIAGONAL_TARGET * np.sqrt(squares.sum(axis=1))
     size = n + n % 2
     w = np.zeros((2, 2 * size, size, count))
     w[0, :n, :n] = m.real.transpose(1, 2, 0)
@@ -240,23 +247,24 @@ def _jacobi_stack(m: np.ndarray):
     for sweep in range(MAX_SWEEPS + 1):
         off = w[:, :size].reshape(2, size * size, -1)[:, upper]
         off = np.sqrt((off * off).sum(axis=0)).max(axis=0, initial=0.0)
-        done = off < OFF_DIAGONAL_TARGET
-        if done.any():
-            out = w[..., done]
-            values[live[done]] = out[0, diagonal, diagonal].T
-            vectors[live[done]] = (out[0, size : size + n, :n] + 1j * out[1, size : size + n, :n]).transpose(2, 0, 1)
+        done = off <= target
+        finished = done.all()
+        if finished or done.any():
+            out, rows = (w, live) if finished else (w[..., done], live[done])
+            values[rows] = out[0, diagonal, diagonal].T
+            vectors[rows] = (out[0, size : size + n, :n] + 1j * out[1, size : size + n, :n]).transpose(2, 0, 1)
+            if finished:
+                break
             keep = ~done
-            w, live, off = w[..., keep], live[keep], off[keep]
-        if not live.size:
-            break
+            w, live, off, target = w[..., keep], live[keep], off[keep], target[keep]
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps:"
                 f" {live.size} of {count} matrices unconverged, largest off-diagonal"
-                f" modulus {off.max():.3e}, target {OFF_DIAGONAL_TARGET:.1e}"
+                f" modulus {off.max():.3e}, target {OFF_DIAGONAL_TARGET:.1e} x Frobenius norm"
             )
         for r in _pair_rounds(size):
-            w = _rotate(w, size, r)
+            w = _rotate(w, size, r, target)
     return values, vectors
 
 
@@ -283,8 +291,9 @@ def hermitian_eigen(a, tol: float = 1e-10) -> HermitianEigenDecomposition:
             )
     values, vectors = _jacobi_stack(stack)
     order = np.argsort(values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
+    rows = np.arange(len(order))[:, None]
+    values = values[rows, order]
+    vectors = vectors.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
     if m.ndim == 2:
         values, vectors = values[0], vectors[0]
     return HermitianEigenDecomposition(eigenvalues=values, eigenvectors=vectors)

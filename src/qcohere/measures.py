@@ -2,8 +2,15 @@
 
 The two-qubit measures and the inequality chain take a ``DensityMatrix``
 holding one state or an (N, 4, 4) stack: a state gives floats, a stack one
-value per state, computed once over the whole stack (one solve for the
-spin-flip spectra of an ensemble chunk).
+value per state, computed once over the whole stack.
+
+The concurrence never forms sqrt(rho).  For a state rho = V V^H with a d x r
+factor V (``DensityMatrix.factor``) the Wootters lambda_i are the singular
+values of the r x r complex-symmetric tau matrix T = V^T (sigma_y x sigma_y) V
+(Wootters, PRL 80, 2245 (1998)).  They come from one solve of T^H T for the
+whole stack: r x r, so 4 x 4 for a Ginibre chunk and 2 x 2 for the reductions
+of a three-qubit pure state.  A pure state needs no solve at all, since
+C = |psi^T (sigma_y x sigma_y) psi| (Hill & Wootters, PRL 78, 5022 (1997)).
 
 Two routes exist for the canonical three-qubit family: closed forms in
 the amplitudes (valid on the zero-phase slice, except the tangle which
@@ -56,24 +63,39 @@ def l1_coherence(rho: DensityMatrix):
 
 
 def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugation in the computational basis."""
+    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugation in the computational basis.
+
+    The lambda_i of the concurrence are the square roots of the eigenvalues
+    of rho times this matrix; ``concurrence`` takes them from the tau matrix
+    instead and does not build it.
+    """
     if rho.dim != 4:
         raise MeasureError(f"spin flip is defined for two qubits (dim 4), got dim {rho.dim}")
     return SIGMA_YY @ rho.matrix.conj() @ SIGMA_YY
 
 
 def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho.rho~.
+    """The four descending square roots of the eigenvalues of rho.rho~.
 
-    The spectrum is taken from the Hermitian matrix sqrt(rho).rho~.sqrt(rho),
-    which shares it with rho.rho~ but keeps every solver Hermitian.
+    For ``rho = V V^H`` with V d x r (``rho.factor``) they are the singular
+    values of the r x r complex-symmetric matrix T = V^T (sigma_y x sigma_y) V,
+    the tau matrix of Wootters, PRL 80, 2245 (1998), padded with zeros
+    when r < 4.  They come from the Hermitian spectrum of T^H T; a rank-1
+    T is its own singular value, |psi^T (sigma_y x sigma_y) psi| for a pure
+    state (Hill & Wootters, PRL 78, 5022 (1997)), and needs no solve.
     """
-    s = rho.sqrt()
-    m = s @ spin_flip(rho) @ s
-    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    w = linalg.hermitian_eigen(m).eigenvalues
-    w = linalg.clamp_psd_eigenvalues(w, context="spin-flip product spectrum")
-    return np.sqrt(linalg.spectral_floor(w))[..., ::-1]
+    v = rho.factor
+    t = v.swapaxes(-1, -2) @ SIGMA_YY @ v
+    if t.shape[-1] == 1:
+        roots = np.abs(t[..., 0])
+    else:
+        m = t.conj().swapaxes(-1, -2) @ t
+        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        w = linalg.hermitian_eigen(m).eigenvalues
+        w = linalg.clamp_psd_eigenvalues(w, context="spin-flip product spectrum")
+        roots = np.sqrt(linalg.spectral_floor(w))[..., ::-1]
+    pad = np.zeros(roots.shape[:-1] + (4 - roots.shape[-1],))
+    return np.concatenate([roots, pad], axis=-1)
 
 
 def _wootters(roots: np.ndarray) -> np.ndarray:
@@ -81,7 +103,7 @@ def _wootters(roots: np.ndarray) -> np.ndarray:
 
 
 def concurrence(rho: DensityMatrix):
-    """Two-qubit concurrence from the spin-flip spectrum (Wootters form)."""
+    """Two-qubit concurrence lambda_1 - lambda_2 - lambda_3 - lambda_4, floored at 0 (Wootters)."""
     if rho.dim != 4:
         raise MeasureError(f"concurrence is defined for two qubits (dim 4), got dim {rho.dim}")
     return per_state(_wootters(_spin_flip_roots(rho)))
@@ -141,7 +163,7 @@ class ChainReport:
 def inequality_chain(rho: DensityMatrix) -> ChainReport:
     """Evaluate the full chain of bounds linking concurrence to l1-coherence.
 
-    Only the spin-flip product needs a solve of its own; every norm is read
+    Only the tau product T^H T needs a solve of its own; every norm is read
     off the spectrum ``w`` that ``rho`` already caches.  For a stack every
     value and margin is an array over its states.  For PSD ``rho`` the
     singular values are the eigenvalues, so ``smax = lambda_max``,
@@ -265,16 +287,19 @@ def _tangle(c_cut: float, c_ab: float, c_ac: float) -> float:
 
 
 def _pair_concurrences(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> tuple:
-    """(C_AB, C_AC), solved as one stack of the two reductions."""
-    c_ab, c_ac = concurrence(DensityMatrix._lazy(np.stack([rho_ab.matrix, rho_ac.matrix])))
+    """(C_AB, C_AC), solved as one stack of the two reductions and their factors."""
+    pair = DensityMatrix._lazy(
+        np.stack([rho_ab.matrix, rho_ac.matrix]), factor=np.stack([rho_ab.factor, rho_ac.factor])
+    )
+    c_ab, c_ac = concurrence(pair)
     return float(c_ab), float(c_ac)
 
 
 def tangle_residual(psi: PureState) -> float:
     """Residual three-way entanglement C_A(BC)^2 - C_AB^2 - C_AC^2.
 
-    Partial concurrences come from the spin-flip formula on the numerically
-    reduced states.
+    Partial concurrences come from the tau matrices of the numerically
+    reduced states, whose factors are the state vector folded to 4 x 2.
     """
     rho_ab, rho_ac, rho_a = _reductions(psi)
     return _tangle(_cut_concurrence(rho_a), *_pair_concurrences(rho_ab, rho_ac))

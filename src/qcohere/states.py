@@ -56,18 +56,19 @@ class DensityMatrix:
     """Validated density operator: Hermitian, unit trace, PSD within tolerance.
 
     ``matrix`` is one d x d operator or an (N, d, d) stack of them, such as a
-    chunk of an ensemble; every check, the spectrum and the square root then
-    run once over the whole stack, and an error names the sample that failed.
-    Indexing a stack gives one state, or a sub-stack for an index array.
+    chunk of an ensemble; every check and the spectrum then run once over
+    the whole stack, and an error names the sample that failed.  Indexing a
+    stack gives one state, or a sub-stack for an index array.
 
     The public constructor validates eagerly: the Hermiticity and trace
     checks, then one Jacobi eigendecomposition whose spectrum is checked
-    for positivity and kept, so consumers (the matrix square root, the
-    chain norms) never repeat it.  States that are PSD by construction
-    (pure-state projectors, Ginibre draws, partial traces) come from
-    ``_lazy``: the same Hermiticity and trace checks run at once, and the
+    for positivity and kept, so consumers (the chain norms, the factor)
+    never repeat it.  States that are PSD by construction (pure-state
+    projectors, Ginibre draws, partial traces) come from ``_lazy``: the
+    same Hermiticity and trace checks run at once, and the
     eigendecomposition, with its PSD clamp and ``StateError``, runs on
-    first use of the spectrum.
+    first use of the spectrum.  Such a state usually knows a factor ``V``
+    with ``rho = V V^H`` from the way it was built; see ``factor``.
     """
 
     HERMITIAN_TOL = 1e-10
@@ -78,15 +79,18 @@ class DensityMatrix:
         self._spectrum()
 
     @classmethod
-    def _lazy(cls, matrix, indices=None) -> "DensityMatrix":
+    def _lazy(cls, matrix, indices=None, factor=None) -> "DensityMatrix":
         """A checked state whose eigendecomposition waits for first use.
 
         ``indices`` are the sample indices of a stack's states (a stack
         without them numbers its states from 0), or the one sample index of
-        a single state; errors name them.
+        a single state; errors name them.  ``factor`` is a d x r matrix
+        ``V`` with ``matrix = V V^H`` (an (N, d, r) stack for a stack), or
+        None.
         """
         rho = cls.__new__(cls)
         rho._check(matrix, indices)
+        rho._factor = factor
         return rho
 
     def _check(self, matrix, indices=None):
@@ -98,6 +102,7 @@ class DensityMatrix:
         self.matrix = m
         self.dim = m.shape[-1]
         self.indices = indices
+        self._factor = None
         self._eigenvalues = None
         self._eigenvectors = None
         k = linalg._first(~np.isfinite(m).all(axis=(-2, -1)))
@@ -144,6 +149,7 @@ class DensityMatrix:
         rho.matrix = self.matrix[k]
         rho.dim = self.dim
         rho.indices = self.indices[k]
+        rho._factor = None if self._factor is None else self._factor[k]
         rho._eigenvalues = None if self._eigenvalues is None else self._eigenvalues[k]
         rho._eigenvectors = None if self._eigenvectors is None else self._eigenvectors[k]
         return rho
@@ -157,11 +163,19 @@ class DensityMatrix:
     def eigenvectors(self) -> np.ndarray:
         return self._spectrum()[1]
 
-    def sqrt(self) -> np.ndarray:
-        """Principal square root, reusing the cached spectrum."""
-        w, v = self._spectrum()
-        r = (v * np.sqrt(linalg.spectral_floor(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        return 0.5 * (r + r.conj().swapaxes(-1, -2))
+    @property
+    def factor(self) -> np.ndarray:
+        """A d x r matrix ``V`` with ``rho = V V^H``; (N, d, r) for a stack.
+
+        The factor the state was built from, where it has one (the state
+        vector of a pure state, the scaled draw of a Ginibre state, and what
+        a partial trace carries over); otherwise ``U diag(sqrt(w))`` from the
+        spectrum, which is solved for it if it is not yet known.
+        """
+        if self._factor is not None:
+            return self._factor
+        w, u = self._spectrum()
+        return u * np.sqrt(linalg.spectral_floor(w))[..., None, :]
 
     def purity(self):
         """Tr(rho^2): a float, or one per state of a stack."""
@@ -209,7 +223,8 @@ class PureState:
         self.n_qubits = self.dim.bit_length() - 1
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix._lazy(np.outer(self.amplitudes, self.amplitudes.conj()))
+        v = self.amplitudes
+        return DensityMatrix._lazy(np.outer(v, v.conj()), factor=v[:, None])
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"
@@ -220,7 +235,10 @@ def partial_trace(rho: DensityMatrix, qubit_dims, keep) -> DensityMatrix:
 
     ``qubit_dims`` lists the local dimension of every subsystem in order;
     their product must equal ``rho.dim``.  ``keep`` must be a non-empty
-    proper subset of subsystem indices.
+    proper subset of subsystem indices.  A factor ``V`` that ``rho`` was
+    built from is carried over with the traced subsystems folded into its
+    columns, while it has no more columns than rows: the AB reduction of a
+    three-qubit pure state gets a 4 x 2 factor.
     """
     dims = tuple(int(d) for d in qubit_dims)
     if any(d < 1 for d in dims):
@@ -237,12 +255,21 @@ def partial_trace(rho: DensityMatrix, qubit_dims, keep) -> DensityMatrix:
         raise StateError("keep must be a non-empty proper subset of subsystems")
     arr = rho.matrix.reshape(dims + dims)
     current = list(dims)
-    for t in sorted(set(range(len(dims))) - set(keep_idx), reverse=True):
+    traced = sorted(set(range(len(dims))) - set(keep_idx), reverse=True)
+    for t in traced:
         arr = np.trace(arr, axis1=t, axis2=t + len(current))
         current.pop(t)
     d_out = math.prod(current)
+    factor = rho._factor
+    if factor is not None:
+        # Tr_B(V V^H) = sum_b V_b V_b^H: the rows of each traced value b become
+        # columns of their own
+        folded = factor.reshape(dims + factor.shape[-1:]).transpose(keep_idx + traced + [len(dims)])
+        factor = folded.reshape(d_out, -1)
+        if factor.shape[1] > d_out:
+            factor = None
     # a partial trace of a PSD operator is PSD
-    return DensityMatrix._lazy(arr.reshape(d_out, d_out))
+    return DensityMatrix._lazy(arr.reshape(d_out, d_out), factor=factor)
 
 
 @dataclass(frozen=True)
@@ -471,13 +498,16 @@ def _haar_vectors(seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
     return v
 
 
-def _ginibre_matrices(seed: int, lo: int, hi: int, dim: int, rank: int) -> np.ndarray:
+def _ginibre_matrices(seed: int, lo: int, hi: int, dim: int, rank: int) -> tuple:
+    """The (N, dim, dim) Ginibre states of samples lo..hi-1 and their (N, dim, rank) factors."""
     if not 1 <= rank <= dim:
         raise StateError(f"rank must lie in [1, {dim}], got {rank}")
     g = _gaussian_rows(seed, lo, hi, dim * rank).reshape(-1, dim, rank)
     m = g @ g.conj().swapaxes(-1, -2)
-    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    trace = np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    m /= trace
+    # tr(G G^H) = ||G||_F^2, so G / ||G||_F is a factor of the state
+    return 0.5 * (m + m.conj().swapaxes(-1, -2)), g / np.sqrt(trace)
 
 
 def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, dim: int, rank: int) -> DensityMatrix:
@@ -486,16 +516,18 @@ def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, dim: int, rank: int) 
     Row k - lo is bit for bit the state that sample k draws on its own;
     both ensembles are PSD by construction, so the stack is checked for
     Hermiticity and trace now and solved, once for all its states, on first
-    use of the spectrum.
+    use of the spectrum.  Each state carries its factor: ``psi`` for a Haar
+    state, ``G / ||G||_F`` for a Ginibre draw ``G``.
     """
     if kind == "haar-pure":
         v = _haar_vectors(seed, lo, hi, dim)
         m = v[:, :, None] * v.conj()[:, None, :]
+        factor = v[:, :, None]
     elif kind == "ginibre":
-        m = _ginibre_matrices(seed, lo, hi, dim, rank)
+        m, factor = _ginibre_matrices(seed, lo, hi, dim, rank)
     else:
         raise StateError(f"unknown ensemble kind {kind!r}")
-    return DensityMatrix._lazy(m, np.arange(lo, hi))
+    return DensityMatrix._lazy(m, np.arange(lo, hi), factor)
 
 
 def canonical_sample(seed: int, index: int, theta_mode: str = "zero") -> CanonicalThreeQubit:

@@ -325,21 +325,23 @@ def test_json_data_sections_are_reproducible(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, per_state",
     [
-        ["sample", "--ensemble", "ginibre"],
-        ["sample", "--ensemble", "pure"],
-        ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre"],
+        (["sample", "--ensemble", "ginibre"], 1),
+        (["sample", "--ensemble", "pure"], 0),
+        (["audit", "--target", "theorem1-chain", "--ensemble", "ginibre"], 2),
     ],
     ids=["sample-ginibre", "sample-pure", "chain-ginibre"],
 )
-def test_commands_take_two_solves_per_state(tmp_path, capsys, monkeypatch, solves, argv):
-    # worst-case states redrawn for the chain report cost no solve
+def test_commands_take_two_solves_per_state(tmp_path, capsys, monkeypatch, solves, argv, per_state):
+    # a Ginibre concurrence solves its 4x4 tau product, a pure one solves
+    # nothing, and the chain also solves the state's own spectrum; worst-case
+    # states redrawn for the chain report cost no solve
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     code, _, _ = run(capsys, [*argv, "--n", "30", "--seed", "7",
                               "--out", str(tmp_path / "out")])
     assert code == 0
-    assert len(solves) == 2 * 30
+    assert solves == [(4, 4)] * per_state * 30
 
 
 def test_one_norm_audit_solves_only_the_violating_states(tmp_path, capsys, monkeypatch, solves):
@@ -354,9 +356,9 @@ def test_one_norm_audit_solves_only_the_violating_states(tmp_path, capsys, monke
         )
         violating += max(margin_a, margin_b) > classify.AUDIT_TOL
     assert 0 < violating < 300
-    # two solves per violating state, and two for the Werner regression block
-    # (its eager validation and its spin-flip product)
-    assert len(solves) == 2 * violating + 2
+    # a violating pure state's concurrence takes no solve; the Werner
+    # regression block takes two (its eager validation and its tau product)
+    assert solves == [(4, 4)] * 2
 
 
 def test_unconverged_solver_exits_70(capsys, monkeypatch):
@@ -470,17 +472,19 @@ def test_sweep_data_section_is_pinned(capsys, resolution, fix):
 # SHA-256 of the data sections of the README's canonical and classify
 # examples: the CSV lines as for the sweep, and for JSON the ``data`` object
 # dumped as the CLI dumps it.  Captured before the amplitude-list parsing and
-# the canonical report moved out of the CLI.
+# the canonical report moved out of the CLI; the canonical ones again when the
+# concurrence moved to the tau matrix, which moved c_ab, c_ac, the tangle and
+# their residuals by at most 2.9e-14 (toward the closed forms).
 _POINT_DIGESTS = {
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last"):
-        "691dd61c3b1169b43c8ec0a11dea69383147c32244c76fa18b19248304aecc74",
+        "f62e9dbab426b1259cff6a83c796227a079ce0f5e285a9ac6dde551742e3e41b",
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--format", "csv"):
-        "dd7b66e6749cb6bd1f0fdab4d5bf97d3749b67e44feaba7ba08e292dc25fd9b0",
+        "565479309c503efb08d701c7705e083a917d10305ba9547c394d815953564817",
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--theta", "1.0471976"):
-        "6c4bad5b7c8212cbbe0ba58ee61702ef75b8b2be4c0143e844a3a736b0d73d79",
+        "dd044ad38b63722c3de979fc5d635e04145973b1606dcaf63e1f1286cb09a4a7",
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--theta", "1.0471976",
      "--format", "csv"):
-        "818d3978791a6364ad9e831c58e4cb647c80a8c40801d303c7d119561cbc6005",
+        "5cbc2ef7f9d1a9b2593358259aebd971ca2f7d3c3c82710b3ba3ae63ef03cc6e",
     ("classify", "--lambdas", "0.3,0.2,0.25,0.35,auto"):
         "6d34f112160e302be66a22f54f229769d63ca4e0700a2af7ef7d8b2dfddf5c46",
 }

@@ -1,9 +1,9 @@
 """Kernel tests: examples with hand-derived values plus randomized properties.
 
 numpy.linalg only ever appears on the oracle side, so the Jacobi solver
-and the kernels built on it (the square root and spectrum that
-``DensityMatrix`` caches, the norms the inequality chain reads off that
-spectrum) are checked against an independent route.
+and the kernels built on it (the spectrum that ``DensityMatrix`` caches,
+the norms the inequality chain reads off that spectrum) are checked
+against an independent route.
 """
 
 import math
@@ -24,7 +24,7 @@ from qcohere.linalg import (
     hermitian_eigen,
     induced_one_norm,
 )
-from qcohere.measures import SIGMA_YY, inequality_chain, spin_flip
+from qcohere.measures import SIGMA_YY, concurrence, inequality_chain, spin_flip
 from qcohere.states import DensityMatrix, StateError
 
 RNG = np.random.default_rng(1905)
@@ -131,33 +131,17 @@ def test_eigen_stack_errors_name_the_matrix():
     assert caught.value.index == 1
 
 
-def test_psd_sqrt_identity():
-    assert np.allclose(DensityMatrix(np.eye(4) / 4).sqrt(), np.eye(4) / 2, atol=1e-12)
-
-
-def test_psd_sqrt_diagonal():
-    r = DensityMatrix(np.diag([4.0, 9.0, 0.0, 1.0]).astype(complex) / 14.0).sqrt()
-    assert np.allclose(r, np.diag([2.0, 3.0, 0.0, 1.0]) / math.sqrt(14.0), atol=1e-12)
-
-
-def test_psd_sqrt_squares_back():
-    for _ in range(1000):
-        rho = random_density(4)
-        r = DensityMatrix(rho).sqrt()
-        assert np.abs(r @ r - rho).max() <= 1e-9
-        assert np.abs(r - r.conj().T).max() <= 1e-12
-
-
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(NotPsdError, match="-1.0"):
         linalg.clamp_psd_eigenvalues(np.array([-1.0, 1.0]))
-    bad = np.diag([1.5, -0.5]).astype(complex)
+    bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(StateError, match="-5.000e-01"):
         DensityMatrix(bad)
-    # a lazily solved state passes the eager checks and fails on first use
+    # a lazily solved state passes the eager checks and fails on first use:
+    # its concurrence takes the factor from the spectrum, and so the PSD check
     lazy = DensityMatrix._lazy(bad)
     with pytest.raises(StateError, match="-5.000e-01"):
-        lazy.sqrt()
+        concurrence(lazy)
 
 
 def test_singular_values_identity():
@@ -332,7 +316,8 @@ def _corpus(dim):
 
 @pytest.mark.parametrize("dim", (2, 4, 8))
 def test_solver_matches_eigvalsh_on_hard_stacks(dim):
-    # OFF_DIAGONAL_TARGET is absolute, so the bounds are absolute below scale 1
+    # absolute bounds below scale 1; test_solver_is_accurate_relative_to_a_small_scale
+    # holds the 1e-8 stacks to their scale
     for name, (m, scale) in _corpus(dim).items():
         e = hermitian_eigen(m)
         bound = 1e-13 * max(1.0, scale)
@@ -364,3 +349,17 @@ def test_results_are_bit_identical_for_any_batch_size():
         one = hermitian_eigen(m[k])
         assert _bits(one.eigenvalues) == _bits(whole.eigenvalues[k]), k
         assert _bits(one.eigenvectors) == _bits(whole.eigenvectors[k]), k
+
+
+@pytest.mark.parametrize("dim", (4, 8))
+def test_solver_is_accurate_relative_to_a_small_scale(dim):
+    # the convergence target is relative to each matrix's Frobenius norm, so
+    # a matrix whose norm is 1e-8 is solved to the same relative accuracy
+    scale = 1e-8
+    rng = np.random.default_rng(7100 + dim)
+    g = rng.standard_normal((200, dim, dim)) + 1j * rng.standard_normal((200, dim, dim))
+    m = g + g.conj().swapaxes(-1, -2)
+    m *= scale / np.linalg.norm(m, axis=(-2, -1))[:, None, None]
+    e = hermitian_eigen(m)
+    assert np.abs(e.eigenvalues - np.linalg.eigvalsh(m)).max() <= 1e-14 * scale
+    assert np.abs(e.reconstruct() - m).max() <= 1e-13 * scale

@@ -1,8 +1,9 @@
 """Measure tests: worked examples, independent oracles, sampled identities.
 
-The concurrence oracle here diagonalizes rho.rho~ directly with numpy's
-general (non-Hermitian) solver, so it shares no code path with the
-Hermitian route under test.
+Two concurrence oracles share no code with the route under test: one
+diagonalizes rho.rho~ directly with numpy's general (non-Hermitian)
+solver, the other takes the tau matrix T = V^T (sigma_y x sigma_y) V from
+numpy's ``eigh`` of rho and its singular values from numpy's ``svd``.
 """
 
 import math
@@ -56,6 +57,14 @@ def oracle_concurrence(m: np.ndarray) -> float:
     ev = np.linalg.eigvals(m @ (YY @ m.conj() @ YY))
     r = np.sort(np.sqrt(np.clip(ev.real, 0.0, None)))[::-1]
     return max(0.0, float(r[0] - r[1] - r[2] - r[3]))
+
+
+def oracle_tau_concurrence(m: np.ndarray) -> float:
+    """Wootters concurrence from numpy alone: V = U diag(sqrt(w)), lambda_i = svd(V^T YY V)."""
+    w, u = np.linalg.eigh(m)
+    v = u * np.sqrt(np.clip(w, 0.0, None))
+    s = np.linalg.svd(v.T @ YY @ v, compute_uv=False)
+    return max(0.0, float(s[0] - s[1:].sum()))
 
 
 def oracle_pure_concurrence(amp: np.ndarray) -> float:
@@ -128,9 +137,54 @@ def test_concurrence_is_local_unitary_invariant(rank):
 def test_concurrence_agrees_with_pure_closed_form():
     for amplitudes in _haar_vectors(23, 0, 300, 4):
         psi = PureState(amplitudes)
-        assert concurrence(psi.density()) == pytest.approx(
-            oracle_pure_concurrence(psi.amplitudes), abs=1e-8
-        )
+        closed = oracle_pure_concurrence(psi.amplitudes)
+        assert abs(concurrence(psi.density()) - closed) <= 1e-14
+        assert abs(concurrence(DensityMatrix(psi.density().matrix)) - closed) <= 1e-14
+    chunk = ensemble_chunk("haar-pure", 23, 0, 300, 4, 4)
+    closed = [oracle_pure_concurrence(v) for v in chunk.factor[:, :, 0]]
+    assert np.abs(concurrence(chunk) - closed).max() <= 1e-14
+
+
+def _factor_state(v: np.ndarray) -> DensityMatrix:
+    """The state V V^H built with its factor V, as the package's constructions build theirs."""
+    return DensityMatrix._lazy(v @ v.conj().swapaxes(-1, -2), factor=v)
+
+
+def _tau_corpus() -> dict:
+    """Named states (one, or a stack) that carry the factor they were built from."""
+    rng = np.random.default_rng(2245)
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) * S2
+    corpus = {f"bell-{k}": PureState(b).density() for k, b in enumerate(bell)}
+    a, b = _haar_vectors(2, 0, 20, 2), _haar_vectors(3, 0, 20, 2)
+    corpus["product"] = _factor_state(np.einsum("na,nb->nab", a, b).reshape(20, 4, 1))
+    for p in (1.0 / 3.0, 0.9, 1.0):
+        # Werner states in the Bell basis: weight (1 + 3p)/4 on phi+, (1 - p)/4 elsewhere
+        w = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
+        corpus[f"werner-{p:.3g}"] = _factor_state(bell.T.astype(complex) * np.sqrt(w))
+    diagonal = np.abs(rng.standard_normal((20, 4)))
+    diagonal[:5, 2:] = 0.0
+    diagonal /= diagonal.sum(axis=1, keepdims=True)
+    corpus["diagonal"] = _factor_state(np.sqrt(diagonal)[:, None, :] * np.eye(4))
+    for rank in (1, 2, 3, 4):
+        corpus[f"ginibre-rank-{rank}"] = ensemble_chunk("ginibre", 61, 0, 200, 4, rank)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4)))
+    w = np.array([0.25 + 1e-9, 0.25 - 1e-9, 0.25 + 1e-12, 0.25 - 1e-12])
+    corpus["near-degenerate"] = _factor_state(q * np.sqrt(w))
+    for k in range(200):
+        psi = canonical_state(canonical_sample(2245, k, "uniform")).density()
+        for keep in ((0, 1), (0, 2)):
+            corpus[f"canonical-{k}-{keep}"] = partial_trace(psi, (2, 2, 2), keep)
+    return corpus
+
+
+def test_concurrence_matches_the_tau_oracle_on_the_hard_corpus():
+    # each state with the factor it was built from, and again from the public
+    # constructor, which takes its factor from the spectrum
+    for name, rho in _tau_corpus().items():
+        assert rho._factor is not None, name
+        oracle = [oracle_tau_concurrence(m) for m in rho.matrix.reshape(-1, 4, 4)]
+        for state in (rho, DensityMatrix(rho.matrix)):
+            assert np.abs(np.reshape(concurrence(state), -1) - oracle).max() <= 1e-12, name
 
 
 def test_measure_report_fields():
@@ -306,5 +360,11 @@ def test_pure_one_norm_margins_take_no_solve(solves):
 
 
 def test_canonical_measures_matrix_skips_the_eight_dim_solve(solves):
+    # the AB and AC reductions carry 4 x 2 factors: one stack of two 2 x 2 solves
     canonical_report(POINT_A)
-    assert solves and all(shape == (4, 4) for shape in solves)
+    assert solves == [(2, 2), (2, 2)]
+
+
+def test_pure_state_concurrence_takes_no_solve(solves):
+    concurrence(BELL.density())
+    assert solves == []

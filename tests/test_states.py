@@ -8,6 +8,7 @@ import pytest
 
 from qcohere import states
 from qcohere.classify import ensemble_state
+from qcohere.measures import concurrence
 from qcohere.states import (
     MAX_SEED,
     CanonicalThreeQubit,
@@ -92,6 +93,33 @@ def test_partial_trace_preserves_trace_and_hermiticity():
             red = partial_trace(rho, (2, 2, 2), keep)
             assert abs(complex(np.trace(red.matrix)) - 1.0) <= 1e-12
             assert np.abs(red.matrix - red.matrix.conj().T).max() <= 1e-12
+
+
+def test_factors_reproduce_their_states():
+    # rho = V V^H for every factor a state is built with or carries
+    def assert_factor(rho, shape):
+        v = rho.factor
+        assert v.shape == shape
+        assert np.abs(v @ v.conj().swapaxes(-1, -2) - rho.matrix).max() <= 1e-15
+
+    for kind, rank in (("haar-pure", 4), ("ginibre", 1), ("ginibre", 3), ("ginibre", 4)):
+        chunk = ensemble_chunk(kind, 19, 0, 50, 4, rank)
+        cols = 1 if kind == "haar-pure" else rank
+        assert_factor(chunk, (50, 4, cols))
+        assert_factor(chunk[7], (4, cols))
+        assert_factor(chunk[np.arange(3, 9)], (6, 4, cols))
+    for amplitudes in _haar_vectors(3, 0, 20, 8):
+        rho = PureState(amplitudes).density()
+        assert_factor(rho, (8, 1))
+        for keep in ((0, 1), (0, 2), (1, 2)):
+            assert_factor(partial_trace(rho, (2, 2, 2), keep), (4, 2))
+        # a factor wider than it is tall (2 x 4 here) is not carried; the
+        # reduction takes its factor from its own spectrum
+        single = partial_trace(rho, (2, 2, 2), (0,))
+        assert single._factor is None
+        assert_factor(single, (2, 2))
+    # states built from a bare matrix take U diag(sqrt(w)) from their spectrum
+    assert_factor(werner_state(0.9), (4, 4))
 
 
 def test_partial_trace_rejects_bad_arguments():
@@ -272,7 +300,7 @@ def test_stack_errors_name_the_sample():
     stack[1] = np.diag([1.5, -0.5, 0.0, 0.0])
     lazy = DensityMatrix._lazy(stack, np.arange(7, 11))
     with pytest.raises(StateError, match="sample 8: density matrix is not positive"):
-        lazy.sqrt()
+        concurrence(lazy)
     # one state of a stack keeps its sample index
     with pytest.raises(StateError, match="sample 8: density matrix is not positive"):
         lazy[1].eigenvalues
@@ -383,5 +411,7 @@ def test_density_matrix_reader_solves_once(solves):
     solves.clear()
     rho = density_matrix_from_json_dict(obj)
     assert len(solves) == 1
-    rho.sqrt()
-    assert len(solves) == 1
+    # the factor comes from the spectrum the reader solved: the concurrence
+    # adds the 4x4 tau product and nothing else
+    concurrence(rho)
+    assert solves == [(4, 4), (4, 4)]
