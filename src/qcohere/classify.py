@@ -57,6 +57,9 @@ BOUNDARY_TOL = 1e-12
 # A one-norm excess must clear this slack before it counts as a violation.
 AUDIT_TOL = 1e-12
 
+# The dimension of the audited states: the concurrence takes two qubits only.
+TWO_QUBIT_DIM = 4
+
 # Witness observables on three qubits.
 OBS_O = 2.0 * np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X)
 OBS_O1 = 2.0 * np.kron(np.kron(SIGMA_X, SIGMA_Z), SIGMA_Z)
@@ -519,8 +522,8 @@ def one_norm_report(rho: DensityMatrix) -> dict:
     }
 
 
-def _rank(spec: EnsembleSpec, dim: int) -> int:
-    return spec.rank if spec.rank is not None else dim
+def _rank(spec: EnsembleSpec) -> int:
+    return spec.rank if spec.rank is not None else TWO_QUBIT_DIM
 
 
 def ensemble_state(kind: str, seed: int, index: int, dim: int, rank: int) -> DensityMatrix:
@@ -552,11 +555,11 @@ class Tally:
         if self.margin is None or (margin > self.margin if self.highest else margin < self.margin):
             self.margin, self.index = margin, lo + k
 
-    def worst_case(self, spec: EnsembleSpec, dim: int) -> WorstCase | None:
+    def worst_case(self, spec: EnsembleSpec) -> WorstCase | None:
         """The extreme state, redrawn by its index, if any state violated."""
         if not self.violations:
             return None
-        state = ensemble_state(spec.kind, spec.seed, self.index, dim, _rank(spec, dim))
+        state = ensemble_state(spec.kind, spec.seed, self.index, TWO_QUBIT_DIM, _rank(spec))
         return WorstCase(margin=self.margin, sample_index=self.index, state=state)
 
 
@@ -566,8 +569,8 @@ def _evaluate_chunk(job) -> tuple:
     ``ensemble_chunk`` is looked up by name, so a wrapper set on this module
     sees each draw.
     """
-    evaluate, kind, seed, dim, rank, lo, hi = job
-    return lo, evaluate(ensemble_chunk(kind, seed, lo, hi, dim, rank))
+    evaluate, kind, seed, rank, lo, hi = job
+    return lo, evaluate(ensemble_chunk(kind, seed, lo, hi, TWO_QUBIT_DIM, rank))
 
 
 def _cpu_count() -> int:
@@ -585,16 +588,16 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _map_chunks(spec: EnsembleSpec, evaluate, dim: int, workers: int):
+def _map_chunks(spec: EnsembleSpec, evaluate, workers: int):
     """Yield (lo, ``evaluate(states lo..hi-1)``) for the chunks of ``spec``, in index order.
 
     The pool starts at most one process per chunk and per usable CPU: a
     forking pool starts all of its processes at the first submission.
     """
-    rank = _rank(spec, dim)
+    rank = _rank(spec)
     size = CHUNK_SIZE
     jobs = (
-        (evaluate, spec.kind, spec.seed, dim, rank, lo, min(lo + size, spec.count))
+        (evaluate, spec.kind, spec.seed, rank, lo, min(lo + size, spec.count))
         for lo in range(0, spec.count, size)
     )
     workers = min(workers, -(-spec.count // size), _cpu_count())
@@ -633,42 +636,40 @@ def _one_norm_chunk(rho: DensityMatrix) -> tuple:
     return margin_a, margin_b, entangled
 
 
-def scatter(spec: EnsembleSpec, tally: Tally, dim: int = 4, workers: int = 1):
+def scatter(spec: EnsembleSpec, tally: Tally, workers: int = 1):
     """Yield (concurrence, l1-coherence) of every state of ``spec``, in index order.
 
     Each margin ``C_l1 - C`` goes into ``tally``; a margin below
     ``-LINK_TOL`` violates ``C <= C_l1``.
     """
-    for lo, (conc, coh) in _map_chunks(spec, _scatter_chunk, dim, workers):
+    for lo, (conc, coh) in _map_chunks(spec, _scatter_chunk, workers):
         margins = coh - conc
         tally.fold(lo, margins, margins < -measures.LINK_TOL)
         yield from zip(conc.tolist(), coh.tolist())
 
 
-def chain_audit(spec: EnsembleSpec, dim: int = 4, workers: int = 1) -> dict:
+def chain_audit(spec: EnsembleSpec, workers: int = 1) -> dict:
     """Audit every link of the inequality chain over an ensemble; records by sorted link name."""
     tallies = defaultdict(Tally)
-    for lo, verdicts in _map_chunks(spec, _chain_chunk, dim, workers):
+    for lo, verdicts in _map_chunks(spec, _chain_chunk, workers):
         for name, verdict in verdicts.items():
             tallies[name].fold(lo, verdict.margin, ~verdict.holds)
     return {
-        name: LinkRecord(t.violations, t.margin, t.index, t.worst_case(spec, dim))
+        name: LinkRecord(t.violations, t.margin, t.index, t.worst_case(spec))
         for name, t in sorted(tallies.items())
     }
 
 
-def one_norm_bound_audit(spec: EnsembleSpec, dim: int = 4, workers: int = 1) -> tuple:
+def one_norm_bound_audit(spec: EnsembleSpec, workers: int = 1) -> tuple:
     """Audit the one-norm bound over an ensemble; returns (reading A, reading B) records."""
     tallies = (Tally(highest=True), Tally(highest=True))
     entangled = [0, 0]
-    for lo, (margin_a, margin_b, is_entangled) in _map_chunks(
-        spec, _one_norm_chunk, dim, workers
-    ):
+    for lo, (margin_a, margin_b, is_entangled) in _map_chunks(spec, _one_norm_chunk, workers):
         for i, margin in enumerate((margin_a, margin_b)):
             violated = margin > AUDIT_TOL
             tallies[i].fold(lo, margin, violated)
             entangled[i] += int(np.count_nonzero(violated & is_entangled))
     return tuple(
-        AuditRecord(reading, t.violations, count, t.worst_case(spec, dim))
+        AuditRecord(reading, t.violations, count, t.worst_case(spec))
         for reading, t, count in zip((READING_A, READING_B), tallies, entangled)
     )

@@ -167,10 +167,11 @@ def _add_ensemble_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
 
 
-def _resolve_ensemble(args, dim: int = 4):
+def _resolve_ensemble(args):
     kind = "haar-pure" if args.ensemble == "pure" else "ginibre"
     if kind == "haar-pure" and args.rank is not None:
         raise _UsageError("--rank applies to the ginibre ensemble only")
+    dim = classify.TWO_QUBIT_DIM
     rank = args.rank if args.rank is not None else dim
     if not 1 <= rank <= dim:
         raise _UsageError(f"--rank must lie in [1, {dim}], got {rank}")
@@ -284,7 +285,7 @@ def _cmd_audit(args) -> int:
             name: link.to_json_dict(state_file=_state_file(args.out, name, link.worst_case))
             for name, link in links.items()
         }
-        data["end_to_end_violations"] = links["concurrence_le_l1_coherence"].violations
+        data["end_to_end_violations"] = links[measures.END_TO_END_LINK].violations
         if data["end_to_end_violations"]:
             code = EXIT_VIOLATION
     else:

@@ -6,7 +6,7 @@ one result per matrix.  The eigensolver is a cyclic Jacobi iteration for
 Hermitian matrices, vectorised over the stack, so an ensemble chunk costs
 one call and a single matrix is a stack of one.  Nothing here depends on an
 external eigenvalue backend, and each matrix's result is bit-identical
-whatever stack it was solved in.
+whatever stack it was solved in, signed zeros included.
 """
 
 import functools
@@ -20,6 +20,9 @@ import numpy as np
 # 4x4 inputs converge in a handful of sweeps, so hitting the cap is a fault.
 OFF_DIAGONAL_TARGET = 1e-13
 MAX_SWEEPS = 100
+
+# The solver and the density-matrix checks refuse an entry of A - A^H above this.
+HERMITIAN_TOL = 1e-10
 
 # Eigenvalues in [-PSD_CLAMP, 0) are rounding noise and are treated as
 # exact zeros wherever positive semidefiniteness is consumed.  Anything
@@ -223,11 +226,12 @@ def _jacobi_stack(m: np.ndarray):
     """Cyclic Jacobi diagonalisation of an (N, n, n) Hermitian stack.
 
     Returns (diagonals (N, n), unitaries (N, n, n)) unsorted.  An odd n is
-    padded with a zero row and column, whose pairs are never rotated.  A
-    matrix leaves the working stack at the start of the first sweep that
-    finds no off-diagonal modulus above its target, OFF_DIAGONAL_TARGET
-    times its Frobenius norm; ConvergenceError is raised when any matrix is
-    still in it after MAX_SWEEPS sweeps.
+    padded with a zero row and column, whose pairs are never rotated.  The
+    sweeps stop once no matrix has an off-diagonal modulus above its target,
+    OFF_DIAGONAL_TARGET times its Frobenius norm; ConvergenceError is raised
+    if one still has after MAX_SWEEPS sweeps.  Every matrix runs to the last
+    sweep: a converged one gets identity rotations, which keep its values
+    but may turn a -0.0 into +0.0, so the eigenvalues' zeros are made +0.0.
     """
     count, n = m.shape[0], m.shape[-1]
     # each matrix's squares are summed along one contiguous row of n*n, so
@@ -239,40 +243,33 @@ def _jacobi_stack(m: np.ndarray):
     w[0, :n, :n] = m.real.transpose(1, 2, 0)
     w[1, :n, :n] = m.imag.transpose(1, 2, 0)
     w[0, size:] = np.eye(size)[..., None]
-    values = np.empty((count, n))
-    vectors = np.empty((count, n, n), dtype=np.complex128)
-    live = np.arange(count)
     upper = _upper_triangle(size)
-    diagonal = np.arange(n)
     for sweep in range(MAX_SWEEPS + 1):
         off = w[:, :size].reshape(2, size * size, -1)[:, upper]
         off = np.sqrt((off * off).sum(axis=0)).max(axis=0, initial=0.0)
-        done = off <= target
-        finished = done.all()
-        if finished or done.any():
-            out, rows = (w, live) if finished else (w[..., done], live[done])
-            values[rows] = out[0, diagonal, diagonal].T
-            vectors[rows] = (out[0, size : size + n, :n] + 1j * out[1, size : size + n, :n]).transpose(2, 0, 1)
-            if finished:
-                break
-            keep = ~done
-            w, live, off, target = w[..., keep], live[keep], off[keep], target[keep]
+        unconverged = off > target
+        if not unconverged.any():
+            break
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps:"
-                f" {live.size} of {count} matrices unconverged, largest off-diagonal"
-                f" modulus {off.max():.3e}, target {OFF_DIAGONAL_TARGET:.1e} x Frobenius norm"
+                f" {np.count_nonzero(unconverged)} of {count} matrices unconverged, largest"
+                f" off-diagonal modulus {off.max():.3e}, target {OFF_DIAGONAL_TARGET:.1e} x Frobenius norm"
             )
         for r in _pair_rounds(size):
             w = _rotate(w, size, r, target)
+    diagonal = np.arange(n)
+    values = w[0, diagonal, diagonal].T + 0.0
+    vectors = (w[0, size : size + n, :n] + 1j * w[1, size : size + n, :n]).transpose(2, 0, 1)
     return values, vectors
 
 
-def hermitian_eigen(a, tol: float = 1e-10) -> HermitianEigenDecomposition:
+def hermitian_eigen(a) -> HermitianEigenDecomposition:
     """Eigendecomposition of a Hermitian matrix or an (N, n, n) stack of them.
 
     The stack is solved in one vectorised cyclic Jacobi pass; a single
-    matrix is a stack of one.  Eigenvalues come back ascending; ties keep
+    matrix is a stack of one; a matrix with an entry of A - A^H above
+    HERMITIAN_TOL is refused.  Eigenvalues come back ascending; ties keep
     first-computed order (stable sort, no physical meaning attaches to order
     among equals).
     """
@@ -282,12 +279,12 @@ def hermitian_eigen(a, tol: float = 1e-10) -> HermitianEigenDecomposition:
     stack = m.reshape((-1,) + m.shape[-2:])
     if stack.size:
         residual = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        k = _first(residual > tol)
+        k = _first(residual > HERMITIAN_TOL)
         if k is not None:
             which = "matrix" if m.ndim == 2 else f"matrix {k} of the stack"
             raise NotHermitianError(
                 f"{which} is not Hermitian: max |A - A^H| entry is {residual[k]:.3e},"
-                f" tolerance {tol:.1e}"
+                f" tolerance {HERMITIAN_TOL:.1e}"
             )
     values, vectors = _jacobi_stack(stack)
     order = np.argsort(values, axis=-1, kind="stable")

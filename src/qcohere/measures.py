@@ -46,6 +46,9 @@ SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 LINK_TOL = 1e-9
 TANGLE_CLAMP = 1e-8
 
+# The chain's end-to-end link, C <= C_l1: the paper's Theorem 1.
+END_TO_END_LINK = "concurrence_le_l1_coherence"
+
 
 class MeasureError(ValueError):
     pass
@@ -142,7 +145,7 @@ class ChainReport:
 
     @property
     def end_to_end(self) -> LinkVerdict:
-        return self.link_verdicts["concurrence_le_l1_coherence"]
+        return self.link_verdicts[END_TO_END_LINK]
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,7 +202,7 @@ def inequality_chain(rho: DensityMatrix) -> ChainReport:
         "induced_one_le_l1_coherence": _verdict(l1 - induced_one),
         "smax_flip_le_one": _verdict(1.0 - smax_flip),
         "concurrence_le_l1_times_smax_flip": _verdict(l1 * smax_flip - conc),
-        "concurrence_le_l1_coherence": _verdict(l1 - conc),
+        END_TO_END_LINK: _verdict(l1 - conc),
     }
     return ChainReport(
         concurrence=conc,

@@ -71,7 +71,6 @@ class DensityMatrix:
     with ``rho = V V^H`` from the way it was built; see ``factor``.
     """
 
-    HERMITIAN_TOL = 1e-10
     TRACE_TOL = 1e-10
 
     def __init__(self, matrix):
@@ -109,11 +108,11 @@ class DensityMatrix:
         if k is not None:
             raise StateError(self._sample(k) + "density matrix contains non-finite entries")
         herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        k = linalg._first(herm > self.HERMITIAN_TOL)
+        k = linalg._first(herm > linalg.HERMITIAN_TOL)
         if k is not None:
             raise StateError(
                 self._sample(k) + f"not Hermitian: max |M - M^H| entry is"
-                f" {herm.flat[k]:.3e}, tolerance {self.HERMITIAN_TOL:.1e}"
+                f" {herm.flat[k]:.3e}, tolerance {linalg.HERMITIAN_TOL:.1e}"
             )
         trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
         k = linalg._first(trace_dev > self.TRACE_TOL)
@@ -140,7 +139,7 @@ class DensityMatrix:
 
     def _spectrum(self):
         if self._eigenvalues is None:
-            self._adopt_spectrum(linalg.hermitian_eigen(self.matrix, tol=self.HERMITIAN_TOL))
+            self._adopt_spectrum(linalg.hermitian_eigen(self.matrix))
         return self._eigenvalues, self._eigenvectors
 
     def __getitem__(self, k) -> "DensityMatrix":
@@ -158,10 +157,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum, tiny negatives already clamped to zero."""
         return self._spectrum()[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._spectrum()[1]
 
     @property
     def factor(self) -> np.ndarray:
@@ -220,7 +215,6 @@ class PureState:
             )
         self.amplitudes = v
         self.dim = v.size
-        self.n_qubits = self.dim.bit_length() - 1
 
     def density(self) -> DensityMatrix:
         v = self.amplitudes
@@ -231,7 +225,7 @@ class PureState:
 
 
 def partial_trace(rho: DensityMatrix, qubit_dims, keep) -> DensityMatrix:
-    """Reduce ``rho`` to the subsystems in ``keep`` (original order kept).
+    """Reduce the single state ``rho`` to the subsystems in ``keep`` (original order kept).
 
     ``qubit_dims`` lists the local dimension of every subsystem in order;
     their product must equal ``rho.dim``.  ``keep`` must be a non-empty
@@ -240,6 +234,8 @@ def partial_trace(rho: DensityMatrix, qubit_dims, keep) -> DensityMatrix:
     columns, while it has no more columns than rows: the AB reduction of a
     three-qubit pure state gets a 4 x 2 factor.
     """
+    if rho.matrix.ndim != 2:
+        raise StateError(f"partial trace takes one state, got a stack of shape {rho.matrix.shape}")
     dims = tuple(int(d) for d in qubit_dims)
     if any(d < 1 for d in dims):
         raise StateError(f"subsystem dimensions must be positive, got {dims}")
@@ -632,12 +628,12 @@ def density_matrix_from_json_dict(obj) -> DensityMatrix:
     herm = float(np.abs(m - m.conj().T).max())
     trace_dev = abs(complex(np.trace(m)) - 1.0)
     problems = []
-    if herm > DensityMatrix.HERMITIAN_TOL:
+    if herm > linalg.HERMITIAN_TOL:
         problems.append(f"hermiticity residual {herm:.3e}")
     if trace_dev > DensityMatrix.TRACE_TOL:
         problems.append(f"trace deviation {trace_dev:.3e}")
-    if herm <= DensityMatrix.HERMITIAN_TOL:
-        eig = linalg.hermitian_eigen(m, tol=DensityMatrix.HERMITIAN_TOL)
+    if herm <= linalg.HERMITIAN_TOL:
+        eig = linalg.hermitian_eigen(m)
         wmin = float(eig.eigenvalues.min())
         if wmin < -linalg.PSD_CLAMP:
             problems.append(f"minimum eigenvalue {wmin:.3e}")

@@ -103,3 +103,36 @@ def test_zero_phase_forms_refuse_a_phase_with_the_one_error(fn, what, stack):
     with pytest.raises(OutOfFamilyError, match=message):
         fn(p)
     fn(CanonicalThreeQubit(*lambdas, theta=0.0))
+
+
+def _numpy_linalg_uses(tree) -> list:
+    """Lines where a module imports numpy.linalg or reads it as ``np.linalg``/``numpy.linalg``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.linalg") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.linalg") or (
+                module == "numpy" and any(a.name == "linalg" for a in node.names)
+            )
+        else:
+            hit = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "linalg"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            )
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_numpy_linalg_is_a_test_only_oracle():
+    assert _numpy_linalg_uses(ast.parse("import numpy as np\nnp.linalg.eigh(a)")) == [2]
+    uses = {
+        path.name: lines
+        for path in PACKAGE.glob("*.py")
+        if (lines := _numpy_linalg_uses(ast.parse(path.read_text())))
+    }
+    assert not uses, f"numpy.linalg used in src/: {uses}"

@@ -333,11 +333,30 @@ def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
+def _signed_zeros(rng, count):
+    """Diagonal and block-diagonal 4x4 matrices whose zeros are -0.0, imaginary parts included.
+
+    A diagonal one has converged before the first sweep, so alone it gets no
+    rotation, while beside a slower matrix it gets identity rotations.
+    """
+    m = np.full((count, 4, 4), complex(-0.0, -0.0))
+    diagonal = np.arange(4)
+    w = rng.standard_normal((count, 4))
+    w[rng.random((count, 4)) < 0.5] = -0.0
+    m.real[:, diagonal, diagonal] = w
+    # every third one gets a Hermitian 2x2 block on indices 0 and 1
+    b = rng.standard_normal((count, 3))
+    m[::3, 0, 0], m[::3, 1, 1] = b[::3, 0], b[::3, 1]
+    m[::3, 0, 1] = b[::3, 2] + 0.5j
+    m[::3, 1, 0] = b[::3, 2] - 0.5j
+    return m
+
+
 def test_results_are_bit_identical_for_any_batch_size():
-    # random matrices interleaved with degenerate, rank-deficient and diagonal
-    # ones, so converged and masked matrices sit beside active ones
+    # random matrices interleaved with degenerate, rank-deficient, diagonal and
+    # signed-zero ones, so converged matrices sit beside active ones
     rng = np.random.default_rng(4096)
-    hard = np.concatenate([m for m, _ in _corpus(4).values()])
+    hard = np.concatenate([m for m, _ in _corpus(4).values()] + [_signed_zeros(rng, 300)])
     g = rng.standard_normal((4096 - len(hard), 4, 4)) + 1j * rng.standard_normal((4096 - len(hard), 4, 4))
     m = np.concatenate([g + g.conj().swapaxes(-1, -2), hard])[rng.permutation(4096)]
     whole = hermitian_eigen(m)

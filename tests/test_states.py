@@ -132,6 +132,8 @@ def test_partial_trace_rejects_bad_arguments():
         partial_trace(rho, (2, 2), (0, 1))
     with pytest.raises(StateError, match="out of range"):
         partial_trace(rho, (2, 2), (3,))
+    with pytest.raises(StateError, match=r"stack of shape \(3, 4, 4\)"):
+        partial_trace(ensemble_chunk("ginibre", 1, 0, 3, 4, 4), (2, 2), (0,))
 
 
 def test_canonical_state_basis_point():
