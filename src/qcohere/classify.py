@@ -32,6 +32,7 @@ from .measures import (
 )
 from .states import (
     LAMBDA_NAMES,
+    TWO_QUBIT_DIM,
     CanonicalThreeQubit,
     DensityMatrix,
     EnsembleSpec,
@@ -56,9 +57,6 @@ BOUNDARY_TOL = 1e-12
 
 # A one-norm excess must clear this slack before it counts as a violation.
 AUDIT_TOL = 1e-12
-
-# The dimension of the audited states: the concurrence takes two qubits only.
-TWO_QUBIT_DIM = 4
 
 # Witness observables on three qubits.
 OBS_O = 2.0 * np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X)
@@ -526,9 +524,9 @@ def _rank(spec: EnsembleSpec) -> int:
     return spec.rank if spec.rank is not None else TWO_QUBIT_DIM
 
 
-def ensemble_state(kind: str, seed: int, index: int, dim: int, rank: int) -> DensityMatrix:
+def ensemble_state(kind: str, seed: int, index: int, rank: int) -> DensityMatrix:
     """State ``index`` of the named ensemble: row 0 of the chunk that holds only it."""
-    return ensemble_chunk(kind, seed, index, index + 1, dim, rank)[0]
+    return ensemble_chunk(kind, seed, index, index + 1, rank)[0]
 
 
 @dataclass
@@ -559,7 +557,7 @@ class Tally:
         """The extreme state, redrawn by its index, if any state violated."""
         if not self.violations:
             return None
-        state = ensemble_state(spec.kind, spec.seed, self.index, TWO_QUBIT_DIM, _rank(spec))
+        state = ensemble_state(spec.kind, spec.seed, self.index, _rank(spec))
         return WorstCase(margin=self.margin, sample_index=self.index, state=state)
 
 
@@ -570,7 +568,7 @@ def _evaluate_chunk(job) -> tuple:
     sees each draw.
     """
     evaluate, kind, seed, rank, lo, hi = job
-    return lo, evaluate(ensemble_chunk(kind, seed, lo, hi, TWO_QUBIT_DIM, rank))
+    return lo, evaluate(ensemble_chunk(kind, seed, lo, hi, rank))
 
 
 def _cpu_count() -> int:

@@ -171,7 +171,7 @@ def _resolve_ensemble(args):
     kind = "haar-pure" if args.ensemble == "pure" else "ginibre"
     if kind == "haar-pure" and args.rank is not None:
         raise _UsageError("--rank applies to the ginibre ensemble only")
-    dim = classify.TWO_QUBIT_DIM
+    dim = states.TWO_QUBIT_DIM
     rank = args.rank if args.rank is not None else dim
     if not 1 <= rank <= dim:
         raise _UsageError(f"--rank must lie in [1, {dim}], got {rank}")
@@ -180,7 +180,7 @@ def _resolve_ensemble(args):
     if not 0 <= args.seed <= states.MAX_SEED:
         raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     spec = states.EnsembleSpec(kind=kind, seed=args.seed, count=args.n, rank=rank)
-    return spec, spec.describe(dim)
+    return spec, spec.describe()
 
 
 # --- sample -------------------------------------------------------------------
@@ -335,34 +335,34 @@ def _parse_fix(texts) -> list:
     return fixes
 
 
-def _cells(column, applies=None) -> list:
-    """CSV cells of one sweep column; empty where ``applies`` is false."""
-    values = column.tolist()
-    if column.dtype == bool:
-        cells = ["true" if v else "false" for v in values]
-    elif column.dtype.kind == "f":
-        cells = list(map(repr, values))  # Python floats already: this is _fmt
-    else:
-        cells = values
-    if applies is not None:
-        cells = [cell if a else "" for cell, a in zip(cells, applies.tolist())]
-    return cells
+def _sweep_table(columns: dict, applies: dict) -> np.ndarray:
+    """The (N, len(columns)) CSV cells of one sweep chunk; empty where ``applies`` is false.
 
-
-def _sweep_rows(ks, roots, root_cells):
-    """CSV rows of one chunk of integer grid points.
-
-    The amplitudes take only the values sqrt(k / resolution), so their
-    cells come from ``root_cells``, formatted once per run.
+    ``repr`` of a double depends only on its 64 bits, so each distinct bit
+    pattern of the chunk is formatted once.  The key is the bits, not the
+    value, which would merge -0.0 with 0.0, and one 1-D array of them, whose
+    inverse has the same shape in every numpy.  Nothing is kept across
+    chunks, so memory stays per chunk.
     """
-    p = states.CanonicalThreeQubit(*roots[ks.T], theta=0.0)
-    columns, applies = classify.sweep_columns(p)
-    lambda_cells = dict(zip(LAMBDA_NAMES, root_cells[ks.T]))
-    cells = [
-        lambda_cells[name].tolist() if name in lambda_cells else _cells(column, applies.get(name))
-        for name, column in columns.items()
-    ]
-    return map(",".join, zip(*cells))
+    floats = [name for name, column in columns.items() if column.dtype.kind == "f"]
+    values = np.stack([columns[name] for name in floats]).ravel()
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    formatted = dict(zip(floats, texts[inverse].reshape(len(floats), -1)))
+    cells = []
+    for name, column in columns.items():
+        if name in formatted:
+            column = formatted[name]
+        elif column.dtype == bool:
+            column = np.where(column, "true", "false")
+        cells.append(np.where(applies[name], column, "") if name in applies else column)
+    return np.column_stack(cells)
+
+
+def _sweep_lines(ks, r: int) -> str:
+    """The CSV rows of one chunk of integer grid points (amplitudes sqrt(k_i / r)) as one text."""
+    p = states.CanonicalThreeQubit(*np.sqrt(ks.T / r), theta=0.0)
+    return "\n".join(map(",".join, _sweep_table(*classify.sweep_columns(p)).tolist()))
 
 
 def _cmd_sweep(args) -> int:
@@ -374,13 +374,8 @@ def _cmd_sweep(args) -> int:
     count = sum(len(ks) for ks in classify.sweep_grid(r, fixes))
     if not count:
         raise states.StateError("the requested constraints admit no grid points")
-    roots = np.array([math.sqrt(k / r) for k in range(r + 1)])
-    root_cells = np.array([_fmt(v) for v in roots])
-    rows = (
-        row
-        for ks in classify.sweep_grid(r, fixes)
-        for row in _sweep_rows(ks, roots, root_cells)
-    )
+    # one text per chunk: the rows stream a chunk at a time
+    rows = (_sweep_lines(ks, r) for ks in classify.sweep_grid(r, fixes))
     columns = ",".join(classify.SWEEP_COLUMNS)
     _write_csv(args.out, _run_header("sweep", count=count), columns, rows)
     return EXIT_OK

@@ -30,6 +30,9 @@ LAMBDA_NAMES = ("lambda0", "lambda1", "lambda2", "lambda3", "lambda4")
 
 MAX_SEED = 2**64 - 1
 
+# The dimension of every ensemble state: the concurrence takes two qubits only.
+TWO_QUBIT_DIM = 4
+
 
 class StateError(ValueError):
     """A state fails one of its construction invariants."""
@@ -376,7 +379,8 @@ class EnsembleSpec:
         if self.rank is not None and self.rank < 1:
             raise StateError(f"rank must be positive, got {self.rank}")
 
-    def describe(self, dim: int) -> str:
+    def describe(self) -> str:
+        dim = TWO_QUBIT_DIM
         if self.kind == "ginibre":
             return f"ginibre(dim={dim},rank={self.rank if self.rank else dim})"
         return f"haar-pure(dim={dim})"
@@ -494,8 +498,9 @@ def _haar_vectors(seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
     return v
 
 
-def _ginibre_matrices(seed: int, lo: int, hi: int, dim: int, rank: int) -> tuple:
-    """The (N, dim, dim) Ginibre states of samples lo..hi-1 and their (N, dim, rank) factors."""
+def _ginibre_matrices(seed: int, lo: int, hi: int, rank: int) -> tuple:
+    """The (N, 4, 4) Ginibre states of samples lo..hi-1 and their (N, 4, rank) factors."""
+    dim = TWO_QUBIT_DIM
     if not 1 <= rank <= dim:
         raise StateError(f"rank must lie in [1, {dim}], got {rank}")
     g = _gaussian_rows(seed, lo, hi, dim * rank).reshape(-1, dim, rank)
@@ -506,8 +511,8 @@ def _ginibre_matrices(seed: int, lo: int, hi: int, dim: int, rank: int) -> tuple
     return 0.5 * (m + m.conj().swapaxes(-1, -2)), g / np.sqrt(trace)
 
 
-def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, dim: int, rank: int) -> DensityMatrix:
-    """States lo..hi-1 of the named ensemble as one lazily solved (hi - lo, dim, dim) stack.
+def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, rank: int) -> DensityMatrix:
+    """States lo..hi-1 of the named ensemble as one lazily solved (hi - lo, 4, 4) stack.
 
     Row k - lo is bit for bit the state that sample k draws on its own;
     both ensembles are PSD by construction, so the stack is checked for
@@ -516,11 +521,11 @@ def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, dim: int, rank: int) 
     state, ``G / ||G||_F`` for a Ginibre draw ``G``.
     """
     if kind == "haar-pure":
-        v = _haar_vectors(seed, lo, hi, dim)
+        v = _haar_vectors(seed, lo, hi, TWO_QUBIT_DIM)
         m = v[:, :, None] * v.conj()[:, None, :]
         factor = v[:, :, None]
     elif kind == "ginibre":
-        m, factor = _ginibre_matrices(seed, lo, hi, dim, rank)
+        m, factor = _ginibre_matrices(seed, lo, hi, rank)
     else:
         raise StateError(f"unknown ensemble kind {kind!r}")
     return DensityMatrix._lazy(m, np.arange(lo, hi), factor)

@@ -352,7 +352,7 @@ def test_one_norm_audit_solves_only_the_violating_states(tmp_path, capsys, monke
     violating = 0
     for k in range(300):
         _, _, margin_a, margin_b = classify.one_norm_margins(
-            classify.ensemble_state("haar-pure", 3, k, 4, 4)
+            classify.ensemble_state("haar-pure", 3, k, 4)
         )
         violating += max(margin_a, margin_b) > classify.AUDIT_TOL
     assert 0 < violating < 300
@@ -417,11 +417,11 @@ def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch)
     out.write_text("previous contents\n")
     draw = classify.ensemble_chunk
 
-    def draw_then_break(kind, seed, lo, hi, dim, rank):
+    def draw_then_break(kind, seed, lo, hi, rank):
         # chunks of 4 states: rows 0..19 are written before the solver starts failing
         if lo == 20:
             monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
-        return draw(kind, seed, lo, hi, dim, rank)
+        return draw(kind, seed, lo, hi, rank)
 
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
     monkeypatch.setattr(classify, "ensemble_chunk", draw_then_break)
@@ -454,16 +454,20 @@ def test_chunk_seeding_mismatch_exits_70_and_keeps_the_out_file(tmp_path, capsys
 
 
 # SHA-256 of the data section (every non-comment line, newline-terminated).
-# Captured from the per-point implementation the chunked sweep replaced.
+# Captured from the per-point implementation the chunked sweep replaced; the
+# unconstrained resolution-29 grid (the benchmark's size, no --fix) from the
+# per-cell formatting that the chunk-wide one replaced.
 _SWEEP_DIGESTS = {
     ("10", "lambda4=0"): "0fed194062701879e67c196f6e04db24b35e802db60bb57fd09d073b5a77d7e9",
     ("12", "lambda2=lambda3"): "f70c9c9d8f121f36ae5152f38a7e8781efec1c77d66a49a5fcbd579a84ed42a0",
+    ("29", None): "adb1a964235714438520adb86775a448412102b065ca3753526b696ab4a85121",
 }
 
 
 @pytest.mark.parametrize("resolution, fix", sorted(_SWEEP_DIGESTS))
 def test_sweep_data_section_is_pinned(capsys, resolution, fix):
-    code, stdout, _ = run(capsys, ["sweep", "--resolution", resolution, "--fix", fix])
+    fix_flags = [] if fix is None else ["--fix", fix]
+    code, stdout, _ = run(capsys, ["sweep", "--resolution", resolution, *fix_flags])
     assert code == 0
     data = "".join(f"{line}\n" for line in data_lines(stdout))
     assert hashlib.sha256(data.encode()).hexdigest() == _SWEEP_DIGESTS[resolution, fix]
@@ -576,3 +580,43 @@ def test_sweep_output_is_the_same_for_any_chunk_size(tmp_path, capsys, monkeypat
         reference = data(default_chunk, *argv)
         for chunk in (1, 7):
             assert data(chunk, *argv) == reference, (argv, chunk)
+
+
+def _per_cell_table(columns, applies):
+    """The sweep cells as the per-cell loop made them: the reference of ``cli._sweep_table``."""
+    flag = {True: "true", False: "false"}
+    cells = []
+    for name, column in columns.items():
+        if column.dtype == bool:
+            cell = [flag[v] for v in column.tolist()]
+        elif column.dtype.kind == "f":
+            cell = [cli._fmt(v) for v in column]
+        else:
+            cell = column.tolist()
+        if name in applies:
+            cell = [c if a else "" for c, a in zip(cell, applies[name].tolist())]
+        cells.append(cell)
+    return [list(row) for row in zip(*cells)]
+
+
+def test_sweep_table_matches_the_per_cell_formatting():
+    awkward = np.array([
+        -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+        1.0, np.nextafter(1.0, 2.0), 0.1 + 0.2, 0.3,
+    ])
+    n = len(awkward)
+    columns = {
+        "x": awkward,
+        "y": awkward[::-1].copy(),
+        "label": np.array(["GHZ", "W", "boundary"] * (n // 3)),
+        "flag": np.arange(n) % 3 == 0,
+        "masked_x": np.roll(awkward, 5),
+        "masked_flag": np.arange(n) % 4 == 1,
+    }
+    applies = {"masked_x": np.arange(n) % 2 == 0, "masked_flag": np.arange(n) % 3 != 2}
+    assert cli._sweep_table(columns, applies).tolist() == _per_cell_table(columns, applies)
+
+    # and a chunk of the sweep itself
+    ks = next(classify.sweep_grid(6))
+    columns, applies = classify.sweep_columns(CanonicalThreeQubit(*np.sqrt(ks.T / 6), theta=0.0))
+    assert cli._sweep_table(columns, applies).tolist() == _per_cell_table(columns, applies)

@@ -110,7 +110,7 @@ def test_concurrence_werner():
 
 
 def test_concurrence_agrees_with_general_solver_oracle():
-    rho = ensemble_chunk("ginibre", 17, 0, 300, 4, 4)
+    rho = ensemble_chunk("ginibre", 17, 0, 300, 4)
     for value, m in zip(concurrence(rho), rho.matrix):
         assert value == pytest.approx(oracle_concurrence(m), abs=1e-8)
 
@@ -124,7 +124,7 @@ def haar_unitaries(rng, n: int, d: int) -> np.ndarray:
 
 @pytest.mark.parametrize("rank", [2, 4])
 def test_concurrence_is_local_unitary_invariant(rank):
-    rho = ensemble_chunk("ginibre", 41, 0, 256, 4, rank)
+    rho = ensemble_chunk("ginibre", 41, 0, 256, rank)
     rng = np.random.default_rng(2105)
     u = np.einsum("nab,ncd->nacbd", haar_unitaries(rng, 256, 2), haar_unitaries(rng, 256, 2))
     u = u.reshape(256, 4, 4)
@@ -140,7 +140,7 @@ def test_concurrence_agrees_with_pure_closed_form():
         closed = oracle_pure_concurrence(psi.amplitudes)
         assert abs(concurrence(psi.density()) - closed) <= 1e-14
         assert abs(concurrence(DensityMatrix(psi.density().matrix)) - closed) <= 1e-14
-    chunk = ensemble_chunk("haar-pure", 23, 0, 300, 4, 4)
+    chunk = ensemble_chunk("haar-pure", 23, 0, 300, 4)
     closed = [oracle_pure_concurrence(v) for v in chunk.factor[:, :, 0]]
     assert np.abs(concurrence(chunk) - closed).max() <= 1e-14
 
@@ -166,7 +166,7 @@ def _tau_corpus() -> dict:
     diagonal /= diagonal.sum(axis=1, keepdims=True)
     corpus["diagonal"] = _factor_state(np.sqrt(diagonal)[:, None, :] * np.eye(4))
     for rank in (1, 2, 3, 4):
-        corpus[f"ginibre-rank-{rank}"] = ensemble_chunk("ginibre", 61, 0, 200, 4, rank)
+        corpus[f"ginibre-rank-{rank}"] = ensemble_chunk("ginibre", 61, 0, 200, rank)
     q, _ = np.linalg.qr(rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4)))
     w = np.array([0.25 + 1e-9, 0.25 - 1e-9, 0.25 + 1e-12, 0.25 - 1e-12])
     corpus["near-degenerate"] = _factor_state(q * np.sqrt(w))
@@ -225,8 +225,8 @@ def test_chain_maximally_mixed():
 
 
 def test_chain_end_to_end_on_samples():
-    assert inequality_chain(ensemble_chunk("ginibre", 29, 0, 1000, 4, 4)).end_to_end.holds.all()
-    assert inequality_chain(ensemble_chunk("haar-pure", 31, 0, 1000, 4, 4)).end_to_end.holds.all()
+    assert inequality_chain(ensemble_chunk("ginibre", 29, 0, 1000, 4)).end_to_end.holds.all()
+    assert inequality_chain(ensemble_chunk("haar-pure", 31, 0, 1000, 4)).end_to_end.holds.all()
 
 
 def test_partial_concurrences_examples():
@@ -343,7 +343,7 @@ def test_chain_takes_two_solves_with_validation(solves):
     # the state's own spectrum (its PSD validation) and the spin-flip product
     for k in range(5):
         solves.clear()
-        inequality_chain(classify.ensemble_state("ginibre", 29, k, 4, 4))
+        inequality_chain(classify.ensemble_state("ginibre", 29, k, 4))
         assert len(solves) == 2
 
 
@@ -351,7 +351,7 @@ def test_pure_one_norm_margins_take_no_solve(solves):
     checked = 0
     for k in range(20):
         solves.clear()
-        rho = classify.ensemble_state("haar-pure", 3, k, 4, 4)
+        rho = classify.ensemble_state("haar-pure", 3, k, 4)
         _, _, margin_a, _ = classify.one_norm_margins(rho)
         if margin_a <= classify.AUDIT_TOL:
             assert solves == []

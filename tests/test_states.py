@@ -103,7 +103,7 @@ def test_factors_reproduce_their_states():
         assert np.abs(v @ v.conj().swapaxes(-1, -2) - rho.matrix).max() <= 1e-15
 
     for kind, rank in (("haar-pure", 4), ("ginibre", 1), ("ginibre", 3), ("ginibre", 4)):
-        chunk = ensemble_chunk(kind, 19, 0, 50, 4, rank)
+        chunk = ensemble_chunk(kind, 19, 0, 50, rank)
         cols = 1 if kind == "haar-pure" else rank
         assert_factor(chunk, (50, 4, cols))
         assert_factor(chunk[7], (4, cols))
@@ -133,7 +133,7 @@ def test_partial_trace_rejects_bad_arguments():
     with pytest.raises(StateError, match="out of range"):
         partial_trace(rho, (2, 2), (3,))
     with pytest.raises(StateError, match=r"stack of shape \(3, 4, 4\)"):
-        partial_trace(ensemble_chunk("ginibre", 1, 0, 3, 4, 4), (2, 2), (0,))
+        partial_trace(ensemble_chunk("ginibre", 1, 0, 3, 4), (2, 2), (0,))
 
 
 def test_canonical_state_basis_point():
@@ -194,8 +194,8 @@ def test_sampling_is_deterministic_per_index():
     a = _haar_vectors(42, 0, 1, 4)
     b = _haar_vectors(42, 0, 1, 4)
     assert np.array_equal(a, b)
-    g1 = ensemble_state("ginibre", 7, 5, 4, 4).matrix
-    g2 = ensemble_state("ginibre", 7, 5, 4, 4).matrix
+    g1 = ensemble_state("ginibre", 7, 5, 4).matrix
+    g2 = ensemble_state("ginibre", 7, 5, 4).matrix
     assert np.array_equal(g1, g2)
     c1 = canonical_sample(9, 3, "uniform")
     c2 = canonical_sample(9, 3, "uniform")
@@ -204,11 +204,11 @@ def test_sampling_is_deterministic_per_index():
 
 def test_chunk_rows_are_the_states_drawn_one_by_one():
     for kind, rank in (("ginibre", 4), ("ginibre", 2), ("haar-pure", 4)):
-        chunk = ensemble_chunk(kind, 11, 5, 25, 4, rank)
+        chunk = ensemble_chunk(kind, 11, 5, 25, rank)
         assert chunk.matrix.shape == (20, 4, 4)
         assert list(chunk.indices) == list(range(5, 25))
         for k in range(5, 25):
-            one = ensemble_state(kind, 11, k, 4, rank)
+            one = ensemble_state(kind, 11, k, rank)
             assert chunk.matrix[k - 5].tobytes() == one.matrix.tobytes(), (kind, k)
             assert chunk[k - 5].matrix.tobytes() == one.matrix.tobytes(), (kind, k)
 
@@ -221,7 +221,7 @@ def test_one_normal_call_per_state_draws_the_two_call_bits():
         m = g @ g.conj().T
         m /= np.trace(m).real
         assert (0.5 * (m + m.conj().T)).tobytes() == (
-            ensemble_state("ginibre", 11, k, 4, 2).matrix.tobytes()
+            ensemble_state("ginibre", 11, k, 2).matrix.tobytes()
         )
         rng = sample_rng(11, k)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -249,10 +249,10 @@ def test_chunk_rows_match_one_generator_per_sample_byte_for_byte(monkeypatch):
     for seed in CORPUS_SEEDS:
         for lo, hi in CORPUS_CHUNKS:
             for kind, rank in CORPUS_KINDS:
-                chunk = ensemble_chunk(kind, seed, lo, hi, 4, rank).matrix
+                chunk = ensemble_chunk(kind, seed, lo, hi, rank).matrix
                 with monkeypatch.context() as m:
                     m.setattr(states, "_gaussian_rows", _rows_one_generator_each)
-                    reference = ensemble_chunk(kind, seed, lo, hi, 4, rank).matrix
+                    reference = ensemble_chunk(kind, seed, lo, hi, rank).matrix
                 assert chunk.tobytes() == reference.tobytes(), (seed, lo, kind, rank)
             for k, (state, inc) in zip(range(lo, hi), states._pcg64_states(seed, lo, hi)):
                 frozen = sample_rng(seed, k).bit_generator.state["state"]
@@ -266,13 +266,13 @@ def test_chunk_checks_seed_and_index_before_hashing(monkeypatch):
     monkeypatch.setattr(states, "_pcg64_states", no_hashing)
     for kind, rank in (("haar-pure", 4), ("ginibre", 4)):
         with pytest.raises(StateError, match="sample index must be non-negative, got -1"):
-            ensemble_chunk(kind, 3, -1, 2, 4, rank)
+            ensemble_chunk(kind, 3, -1, 2, rank)
         with pytest.raises(StateError, match="seed must be a 64-bit unsigned integer"):
-            ensemble_chunk(kind, MAX_SEED + 1, 0, 2, 4, rank)
+            ensemble_chunk(kind, MAX_SEED + 1, 0, 2, rank)
         with pytest.raises(StateError, match="seed must be a 64-bit unsigned integer"):
-            ensemble_chunk(kind, -1, 0, 2, 4, rank)
+            ensemble_chunk(kind, -1, 0, 2, rank)
         with pytest.raises(StateError, match=r"sample index must be below 2\*\*64"):
-            ensemble_chunk(kind, 3, 2**64 - 1, 2**64 + 1, 4, rank)
+            ensemble_chunk(kind, 3, 2**64 - 1, 2**64 + 1, rank)
 
 
 def test_chunk_seeding_that_disagrees_with_the_frozen_generator_fails(monkeypatch):
@@ -285,7 +285,7 @@ def test_chunk_seeding_that_disagrees_with_the_frozen_generator_fails(monkeypatc
     monkeypatch.setattr(states, "_pcg64_states", one_bit_off)
     for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
         with pytest.raises(SeedingError, match="sample 5 .seed 11"):
-            ensemble_chunk(kind, 11, 5, 25, 4, rank)
+            ensemble_chunk(kind, 11, 5, 25, rank)
 
 
 def test_stack_errors_name_the_sample():
@@ -314,26 +314,26 @@ def test_haar_reduced_purity_matches_oracle_band():
     # Monte Carlo oracle at 10^6 samples gives 0.7999 (analytic 4/5) for the
     # single-qubit reduction of a Haar two-qubit pure state
     n = 100_000
-    rho = ensemble_chunk("haar-pure", 42, 0, n, 4, 4).matrix.reshape(n, 2, 2, 2, 2)
+    rho = ensemble_chunk("haar-pure", 42, 0, n, 4).matrix.reshape(n, 2, 2, 2, 2)
     ra = np.einsum("kajbj->kab", rho)
     total = float(np.trace(ra @ ra, axis1=-2, axis2=-1).real.sum())
     assert 0.79 <= total / n <= 0.81
 
 
 def test_ginibre_invariants_and_rank_one_purity():
-    rho = ensemble_chunk("ginibre", 5, 0, 200, 4, 2)
+    rho = ensemble_chunk("ginibre", 5, 0, 200, 2)
     assert rho.dim == 4
     assert np.abs(np.trace(rho.matrix, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
-    assert np.abs(ensemble_chunk("ginibre", 5, 0, 200, 4, 1).purity() - 1.0).max() <= 1e-10
+    assert np.abs(ensemble_chunk("ginibre", 5, 0, 200, 1).purity() - 1.0).max() <= 1e-10
     with pytest.raises(StateError, match="rank"):
-        ensemble_chunk("ginibre", 5, 0, 1, 4, 5)
+        ensemble_chunk("ginibre", 5, 0, 1, 5)
 
 
 def test_ginibre_purity_matches_oracle_band():
     # Monte Carlo oracle at 10^6 samples gives 0.47057 (analytic 8/17) for
     # the full-rank dim-4 ensemble
     n = 100_000
-    total = float(ensemble_chunk("ginibre", 7, 0, n, 4, 4).purity().sum())
+    total = float(ensemble_chunk("ginibre", 7, 0, n, 4).purity().sum())
     assert 0.4606 <= total / n <= 0.4806
 
 
