@@ -23,7 +23,6 @@ from .classify import (
 )
 from .linalg import (
     ConvergenceError,
-    HermitianEigenDecomposition,
     hermitian_eigen,
     induced_one_norm,
 )
@@ -38,7 +37,6 @@ from .measures import (
     l1_coherence,
     partial_concurrences_analytic,
     reduced_coherences_analytic,
-    spin_flip,
     tangle_analytic,
     tangle_residual,
 )

@@ -370,12 +370,13 @@ def _cmd_sweep(args) -> int:
     if r < 2:
         raise _UsageError(f"--resolution must be at least 2, got {r}")
     fixes = _parse_fix(args.fix)
-    # the header carries the row count, so count the integer grid first
-    count = sum(len(ks) for ks in classify.sweep_grid(r, fixes))
+    # the header carries the row count: walk the integer grid once and keep it
+    chunks = list(classify.sweep_grid(r, fixes))
+    count = sum(len(ks) for ks in chunks)
     if not count:
         raise states.StateError("the requested constraints admit no grid points")
     # one text per chunk: the rows stream a chunk at a time
-    rows = (_sweep_lines(ks, r) for ks in classify.sweep_grid(r, fixes))
+    rows = (_sweep_lines(ks, r) for ks in chunks)
     columns = ",".join(classify.SWEEP_COLUMNS)
     _write_csv(args.out, _run_header("sweep", count=count), columns, rows)
     return EXIT_OK

@@ -4,9 +4,12 @@ All routines work on plain ``numpy`` arrays of ``complex128``, either one
 matrix or an ``(N, n, n)`` stack of them; a function given a stack returns
 one result per matrix.  The eigensolver is a cyclic Jacobi iteration for
 Hermitian matrices, vectorised over the stack, so an ensemble chunk costs
-one call and a single matrix is a stack of one.  Nothing here depends on an
-external eigenvalue backend, and each matrix's result is bit-identical
-whatever stack it was solved in, signed zeros included.
+one call and a single matrix is a stack of one.  It computes eigenvalues
+only: nothing in the package reads an eigenvector.  A positive semidefinite
+matrix gets a factor V with A = V V^H from a pivoted Cholesky instead.
+Nothing here depends on an external eigenvalue backend, and each matrix's
+result is bit-identical whatever stack it was computed in, signed zeros
+included.
 """
 
 import functools
@@ -87,22 +90,6 @@ def _first(flags: np.ndarray):
     return int(np.flatnonzero(flags)[0])
 
 
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
-    """Ascending real eigenvalues and the matching orthonormal eigenvector columns.
-
-    For a stack the arrays carry the stack axis first: ``(N, n)`` and
-    ``(N, n, n)``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def _indexer(seq):
     """``seq`` as a slice when it is an arithmetic progression, else as an index array.
 
@@ -180,20 +167,20 @@ _IM_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 def _rotate(w: np.ndarray, n: int, r: _Round, target: np.ndarray) -> np.ndarray:
     """One round of Jacobi rotations applied to every matrix of the stack ``w``.
 
-    ``w`` has shape (2, 2n, n, N): real and imaginary parts, the matrix in
-    rows :n and the accumulated unitary in rows n:, and the stack axis last.
-    ``target`` (N,) is each matrix's convergence target.  Each pair (p, q)
-    with |a_pq| above its matrix's target gets the unitary U = [[c, -sigma],
-    [conj(sigma), c]] on rows and columns p, q, with tau = (a_pp - a_qq) /
-    2|a_pq|, t = sign(tau) / (|tau| + sqrt(1 + tau^2)), c = 1 / sqrt(1 +
-    t^2) and sigma = t c a_pq / |a_pq|; then A <- U^H A U annihilates a_pq,
-    and V <- V U.  Smaller pairs get the identity (t = 0), so every matrix
-    follows its own trajectory whatever the rest of the stack does.  Only
-    + - * / and sqrt are used, each correctly rounded elementwise, which is
-    what makes a matrix's result independent of the stack it sits in.
-    Returns the rotated stack.
+    ``w`` has shape (2, n, n, N): the real and imaginary parts of the
+    matrices, with the stack axis last.  ``target`` (N,) is each matrix's
+    convergence target.  Each pair (p, q) with |a_pq| above its matrix's
+    target gets the unitary U = [[c, -sigma], [conj(sigma), c]] on rows and
+    columns p, q, with tau = (a_pp - a_qq) / 2|a_pq|, t = sign(tau) / (|tau|
+    + sqrt(1 + tau^2)), c = 1 / sqrt(1 + t^2) and sigma = t c a_pq / |a_pq|;
+    then A <- U^H A U annihilates a_pq.  U itself is not kept.  Smaller
+    pairs get the identity (t = 0), so every matrix follows its own
+    trajectory whatever the rest of the stack does.  Only + - * / and sqrt
+    are used, each correctly rounded elementwise, which is what makes a
+    matrix's result independent of the stack it sits in.  Returns the
+    rotated stack.
     """
-    flat = w[:, :n].reshape(2, n * n, -1)
+    flat = w.reshape(2, n * n, -1)
     apq = flat[:, r.pq]
     g = np.sqrt((apq * apq).sum(axis=0))
     active = g > target
@@ -207,27 +194,27 @@ def _rotate(w: np.ndarray, n: int, r: _Round, target: np.ndarray) -> np.ndarray:
     c = c[r.slot]
     re = sigma[0][r.slot] * r.sign
     im = (sigma[1] * _IM_SIGNS)[:, r.slot]
-    # columns of A and V: x <- c x + conj(sigma) y, y <- c y - sigma x
+    # columns: x <- c x + conj(sigma) y, y <- c y - sigma x
     y = w[:, :, r.partner]
     w = c * w + re * y + im[:, None] * y[::-1]
-    # rows of A: x <- c x + sigma y, y <- c y - conj(sigma) x
-    a = w[:, :n]
-    y = a[:, r.partner]
-    a[...] = c[:, None] * a + re[:, None] * y - im[:, :, None] * y[::-1]
+    # rows: x <- c x + sigma y, y <- c y - conj(sigma) x
+    y = w[:, r.partner]
+    w = c[:, None] * w + re[:, None] * y - im[:, :, None] * y[::-1]
     # the rotated pairs are zero by construction; store them exactly
     inactive = ~active
-    flat = a.reshape(2, n * n, -1)
+    flat = w.reshape(2, n * n, -1)
     flat[:, r.pq] *= inactive
     flat[:, r.qp] *= inactive
     return w
 
 
-def _jacobi_stack(m: np.ndarray):
-    """Cyclic Jacobi diagonalisation of an (N, n, n) Hermitian stack.
+def _jacobi_stack(m: np.ndarray) -> np.ndarray:
+    """Cyclic Jacobi eigenvalues of an (N, n, n) Hermitian stack, unsorted, as (N, n).
 
-    Returns (diagonals (N, n), unitaries (N, n, n)) unsorted.  An odd n is
-    padded with a zero row and column, whose pairs are never rotated.  The
-    sweeps stop once no matrix has an off-diagonal modulus above its target,
+    The work array is (2, n, n, N): real and imaginary parts of the matrices
+    alone, since no eigenvector is accumulated.  An odd n is padded with a
+    zero row and column, whose pairs are never rotated.  The sweeps stop
+    once no matrix has an off-diagonal modulus above its target,
     OFF_DIAGONAL_TARGET times its Frobenius norm; ConvergenceError is raised
     if one still has after MAX_SWEEPS sweeps.  Every matrix runs to the last
     sweep: a converged one gets identity rotations, which keep its values
@@ -239,13 +226,12 @@ def _jacobi_stack(m: np.ndarray):
     squares = (m.real * m.real + m.imag * m.imag).reshape(count, n * n)
     target = OFF_DIAGONAL_TARGET * np.sqrt(squares.sum(axis=1))
     size = n + n % 2
-    w = np.zeros((2, 2 * size, size, count))
+    w = np.zeros((2, size, size, count))
     w[0, :n, :n] = m.real.transpose(1, 2, 0)
     w[1, :n, :n] = m.imag.transpose(1, 2, 0)
-    w[0, size:] = np.eye(size)[..., None]
     upper = _upper_triangle(size)
     for sweep in range(MAX_SWEEPS + 1):
-        off = w[:, :size].reshape(2, size * size, -1)[:, upper]
+        off = w.reshape(2, size * size, -1)[:, upper]
         off = np.sqrt((off * off).sum(axis=0)).max(axis=0, initial=0.0)
         unconverged = off > target
         if not unconverged.any():
@@ -259,19 +245,15 @@ def _jacobi_stack(m: np.ndarray):
         for r in _pair_rounds(size):
             w = _rotate(w, size, r, target)
     diagonal = np.arange(n)
-    values = w[0, diagonal, diagonal].T + 0.0
-    vectors = (w[0, size : size + n, :n] + 1j * w[1, size : size + n, :n]).transpose(2, 0, 1)
-    return values, vectors
+    return w[0, diagonal, diagonal].T + 0.0
 
 
-def hermitian_eigen(a) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix or an (N, n, n) stack of them.
+def hermitian_eigen(a) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, (n,), or of an (N, n, n) stack, (N, n).
 
     The stack is solved in one vectorised cyclic Jacobi pass; a single
     matrix is a stack of one; a matrix with an entry of A - A^H above
-    HERMITIAN_TOL is refused.  Eigenvalues come back ascending; ties keep
-    first-computed order (stable sort, no physical meaning attaches to order
-    among equals).
+    HERMITIAN_TOL is refused.  No eigenvectors are computed.
     """
     m = _as_matrices(a)
     if m.shape[-1] != m.shape[-2]:
@@ -286,14 +268,43 @@ def hermitian_eigen(a) -> HermitianEigenDecomposition:
                 f"{which} is not Hermitian: max |A - A^H| entry is {residual[k]:.3e},"
                 f" tolerance {HERMITIAN_TOL:.1e}"
             )
-    values, vectors = _jacobi_stack(stack)
-    order = np.argsort(values, axis=-1, kind="stable")
-    rows = np.arange(len(order))[:, None]
-    values = values[rows, order]
-    vectors = vectors.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
-    if m.ndim == 2:
-        values, vectors = values[0], vectors[0]
-    return HermitianEigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    values = np.sort(_jacobi_stack(stack), axis=-1)
+    return values[0] if m.ndim == 2 else values
+
+
+def pivoted_cholesky(a) -> np.ndarray:
+    """A factor V with A = V V^H of a PSD matrix, (n, n), or of an (N, n, n) stack.
+
+    Outer-product Cholesky with complete pivoting (Higham, "Analysis of the
+    Cholesky decomposition of a semi-definite matrix", 1990), vectorised
+    over the stack.  Step k takes each matrix's largest remaining diagonal
+    entry d_p as its pivot: column k of V is column p over sqrt(d_p), whose
+    outer product is subtracted, and row and column p are zeroed.  A matrix
+    stops, its remaining columns zero, once d_p is below RESOLUTION_FLOOR
+    times its trace.  Only + - * / and sqrt on real and imaginary parts are
+    used, so a matrix's factor does not depend on its stack.  The input is
+    not checked for positivity; ``DensityMatrix.factor`` checks it first.
+    """
+    m = _as_matrices(a)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    n = stack.shape[-1]
+    re, im = stack.real.copy(), stack.imag.copy()
+    diagonal, rows = np.arange(n), np.arange(len(stack))
+    # a zero matrix, of trace 0, stops at once
+    floor = RESOLUTION_FLOOR * np.maximum(re[:, diagonal, diagonal].sum(axis=-1), 0.0)
+    v = np.zeros(stack.shape, dtype=np.complex128)
+    for k in range(n):
+        p = re[:, diagonal, diagonal].argmax(axis=-1)
+        active = re[rows, p, p] > floor
+        s = np.sqrt(np.where(active, re[rows, p, p], 1.0))[:, None]
+        l_re = np.where(active[:, None], re[rows, :, p] / s, 0.0)
+        l_im = np.where(active[:, None], im[rows, :, p] / s, 0.0)
+        v.real[:, :, k], v.imag[:, :, k] = l_re, l_im
+        # A <- A - l l^H, with (l l^H)_ij = l_i conj(l_j)
+        re -= l_re[:, :, None] * l_re[:, None, :] + l_im[:, :, None] * l_im[:, None, :]
+        im -= l_im[:, :, None] * l_re[:, None, :] - l_re[:, :, None] * l_im[:, None, :]
+        re[rows, p], re[rows, :, p], im[rows, p], im[rows, :, p] = 0.0, 0.0, 0.0, 0.0
+    return v[0] if m.ndim == 2 else v
 
 
 def clamp_psd_eigenvalues(w: np.ndarray, context: str = "matrix") -> np.ndarray:

@@ -65,18 +65,6 @@ def l1_coherence(rho: DensityMatrix):
     return per_state(np.abs(m).sum(axis=(-2, -1)) - diagonal)
 
 
-def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugation in the computational basis.
-
-    The lambda_i of the concurrence are the square roots of the eigenvalues
-    of rho times this matrix; ``concurrence`` takes them from the tau matrix
-    instead and does not build it.
-    """
-    if rho.dim != 4:
-        raise MeasureError(f"spin flip is defined for two qubits (dim 4), got dim {rho.dim}")
-    return SIGMA_YY @ rho.matrix.conj() @ SIGMA_YY
-
-
 def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
     """The four descending square roots of the eigenvalues of rho.rho~.
 
@@ -94,7 +82,7 @@ def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
     else:
         m = t.conj().swapaxes(-1, -2) @ t
         m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-        w = linalg.hermitian_eigen(m).eigenvalues
+        w = linalg.hermitian_eigen(m)
         w = linalg.clamp_psd_eigenvalues(w, context="spin-flip product spectrum")
         roots = np.sqrt(linalg.spectral_floor(w))[..., ::-1]
     pad = np.zeros(roots.shape[:-1] + (4 - roots.shape[-1],))

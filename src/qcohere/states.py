@@ -64,14 +64,14 @@ class DensityMatrix:
     stack gives one state, or a sub-stack for an index array.
 
     The public constructor validates eagerly: the Hermiticity and trace
-    checks, then one Jacobi eigendecomposition whose spectrum is checked
-    for positivity and kept, so consumers (the chain norms, the factor)
-    never repeat it.  States that are PSD by construction (pure-state
-    projectors, Ginibre draws, partial traces) come from ``_lazy``: the
-    same Hermiticity and trace checks run at once, and the
-    eigendecomposition, with its PSD clamp and ``StateError``, runs on
-    first use of the spectrum.  Such a state usually knows a factor ``V``
-    with ``rho = V V^H`` from the way it was built; see ``factor``.
+    checks, then one Jacobi solve whose eigenvalues are checked for
+    positivity and kept, so consumers (the chain norms, the factor) never
+    repeat it.  States that are PSD by construction (pure-state projectors,
+    Ginibre draws, partial traces) come from ``_lazy``: the same
+    Hermiticity and trace checks run at once, and the solve, with its PSD
+    clamp and ``StateError``, runs on first use of the spectrum.  Such a
+    state usually knows a factor ``V`` with ``rho = V V^H`` from the way it
+    was built; see ``factor``.
     """
 
     TRACE_TOL = 1e-10
@@ -82,7 +82,7 @@ class DensityMatrix:
 
     @classmethod
     def _lazy(cls, matrix, indices=None, factor=None) -> "DensityMatrix":
-        """A checked state whose eigendecomposition waits for first use.
+        """A checked state whose spectrum waits for first use.
 
         ``indices`` are the sample indices of a stack's states (a stack
         without them numbers its states from 0), or the one sample index of
@@ -106,7 +106,6 @@ class DensityMatrix:
         self.indices = indices
         self._factor = None
         self._eigenvalues = None
-        self._eigenvectors = None
         k = linalg._first(~np.isfinite(m).all(axis=(-2, -1)))
         if k is not None:
             raise StateError(self._sample(k) + "density matrix contains non-finite entries")
@@ -132,18 +131,16 @@ class DensityMatrix:
         index = self.indices if self.matrix.ndim == 2 else self.indices[k]
         return f"sample {index}: "
 
-    def _adopt_spectrum(self, eig: linalg.HermitianEigenDecomposition):
+    def _adopt_spectrum(self, w: np.ndarray):
         try:
-            w = linalg.clamp_psd_eigenvalues(eig.eigenvalues, context="density matrix")
+            self._eigenvalues = linalg.clamp_psd_eigenvalues(w, context="density matrix")
         except linalg.NotPsdError as exc:
             raise StateError(self._sample(exc.index) + str(exc)) from exc
-        self._eigenvalues = w
-        self._eigenvectors = eig.eigenvectors
 
-    def _spectrum(self):
+    def _spectrum(self) -> np.ndarray:
         if self._eigenvalues is None:
             self._adopt_spectrum(linalg.hermitian_eigen(self.matrix))
-        return self._eigenvalues, self._eigenvectors
+        return self._eigenvalues
 
     def __getitem__(self, k) -> "DensityMatrix":
         """State ``k`` of a stack, or the sub-stack at an index array or mask."""
@@ -153,13 +150,12 @@ class DensityMatrix:
         rho.indices = self.indices[k]
         rho._factor = None if self._factor is None else self._factor[k]
         rho._eigenvalues = None if self._eigenvalues is None else self._eigenvalues[k]
-        rho._eigenvectors = None if self._eigenvectors is None else self._eigenvectors[k]
         return rho
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum, tiny negatives already clamped to zero."""
-        return self._spectrum()[0]
+        return self._spectrum()
 
     @property
     def factor(self) -> np.ndarray:
@@ -167,13 +163,15 @@ class DensityMatrix:
 
         The factor the state was built from, where it has one (the state
         vector of a pure state, the scaled draw of a Ginibre state, and what
-        a partial trace carries over); otherwise ``U diag(sqrt(w))`` from the
-        spectrum, which is solved for it if it is not yet known.
+        a partial trace carries over); otherwise a pivoted Cholesky of
+        ``matrix`` (``linalg.pivoted_cholesky``), d x d with a zero column
+        per missing rank.  That is taken only once the spectrum, solved for
+        it if it is not yet known, has passed the PSD check.
         """
         if self._factor is not None:
             return self._factor
-        w, u = self._spectrum()
-        return u * np.sqrt(linalg.spectral_floor(w))[..., None, :]
+        self._spectrum()
+        return linalg.pivoted_cholesky(self.matrix)
 
     def purity(self):
         """Tr(rho^2): a float, or one per state of a stack."""
@@ -629,7 +627,7 @@ def density_matrix_from_json_dict(obj) -> DensityMatrix:
     if not np.all(np.isfinite(m)):
         raise StateError("density-matrix JSON contains non-finite entries")
     # report every residual at once so a bad file is diagnosable in one pass;
-    # the one eigendecomposition serves both the report and the state
+    # the one solve serves both the report and the state
     herm = float(np.abs(m - m.conj().T).max())
     trace_dev = abs(complex(np.trace(m)) - 1.0)
     problems = []
@@ -638,14 +636,14 @@ def density_matrix_from_json_dict(obj) -> DensityMatrix:
     if trace_dev > DensityMatrix.TRACE_TOL:
         problems.append(f"trace deviation {trace_dev:.3e}")
     if herm <= linalg.HERMITIAN_TOL:
-        eig = linalg.hermitian_eigen(m)
-        wmin = float(eig.eigenvalues.min())
+        w = linalg.hermitian_eigen(m)
+        wmin = float(w.min())
         if wmin < -linalg.PSD_CLAMP:
             problems.append(f"minimum eigenvalue {wmin:.3e}")
     if problems:
         raise StateError("density-matrix file fails validation: " + ", ".join(problems))
     rho = DensityMatrix._lazy(m)
-    rho._adopt_spectrum(eig)
+    rho._adopt_spectrum(w)
     return rho
 
 

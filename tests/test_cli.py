@@ -293,6 +293,24 @@ def test_sweep_row_count_is_deterministic(capsys):
     assert len(parse_rows(out1)) == math.comb(9, 4)
 
 
+def test_sweep_walks_the_grid_once(capsys, monkeypatch):
+    # the header's count and the rows come from one walk of the integer grid
+    walks = []
+    grid = classify.sweep_grid
+
+    def counting(*args):
+        walks.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(classify, "sweep_grid", counting)
+    code, out, _ = run(capsys, ["sweep", "--resolution", "6", "--fix", "lambda4=0"])
+    assert code == 0
+    assert len(walks) == 1
+    # compositions of 6 into the 4 free parts
+    assert "# count: 84" in out.splitlines()
+    assert len(parse_rows(out)) == math.comb(9, 3)
+
+
 def test_sweep_overconstrained_grid_fails(capsys):
     code, _, err = run(capsys, ["sweep", "--resolution", "4", "--fix", "lambda0=0.12345"])
     assert code == 65

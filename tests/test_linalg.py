@@ -23,8 +23,9 @@ from qcohere.linalg import (
     NotPsdError,
     hermitian_eigen,
     induced_one_norm,
+    pivoted_cholesky,
 )
-from qcohere.measures import SIGMA_YY, concurrence, inequality_chain, spin_flip
+from qcohere.measures import SIGMA_YY, concurrence, inequality_chain
 from qcohere.states import DensityMatrix, StateError
 
 RNG = np.random.default_rng(1905)
@@ -67,18 +68,18 @@ def test_kron_sigma_y_pair():
 
 
 def test_eigen_diagonal():
-    e = hermitian_eigen(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
-    assert np.allclose(e.eigenvalues, [0.1, 0.2, 0.3, 0.4], atol=1e-14)
+    w = hermitian_eigen(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
+    assert np.allclose(w, [0.1, 0.2, 0.3, 0.4], atol=1e-14)
 
 
 def test_eigen_sigma_x():
-    e = hermitian_eigen(SIGMA_X)
-    assert np.allclose(e.eigenvalues, [-1.0, 1.0], atol=1e-12)
+    w = hermitian_eigen(SIGMA_X)
+    assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
 
 
 def test_eigen_bell_projector():
-    e = hermitian_eigen(werner_matrix(1.0))
-    assert np.allclose(e.eigenvalues, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
+    w = hermitian_eigen(werner_matrix(1.0))
+    assert np.allclose(w, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
 
 
 def test_eigen_rejects_non_hermitian():
@@ -89,19 +90,16 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.ones((2, 3), dtype=complex))
 
 
-def test_eigen_reconstruction_properties():
+def test_eigen_properties_on_random_stacks():
     # 10^4 random Hermitian G + G^H across the dimensions in actual use, one
     # stack per dimension; every bound holds for every matrix of the stack
     for dim, count in ((2, 5000), (4, 4000), (8, 1000)):
         h = np.stack([random_hermitian(dim) for _ in range(count)])
-        e = hermitian_eigen(h)
-        assert e.eigenvalues.shape == (count, dim)
-        assert np.abs(e.reconstruct() - h).max() <= 1e-10
-        v = e.eigenvectors
-        assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(dim)).max() <= 1e-10
-        assert np.all(np.diff(e.eigenvalues, axis=-1) >= 0.0)
-        # independent oracle for the spectrum itself
-        assert np.abs(e.eigenvalues - np.linalg.eigvalsh(h)).max() <= 1e-10
+        w = hermitian_eigen(h)
+        assert w.shape == (count, dim)
+        assert np.all(np.diff(w, axis=-1) >= 0.0)
+        # independent oracle for the spectrum
+        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-10
 
 
 def test_eigen_raises_when_sweeps_run_out(monkeypatch):
@@ -138,7 +136,7 @@ def test_psd_sqrt_rejects_negative():
     with pytest.raises(StateError, match="-5.000e-01"):
         DensityMatrix(bad)
     # a lazily solved state passes the eager checks and fails on first use:
-    # its concurrence takes the factor from the spectrum, and so the PSD check
+    # its concurrence needs a factor, which it takes only after the PSD check
     lazy = DensityMatrix._lazy(bad)
     with pytest.raises(StateError, match="-5.000e-01"):
         concurrence(lazy)
@@ -163,11 +161,31 @@ def test_singular_values_unitary_invariance():
     for _ in range(50):
         rho = DensityMatrix(random_density(4))
         w = rho.eigenvalues[::-1]
-        flip = spin_flip(rho)
+        flip = SIGMA_YY @ rho.matrix.conj() @ SIGMA_YY
         assert np.abs(np.linalg.svd(flip, compute_uv=False) - w).max() <= 1e-12
-        u = hermitian_eigen(random_hermitian(4)).eigenvectors
+        u, _ = np.linalg.qr(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))
         moved = DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert np.abs(moved.eigenvalues[::-1] - w).max() <= 1e-12
+
+
+def test_pivoted_cholesky_examples():
+    # a diagonal matrix takes its largest entry first, the first of equal
+    # ones next, and stops at its rank with a zero column
+    v = pivoted_cholesky(np.diag([0.25, 0.5, 0.0, 0.25]).astype(complex))
+    expected = np.zeros((4, 4))
+    # column p over sqrt(d_p): 0.5 / sqrt(0.5) is one ulp below sqrt(0.5)
+    expected[1, 0], expected[0, 1], expected[3, 2] = 0.5 / math.sqrt(0.5), 0.5, 0.5
+    assert np.array_equal(v, expected)
+    # the Bell projector has rank one: one column, the rest exactly zero
+    v = pivoted_cholesky(werner_matrix(1.0))
+    assert np.count_nonzero(v[:, 1:]) == 0
+    assert np.abs(v @ v.conj().T - werner_matrix(1.0)).max() <= 1e-15
+    assert np.array_equal(pivoted_cholesky(np.zeros((3, 2, 2))), np.zeros((3, 2, 2)))
+    # a complex 2 x 2 of rank 2: lower triangular, pivoting on row 0 first
+    m = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    v = pivoted_cholesky(m)
+    assert v[0, 1] == 0.0
+    assert np.abs(v @ v.conj().T - m).max() <= 2e-16
 
 
 def test_induced_one_norm():
@@ -319,13 +337,10 @@ def test_solver_matches_eigvalsh_on_hard_stacks(dim):
     # absolute bounds below scale 1; test_solver_is_accurate_relative_to_a_small_scale
     # holds the 1e-8 stacks to their scale
     for name, (m, scale) in _corpus(dim).items():
-        e = hermitian_eigen(m)
+        w = hermitian_eigen(m)
         bound = 1e-13 * max(1.0, scale)
-        assert np.abs(e.eigenvalues - np.linalg.eigvalsh(m)).max() <= bound, name
-        assert np.all(np.diff(e.eigenvalues, axis=-1) >= 0.0), name
-        assert np.abs(e.reconstruct() - m).max() <= 10 * bound, name
-        v = e.eigenvectors
-        assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(dim)).max() <= 1e-13, name
+        assert np.abs(w - np.linalg.eigvalsh(m)).max() <= bound, name
+        assert np.all(np.diff(w, axis=-1) >= 0.0), name
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -354,20 +369,24 @@ def _signed_zeros(rng, count):
 
 def test_results_are_bit_identical_for_any_batch_size():
     # random matrices interleaved with degenerate, rank-deficient, diagonal and
-    # signed-zero ones, so converged matrices sit beside active ones
+    # signed-zero ones, so converged matrices sit beside active ones; the
+    # Cholesky factor takes the PSD part of the same corpus
     rng = np.random.default_rng(4096)
-    hard = np.concatenate([m for m, _ in _corpus(4).values()] + [_signed_zeros(rng, 300)])
+    corpus = _corpus(4)
+    hard = np.concatenate([m for m, _ in corpus.values()] + [_signed_zeros(rng, 300)])
     g = rng.standard_normal((4096 - len(hard), 4, 4)) + 1j * rng.standard_normal((4096 - len(hard), 4, 4))
     m = np.concatenate([g + g.conj().swapaxes(-1, -2), hard])[rng.permutation(4096)]
-    whole = hermitian_eigen(m)
-    for lo in range(0, 4096, 7):
-        part = hermitian_eigen(m[lo : lo + 7])
-        assert _bits(part.eigenvalues) == _bits(whole.eigenvalues[lo : lo + 7]), lo
-        assert _bits(part.eigenvectors) == _bits(whole.eigenvectors[lo : lo + 7]), lo
-    for k in range(0, 4096, 13):
-        one = hermitian_eigen(m[k])
-        assert _bits(one.eigenvalues) == _bits(whole.eigenvalues[k]), k
-        assert _bits(one.eigenvectors) == _bits(whole.eigenvectors[k]), k
+    psd = np.concatenate(
+        [g @ g.conj().swapaxes(-1, -2)]
+        + [a for name, (a, _) in corpus.items() if name.startswith(("rank-", "identity", "zero"))]
+    )
+    psd = psd[rng.permutation(len(psd))]
+    for solve, stack in ((hermitian_eigen, m), (pivoted_cholesky, psd)):
+        whole = solve(stack)
+        for lo in range(0, len(stack), 7):
+            assert _bits(solve(stack[lo : lo + 7])) == _bits(whole[lo : lo + 7]), (solve, lo)
+        for k in range(0, len(stack), 13):
+            assert _bits(solve(stack[k])) == _bits(whole[k]), (solve, k)
 
 
 @pytest.mark.parametrize("dim", (4, 8))
@@ -379,6 +398,5 @@ def test_solver_is_accurate_relative_to_a_small_scale(dim):
     g = rng.standard_normal((200, dim, dim)) + 1j * rng.standard_normal((200, dim, dim))
     m = g + g.conj().swapaxes(-1, -2)
     m *= scale / np.linalg.norm(m, axis=(-2, -1))[:, None, None]
-    e = hermitian_eigen(m)
-    assert np.abs(e.eigenvalues - np.linalg.eigvalsh(m)).max() <= 1e-14 * scale
-    assert np.abs(e.reconstruct() - m).max() <= 1e-13 * scale
+    w = hermitian_eigen(m)
+    assert np.abs(w - np.linalg.eigvalsh(m)).max() <= 1e-14 * scale

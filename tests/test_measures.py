@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qcohere import classify
+from qcohere.linalg import pivoted_cholesky
 from qcohere.measures import (
     CANONICAL_KEYS,
     MeasureError,
@@ -23,7 +24,6 @@ from qcohere.measures import (
     l1_coherence,
     partial_concurrences_analytic,
     reduced_coherences_analytic,
-    spin_flip,
     tangle_analytic,
     tangle_residual,
 )
@@ -77,20 +77,6 @@ def test_l1_coherence_examples():
     assert l1_coherence(BELL.density()) == pytest.approx(1.0, abs=1e-12)
     # two off-diagonal entries of 0.45 each
     assert l1_coherence(werner_state(0.9)) == pytest.approx(0.9, abs=1e-12)
-
-
-def test_spin_flip_fixed_points():
-    bell = BELL.density()
-    assert np.abs(spin_flip(bell) - bell.matrix).max() <= 1e-12
-    mixed = DensityMatrix(np.eye(4) / 4)
-    assert np.abs(spin_flip(mixed) - mixed.matrix).max() <= 1e-12
-
-
-def test_spin_flip_moves_basis_projector():
-    rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    assert np.abs(spin_flip(rho) - np.diag([0.0, 0.0, 0.0, 1.0])).max() <= 1e-14
-    with pytest.raises(MeasureError, match="dim 8"):
-        spin_flip(canonical_state(POINT_A).density())
 
 
 def test_concurrence_bell():
@@ -178,12 +164,23 @@ def _tau_corpus() -> dict:
 
 
 def test_concurrence_matches_the_tau_oracle_on_the_hard_corpus():
-    # each state with the factor it was built from, and again from the public
-    # constructor, which takes its factor from the spectrum
+    # each state with the factor it was built from; again from the public
+    # constructor, which carries none and takes a pivoted Cholesky of the
+    # matrix; and from the Cholesky of the matrix scaled by 1e-8, scaled back
+    def frobenius(a):
+        return np.linalg.norm(a, axis=(-2, -1))
+
     for name, rho in _tau_corpus().items():
         assert rho._factor is not None, name
         oracle = [oracle_tau_concurrence(m) for m in rho.matrix.reshape(-1, 4, 4)]
-        for state in (rho, DensityMatrix(rho.matrix)):
+        bare = DensityMatrix(rho.matrix)
+        assert bare._factor is None, name
+        small = 1e-8 * rho.matrix
+        for m, v in ((rho.matrix, bare.factor), (small, pivoted_cholesky(small))):
+            residual = frobenius(v @ v.conj().swapaxes(-1, -2) - m)
+            assert np.all(residual <= 1e-14 * frobenius(m)), name
+        rescaled = DensityMatrix._lazy(rho.matrix, factor=1e4 * pivoted_cholesky(small))
+        for state in (rho, bare, rescaled):
             assert np.abs(np.reshape(concurrence(state), -1) - oracle).max() <= 1e-12, name
 
 

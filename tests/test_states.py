@@ -114,11 +114,11 @@ def test_factors_reproduce_their_states():
         for keep in ((0, 1), (0, 2), (1, 2)):
             assert_factor(partial_trace(rho, (2, 2, 2), keep), (4, 2))
         # a factor wider than it is tall (2 x 4 here) is not carried; the
-        # reduction takes its factor from its own spectrum
+        # reduction takes a pivoted Cholesky of its own matrix
         single = partial_trace(rho, (2, 2, 2), (0,))
         assert single._factor is None
         assert_factor(single, (2, 2))
-    # states built from a bare matrix take U diag(sqrt(w)) from their spectrum
+    # states built from a bare matrix take a pivoted Cholesky of it
     assert_factor(werner_state(0.9), (4, 4))
 
 
@@ -413,7 +413,8 @@ def test_density_matrix_reader_solves_once(solves):
     solves.clear()
     rho = density_matrix_from_json_dict(obj)
     assert len(solves) == 1
-    # the factor comes from the spectrum the reader solved: the concurrence
-    # adds the 4x4 tau product and nothing else
+    # the factor is a Cholesky of the matrix, taken after the PSD check on
+    # the spectrum the reader solved: the concurrence adds the 4x4 tau
+    # product and nothing else
     concurrence(rho)
     assert solves == [(4, 4), (4, 4)]
