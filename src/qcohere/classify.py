@@ -32,7 +32,6 @@ from .measures import (
 )
 from .states import (
     LAMBDA_NAMES,
-    TWO_QUBIT_DIM,
     CanonicalThreeQubit,
     DensityMatrix,
     EnsembleSpec,
@@ -329,43 +328,35 @@ SWEEP_COLUMNS = (
 )
 
 
-# Grid points per stack that sweep_grid yields; a sweep evaluates and writes
-# one chunk at a time, so its memory does not grow with the resolution.
+# Grid points per stack; a sweep evaluates and writes one chunk at a time,
+# so only its integer grid grows with the resolution.
 SWEEP_CHUNK_SIZE = 512
 
 
-def sweep_grid(resolution: int, fixes=()):
-    """The squared-amplitude grid k_i / resolution in lexicographic order, in chunks.
+def sweep_grid(resolution: int, fixes=()) -> np.ndarray:
+    """The squared-amplitude grid k_i / resolution in lexicographic order.
 
     ``fixes`` holds constraints ``("tie", i, j)`` (k_i = k_j) and
-    ``("value", i, v)`` (k_i / resolution = v^2 within 1e-12).  Yields
-    (<= SWEEP_CHUNK_SIZE, 5) integer arrays of (k0, ..., k4).
+    ``("value", i, v)`` (k_i / resolution = v^2 within 1e-12).  Returns the
+    (M, 5) int64 array of the points (k0, ..., k4) that meet them.
     """
     r = resolution
-    # every (k2, k3) with k2 + k3 <= r in lexicographic order; each (k0, k1)
-    # takes the ones that fit, which keeps the order
+    # pairs (a, b) with a + b <= r in lexicographic order: the grid is each
+    # (k0, k1) row of ``fits`` beside each (k2, k3) column that fits, read one
+    # grid column at a time, so no index array as long as the grid is built
     pairs = np.argwhere(np.add.outer(np.arange(r + 1), np.arange(r + 1)) <= r)
-    pair_sums = pairs.sum(axis=1)
-    pending = np.empty((0, 5), dtype=np.int64)
-    for k0 in range(r + 1):
-        for k1 in range(r + 1 - k0):
-            rest = r - k0 - k1
-            fit = pair_sums <= rest
-            ks = np.empty((int(fit.sum()), 5), dtype=np.int64)
-            ks[:, 0], ks[:, 1], ks[:, 2:4] = k0, k1, pairs[fit]
-            ks[:, 4] = rest - pair_sums[fit]
-            keep = np.ones(len(ks), dtype=bool)
-            for kind, i, target in fixes:
-                if kind == "tie":
-                    keep &= ks[:, i] == ks[:, target]
-                else:
-                    keep &= abs(ks[:, i] / r - target * target) <= 1e-12
-            pending = np.concatenate([pending, ks[keep]])
-            while len(pending) >= SWEEP_CHUNK_SIZE:
-                yield pending[:SWEEP_CHUNK_SIZE]
-                pending = pending[SWEEP_CHUNK_SIZE:]
-    if len(pending):
-        yield pending
+    sums = pairs.sum(axis=1)
+    fits = sums[:, None] <= r - sums
+    ks = np.empty((np.count_nonzero(fits), 5), dtype=np.int64)
+    for i, k in enumerate((pairs[:, :1], pairs[:, 1:], pairs[:, 0], pairs[:, 1])):
+        ks[:, i] = np.broadcast_to(k, fits.shape)[fits]
+    np.subtract(r, ks[:, :4].sum(axis=1), out=ks[:, 4])
+    for kind, i, target in fixes:
+        if kind == "tie":
+            ks = ks[ks[:, i] == ks[:, target]]
+        else:
+            ks = ks[abs(ks[:, i] / r - target * target) <= 1e-12]
+    return ks
 
 
 def _spread(where: np.ndarray, values) -> np.ndarray:
@@ -520,10 +511,6 @@ def one_norm_report(rho: DensityMatrix) -> dict:
     }
 
 
-def _rank(spec: EnsembleSpec) -> int:
-    return spec.rank if spec.rank is not None else TWO_QUBIT_DIM
-
-
 def ensemble_state(kind: str, seed: int, index: int, rank: int) -> DensityMatrix:
     """State ``index`` of the named ensemble: row 0 of the chunk that holds only it."""
     return ensemble_chunk(kind, seed, index, index + 1, rank)[0]
@@ -557,7 +544,7 @@ class Tally:
         """The extreme state, redrawn by its index, if any state violated."""
         if not self.violations:
             return None
-        state = ensemble_state(spec.kind, spec.seed, self.index, _rank(spec))
+        state = ensemble_state(spec.kind, spec.seed, self.index, spec.rank)
         return WorstCase(margin=self.margin, sample_index=self.index, state=state)
 
 
@@ -592,10 +579,9 @@ def _map_chunks(spec: EnsembleSpec, evaluate, workers: int):
     The pool starts at most one process per chunk and per usable CPU: a
     forking pool starts all of its processes at the first submission.
     """
-    rank = _rank(spec)
     size = CHUNK_SIZE
     jobs = (
-        (evaluate, spec.kind, spec.seed, rank, lo, min(lo + size, spec.count))
+        (evaluate, spec.kind, spec.seed, spec.rank, lo, min(lo + size, spec.count))
         for lo in range(0, spec.count, size)
     )
     workers = min(workers, -(-spec.count // size), _cpu_count())
@@ -635,15 +621,15 @@ def _one_norm_chunk(rho: DensityMatrix) -> tuple:
 
 
 def scatter(spec: EnsembleSpec, tally: Tally, workers: int = 1):
-    """Yield (concurrence, l1-coherence) of every state of ``spec``, in index order.
+    """Yield the (concurrence, l1-coherence) arrays of each chunk of ``spec``, in index order.
 
-    Each margin ``C_l1 - C`` goes into ``tally``; a margin below
-    ``-LINK_TOL`` violates ``C <= C_l1``.
+    Each margin ``C_l1 - C`` goes into ``tally`` with its verdict on
+    ``C <= C_l1``, the end-to-end link's verdict in ``measures``.
     """
     for lo, (conc, coh) in _map_chunks(spec, _scatter_chunk, workers):
-        margins = coh - conc
-        tally.fold(lo, margins, margins < -measures.LINK_TOL)
-        yield from zip(conc.tolist(), coh.tolist())
+        verdict = measures._verdict(coh - conc)
+        tally.fold(lo, verdict.margin, ~verdict.holds)
+        yield conc, coh
 
 
 def chain_audit(spec: EnsembleSpec, workers: int = 1) -> dict:

@@ -56,11 +56,6 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    """Shortest decimal representation that round-trips the double exactly."""
-    return repr(float(x))
-
-
 def _run_header(command, seed=None, ensemble=None, count=None, workers=None) -> dict:
     """Run metadata; ``workers`` is the requested worker count of an ensemble command."""
     return {
@@ -111,11 +106,41 @@ def _output(path):
         raise
 
 
-def _write_csv(path, header: dict, columns: str, rows):
+def _csv_lines(columns: dict, applies: dict) -> str:
+    """The CSV rows of one chunk as one text, a line per point.
+
+    ``columns`` maps each column name, in order, to an (N,) array.  A float
+    is written as its ``repr``, the shortest decimal that round-trips the
+    double; a bool as ``true`` or ``false``; a string as it is.  A cell is
+    empty where the column's mask in ``applies`` is false.
+
+    ``repr`` of a double depends only on its 64 bits, so each distinct bit
+    pattern of the chunk is formatted once.  The key is the bits, not the
+    value, which would merge -0.0 with 0.0, and one 1-D array of them, whose
+    inverse has the same shape in every numpy.  Nothing is kept across
+    chunks, so memory stays per chunk.
+    """
+    floats = [name for name, column in columns.items() if column.dtype.kind == "f"]
+    values = np.stack([columns[name] for name in floats]).ravel()
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    formatted = dict(zip(floats, texts[inverse].reshape(len(floats), -1)))
+    cells = []
+    for name, column in columns.items():
+        if name in formatted:
+            column = formatted[name]
+        elif column.dtype == bool:
+            column = np.where(column, "true", "false")
+        cells.append(np.where(applies[name], column, "") if name in applies else column)
+    return "\n".join(map(",".join, np.column_stack(cells).tolist()))
+
+
+def _write_csv(path, header: dict, columns, chunks):
+    """Header comments, the column line, then each chunk's text of rows."""
     with _output(path) as out:
         out.writelines(f"{line}\n" for line in _header_comments(header))
-        out.write(columns + "\n")
-        out.writelines(f"{row}\n" for row in rows)
+        out.write(",".join(columns) + "\n")
+        out.writelines(f"{chunk}\n" for chunk in chunks)
 
 
 def _write_json(path, header: dict, data: dict):
@@ -167,39 +192,47 @@ def _add_ensemble_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
 
 
-def _resolve_ensemble(args):
+def _resolve_ensemble(args) -> states.EnsembleSpec:
+    """The ensemble the flags name; the spec checks them, and a refusal is a usage error."""
     kind = "haar-pure" if args.ensemble == "pure" else "ginibre"
-    if kind == "haar-pure" and args.rank is not None:
-        raise _UsageError("--rank applies to the ginibre ensemble only")
-    dim = states.TWO_QUBIT_DIM
-    rank = args.rank if args.rank is not None else dim
-    if not 1 <= rank <= dim:
-        raise _UsageError(f"--rank must lie in [1, {dim}], got {rank}")
-    if args.n < 1:
-        raise _UsageError(f"--n must be at least 1, got {args.n}")
-    if not 0 <= args.seed <= states.MAX_SEED:
-        raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
-    spec = states.EnsembleSpec(kind=kind, seed=args.seed, count=args.n, rank=rank)
-    return spec, spec.describe()
+    try:
+        return states.EnsembleSpec(kind=kind, seed=args.seed, count=args.n, rank=args.rank)
+    except states.StateError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _add_point_flags(sub):
+    sub.add_argument(
+        "--lambdas",
+        required=True,
+        help="comma-separated amplitudes: five values, or four plus --normalize-last (or 'auto')",
+    )
+    sub.add_argument(
+        "--normalize-last",
+        action="store_true",
+        help="complete the fifth amplitude from normalization",
+    )
+    sub.add_argument("--theta", type=float, default=0.0, help="phase in [0, pi]")
 
 
 # --- sample -------------------------------------------------------------------
 
 
 def _cmd_sample(args) -> int:
-    spec, descriptor = _resolve_ensemble(args)
+    spec = _resolve_ensemble(args)
     tally = classify.Tally()
     workers = _worker_count()
-    pairs = classify.scatter(spec, tally, workers=workers)
+    chunks = classify.scatter(spec, tally, workers=workers)
     header = _run_header(
-        "sample", seed=spec.seed, ensemble=descriptor, count=spec.count, workers=workers
+        "sample", seed=spec.seed, ensemble=spec.describe(), count=spec.count, workers=workers
     )
-    rows = (f"{_fmt(conc)},{_fmt(coh)}" for conc, coh in pairs)
-    _write_csv(args.out, header, "concurrence,l1_coherence", rows)
+    columns = ("concurrence", "l1_coherence")
+    rows = (_csv_lines(dict(zip(columns, chunk)), {}) for chunk in chunks)
+    _write_csv(args.out, header, columns, rows)
     summary = _json_document(
         header,
         {
-            "ensemble": descriptor,
+            "ensemble": spec.describe(),
             "count": spec.count,
             "violations": tally.violations,
             "min_margin": tally.margin,
@@ -216,18 +249,13 @@ def _cmd_sample(args) -> int:
 
 
 def _canonical_row(data: dict) -> tuple:
-    """(column line, value line) of the flat CSV form."""
-    columns, values = [], []
-    for i, name in enumerate(LAMBDA_NAMES):
-        columns.append(name)
-        values.append(_fmt(data["params"]["lambdas"][i]))
-    columns.append("theta")
-    values.append(_fmt(data["params"]["theta"]))
+    """(columns, row text) of the flat CSV form; a value the report lacks is an empty cell."""
+    values = dict(zip(LAMBDA_NAMES, data["params"]["lambdas"]), theta=data["params"]["theta"])
     for block in ("matrix", "analytic", "residuals"):
-        for key, value in data[block].items():
-            columns.append(f"{block}_{key}")
-            values.append("" if value is None else _fmt(value))
-    return ",".join(columns), ",".join(values)
+        values.update((f"{block}_{key}", value) for key, value in data[block].items())
+    columns = {name: np.array([0.0 if v is None else v], dtype=float) for name, v in values.items()}
+    missing = {name: np.array([False]) for name, v in values.items() if v is None}
+    return tuple(columns), _csv_lines(columns, missing)
 
 
 def _cmd_canonical(args) -> int:
@@ -275,9 +303,9 @@ def _audit_state_file(args) -> int:
 def _cmd_audit(args) -> int:
     if args.state_file is not None:
         return _audit_state_file(args)
-    spec, descriptor = _resolve_ensemble(args)
+    spec = _resolve_ensemble(args)
     workers = _worker_count()
-    data = {"target": args.target, "ensemble": descriptor, "count": spec.count}
+    data = {"target": args.target, "ensemble": spec.describe(), "count": spec.count}
     code = EXIT_OK
     if args.target == "theorem1-chain":
         links = classify.chain_audit(spec, workers=workers)
@@ -301,7 +329,7 @@ def _cmd_audit(args) -> int:
         werner = classify.one_norm_report(states.werner_state(0.9))
         data["werner_regression"] = {"mixing_weight": 0.9, **werner}
     header = _run_header(
-        "audit", seed=spec.seed, ensemble=descriptor, count=spec.count, workers=workers
+        "audit", seed=spec.seed, ensemble=spec.describe(), count=spec.count, workers=workers
     )
     _write_json(args.out, header, data)
     return code
@@ -335,50 +363,21 @@ def _parse_fix(texts) -> list:
     return fixes
 
 
-def _sweep_table(columns: dict, applies: dict) -> np.ndarray:
-    """The (N, len(columns)) CSV cells of one sweep chunk; empty where ``applies`` is false.
-
-    ``repr`` of a double depends only on its 64 bits, so each distinct bit
-    pattern of the chunk is formatted once.  The key is the bits, not the
-    value, which would merge -0.0 with 0.0, and one 1-D array of them, whose
-    inverse has the same shape in every numpy.  Nothing is kept across
-    chunks, so memory stays per chunk.
-    """
-    floats = [name for name, column in columns.items() if column.dtype.kind == "f"]
-    values = np.stack([columns[name] for name in floats]).ravel()
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
-    formatted = dict(zip(floats, texts[inverse].reshape(len(floats), -1)))
-    cells = []
-    for name, column in columns.items():
-        if name in formatted:
-            column = formatted[name]
-        elif column.dtype == bool:
-            column = np.where(column, "true", "false")
-        cells.append(np.where(applies[name], column, "") if name in applies else column)
-    return np.column_stack(cells)
-
-
-def _sweep_lines(ks, r: int) -> str:
-    """The CSV rows of one chunk of integer grid points (amplitudes sqrt(k_i / r)) as one text."""
-    p = states.CanonicalThreeQubit(*np.sqrt(ks.T / r), theta=0.0)
-    return "\n".join(map(",".join, _sweep_table(*classify.sweep_columns(p)).tolist()))
-
-
 def _cmd_sweep(args) -> int:
     r = args.resolution
     if r < 2:
         raise _UsageError(f"--resolution must be at least 2, got {r}")
-    fixes = _parse_fix(args.fix)
-    # the header carries the row count: walk the integer grid once and keep it
-    chunks = list(classify.sweep_grid(r, fixes))
-    count = sum(len(ks) for ks in chunks)
-    if not count:
+    grid = classify.sweep_grid(r, _parse_fix(args.fix))
+    if not len(grid):
         raise states.StateError("the requested constraints admit no grid points")
-    # one text per chunk: the rows stream a chunk at a time
-    rows = (_sweep_lines(ks, r) for ks in chunks)
-    columns = ",".join(classify.SWEEP_COLUMNS)
-    _write_csv(args.out, _run_header("sweep", count=count), columns, rows)
+    # one text per chunk of points (amplitudes sqrt(k_i / r)): the rows stream a chunk at a time
+    size = classify.SWEEP_CHUNK_SIZE
+    chunks = (
+        states.CanonicalThreeQubit(*np.sqrt(grid[lo : lo + size].T / r), theta=0.0)
+        for lo in range(0, len(grid), size)
+    )
+    rows = (_csv_lines(*classify.sweep_columns(p)) for p in chunks)
+    _write_csv(args.out, _run_header("sweep", count=len(grid)), classify.SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -405,17 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         "canonical",
         help="evaluate one canonical three-qubit point, closed forms beside the matrix route",
     )
-    canonical.add_argument(
-        "--lambdas",
-        required=True,
-        help="comma-separated amplitudes: five values, or four plus --normalize-last (or 'auto')",
-    )
-    canonical.add_argument(
-        "--normalize-last",
-        action="store_true",
-        help="complete the fifth amplitude from normalization",
-    )
-    canonical.add_argument("--theta", type=float, default=0.0, help="phase in [0, pi]")
+    _add_point_flags(canonical)
     canonical.add_argument("--format", choices=("json", "csv"), default="json")
     canonical.add_argument("--out", default=None, help="output path (default: stdout)")
     canonical.set_defaults(func=_cmd_canonical)
@@ -424,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify",
         help="label a zero-phase canonical point by the coherence-difference criterion",
     )
-    classify_cmd.add_argument("--lambdas", required=True, help="as for 'canonical'")
-    classify_cmd.add_argument("--normalize-last", action="store_true")
-    classify_cmd.add_argument("--theta", type=float, default=0.0)
+    _add_point_flags(classify_cmd)
     classify_cmd.set_defaults(func=_cmd_classify)
 
     audit = subs.add_parser(

@@ -298,15 +298,17 @@ class CanonicalThreeQubit:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.ndim(self.theta) != 0:
             raise StateError(f"theta must be one phase, got shape {np.shape(self.theta)}")
-        for name in LAMBDA_NAMES:
-            value = getattr(self, name)
-            k = linalg._first(~(np.isfinite(value) & (value >= 0.0)))
-            if k is not None:
-                prefix, bad = _point(value, k)
-                raise StateError(f"{prefix}{name} must be a non-negative real, got {bad}")
+        # the five amplitudes as one (5,) or (5, N) array: the first failing
+        # amplitude is named, then its first failing point
+        lam = np.array(self.lambdas(), dtype=np.float64)
+        bad = ~(np.isfinite(lam) & (lam >= 0.0))
+        if bad.any():
+            i = linalg._first(bad.reshape(5, -1).any(axis=1))
+            prefix, value = _point(getattr(self, LAMBDA_NAMES[i]), linalg._first(bad[i]))
+            raise StateError(f"{prefix}{LAMBDA_NAMES[i]} must be a non-negative real, got {value}")
         if not 0.0 <= self.theta <= math.pi:
             raise StateError(f"theta must lie in [0, pi], got {self.theta}")
-        dev = abs(sum(v * v for v in self.lambdas()) - 1.0)
+        dev = abs((lam * lam).sum(axis=0) - 1.0)
         k = linalg._first(dev > self.NORM_TOL)
         if k is not None:
             prefix, bad = _point(dev, k)
@@ -360,7 +362,11 @@ def canonical_state(p: CanonicalThreeQubit) -> PureState:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A reproducible random-state ensemble: kind, seed, size and (Ginibre) rank."""
+    """A reproducible random-state ensemble: kind, seed, size and (Ginibre) rank.
+
+    A Ginibre ensemble without a rank takes the full rank ``TWO_QUBIT_DIM``;
+    a Haar ensemble takes no rank.
+    """
 
     kind: str
     seed: int
@@ -370,18 +376,22 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("haar-pure", "ginibre"):
             raise StateError(f"unknown ensemble kind {self.kind!r}")
+        if self.kind == "haar-pure" and self.rank is not None:
+            raise StateError("rank applies to the ginibre ensemble only")
         if not 0 <= self.seed <= MAX_SEED:
             raise StateError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.count < 1:
             raise StateError(f"count must be at least 1, got {self.count}")
-        if self.rank is not None and self.rank < 1:
-            raise StateError(f"rank must be positive, got {self.rank}")
+        if self.kind == "ginibre":
+            rank = TWO_QUBIT_DIM if self.rank is None else self.rank
+            if not 1 <= rank <= TWO_QUBIT_DIM:
+                raise StateError(f"rank must lie in [1, {TWO_QUBIT_DIM}], got {rank}")
+            object.__setattr__(self, "rank", rank)
 
     def describe(self) -> str:
-        dim = TWO_QUBIT_DIM
         if self.kind == "ginibre":
-            return f"ginibre(dim={dim},rank={self.rank if self.rank else dim})"
-        return f"haar-pure(dim={dim})"
+            return f"ginibre(dim={TWO_QUBIT_DIM},rank={self.rank})"
+        return f"haar-pure(dim={TWO_QUBIT_DIM})"
 
 
 # --- chunk seeding ------------------------------------------------------------
@@ -497,10 +507,11 @@ def _haar_vectors(seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
 
 
 def _ginibre_matrices(seed: int, lo: int, hi: int, rank: int) -> tuple:
-    """The (N, 4, 4) Ginibre states of samples lo..hi-1 and their (N, 4, rank) factors."""
+    """The (N, 4, 4) Ginibre states of samples lo..hi-1 and their (N, 4, rank) factors.
+
+    ``rank`` is an ``EnsembleSpec`` rank, which the spec has checked.
+    """
     dim = TWO_QUBIT_DIM
-    if not 1 <= rank <= dim:
-        raise StateError(f"rank must lie in [1, {dim}], got {rank}")
     g = _gaussian_rows(seed, lo, hi, dim * rank).reshape(-1, dim, rank)
     m = g @ g.conj().swapaxes(-1, -2)
     trace = np.trace(m, axis1=-2, axis2=-1).real[:, None, None]

@@ -321,14 +321,17 @@ def test_pool_holds_a_bounded_window_of_chunks(monkeypatch, pools):
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
     monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
     spec = EnsembleSpec(kind="haar-pure", seed=3, count=100)
-    inline = list(classify.scatter(spec, classify.Tally(), workers=1))
+    inline = [
+        (conc.tolist(), coh.tolist())
+        for conc, coh in classify.scatter(spec, classify.Tally(), workers=1)
+    ]
     assert pools == []  # the 1-worker path starts no pool
 
     unconsumed, pooled = [], []
-    for k, pair in enumerate(classify.scatter(spec, classify.Tally(), workers=2)):
-        # chunks submitted minus chunks whose every state has been consumed
-        unconsumed.append(len(pools[0].submitted) - k // 4)
-        pooled.append(pair)
+    for k, (conc, coh) in enumerate(classify.scatter(spec, classify.Tally(), workers=2)):
+        # chunks submitted minus chunks already consumed
+        unconsumed.append(len(pools[0].submitted) - k)
+        pooled.append((conc.tolist(), coh.tolist()))
     assert max(unconsumed) == classify.WINDOW_PER_WORKER * 2
     assert len(pools) == 1 and len(pools[0].submitted) == 25
     assert pooled == inline
@@ -349,8 +352,8 @@ def test_pool_starts_at_most_one_process_per_chunk_and_cpu(
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
     monkeypatch.setattr(classify, "_cpu_count", lambda: cpus)
     spec = EnsembleSpec(kind="haar-pure", seed=3, count=count)
-    pairs = list(classify.scatter(spec, classify.Tally(), workers=workers))
-    assert len(pairs) == count
+    chunks = list(classify.scatter(spec, classify.Tally(), workers=workers))
+    assert sum(len(conc) for conc, _ in chunks) == count
     assert [pool.workers for pool in pools] == started
 
 
@@ -482,7 +485,7 @@ def test_indexing_a_stack_gives_points_and_sub_stacks():
     [[], [("value", 4, 0.0)], [("tie", 2, 3)], [("value", 0, 0.5), ("tie", 1, 4)]],
     ids=["none", "lambda4=0", "lambda2=lambda3", "lambda0=0.5,lambda1=lambda4"],
 )
-def test_sweep_grid_is_the_filtered_lexicographic_grid(monkeypatch, fixes):
+def test_sweep_grid_is_the_filtered_lexicographic_grid(fixes):
     r = 8
     expected = [
         ks
@@ -494,9 +497,6 @@ def test_sweep_grid_is_the_filtered_lexicographic_grid(monkeypatch, fixes):
         )
     ]
     assert expected
-    for size in (1, 7, classify.SWEEP_CHUNK_SIZE):
-        monkeypatch.setattr(classify, "SWEEP_CHUNK_SIZE", size)
-        chunks = list(classify.sweep_grid(r, fixes))
-        assert all(1 <= len(ks) <= size for ks in chunks)
-        assert all(len(ks) == size for ks in chunks[:-1])
-        assert [tuple(row) for ks in chunks for row in ks.tolist()] == expected
+    grid = classify.sweep_grid(r, fixes)
+    assert grid.dtype == np.int64 and grid.shape == (len(expected), 5)
+    assert [tuple(row) for row in grid.tolist()] == expected

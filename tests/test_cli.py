@@ -28,6 +28,11 @@ def parse_rows(csv_text):
     return list(csv.DictReader(io.StringIO("\n".join(data_lines(csv_text)))))
 
 
+def _fmt(x):
+    """One cell on its own: the shortest decimal that round-trips the double."""
+    return repr(float(x))
+
+
 def json_data(text):
     obj = json.loads(text)
     assert set(obj) == {"run_header", "data"}
@@ -326,6 +331,10 @@ def test_usage_errors_exit_64(capsys):
     # a non-finite value would compare false against every grid point and drop the constraint
     assert run(capsys, ["sweep", "--resolution", "4", "--fix", "lambda0=nan"])[0] == 64
     assert run(capsys, ["sweep", "--resolution", "4", "--fix", "lambda0=inf"])[0] == 64
+    # the ensemble flags are checked by EnsembleSpec; its refusal is a usage error
+    for flags in (["--n", "0"], ["--seed", "-1"], ["--seed", "18446744073709551616"],
+                  ["--rank", "0"], ["--rank", "5"]):
+        assert run(capsys, ["sample", "--n", "5", *flags])[0] == 64, flags
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -491,6 +500,29 @@ def test_sweep_data_section_is_pinned(capsys, resolution, fix):
     assert hashlib.sha256(data.encode()).hexdigest() == _SWEEP_DIGESTS[resolution, fix]
 
 
+# SHA-256 of the ``sample`` data section, as for the sweep.  Captured from the
+# per-row formatting that the chunk formatter of the sweep replaced.
+_SAMPLE_DIGESTS = {
+    ("ginibre", "600", "1", None):
+        "6c809f807418a3143cbde480af69a862d2f2b04c64d8e8fe6add6d2c1716ee37",
+    ("pure", "600", "42", None):
+        "e2d5b947c57463d22e57c66db17387eae078ca379cf71e9b7a620ee8b7c26c43",
+    ("ginibre", "300", "5", "3"):
+        "60e3bbb4f09c3c61e113ad99b6b03129f3c6d46257a8c4d34d95cb9bbb2c26e8",
+}
+
+
+@pytest.mark.parametrize("ensemble, n, seed, rank", sorted(_SAMPLE_DIGESTS, key=str))
+def test_sample_data_section_is_pinned(capsys, monkeypatch, ensemble, n, seed, rank):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    rank_flags = [] if rank is None else ["--rank", rank]
+    code, stdout, _ = run(capsys, ["sample", "--ensemble", ensemble, "--n", n, "--seed", seed,
+                                   *rank_flags])
+    assert code == 0
+    data = "".join(f"{line}\n" for line in data_lines(stdout))
+    assert hashlib.sha256(data.encode()).hexdigest() == _SAMPLE_DIGESTS[ensemble, n, seed, rank]
+
+
 # SHA-256 of the data sections of the README's canonical and classify
 # examples: the CSV lines as for the sweep, and for JSON the ``data`` object
 # dumped as the CLI dumps it.  Captured before the amplitude-list parsing and
@@ -537,21 +569,21 @@ def test_sweep_rows_match_the_per_point_api(capsys):
         m = report.measures
         triple = classify.observables_expectations(p)
         expected = {
-            "theta": cli._fmt(0.0),
-            "c_ab": cli._fmt(m.c_ab),
-            "c_ac": cli._fmt(m.c_ac),
-            "coh_ab": cli._fmt(m.coh_ab),
-            "coh_ac": cli._fmt(m.coh_ac),
-            "coh_a": cli._fmt(m.coh_a),
-            "tangle": cli._fmt(m.tangle),
-            "coherence_difference": cli._fmt(report.coherence_difference),
-            "factor_l3_minus_l2": cli._fmt(report.factored_difference[0]),
-            "factor_l0_plus_l1_minus_l4": cli._fmt(report.factored_difference[1]),
+            "theta": _fmt(0.0),
+            "c_ab": _fmt(m.c_ab),
+            "c_ac": _fmt(m.c_ac),
+            "coh_ab": _fmt(m.coh_ab),
+            "coh_ac": _fmt(m.coh_ac),
+            "coh_a": _fmt(m.coh_a),
+            "tangle": _fmt(m.tangle),
+            "coherence_difference": _fmt(report.coherence_difference),
+            "factor_l3_minus_l2": _fmt(report.factored_difference[0]),
+            "factor_l0_plus_l1_minus_l4": _fmt(report.factored_difference[1]),
             "case_label": report.case_label,
-            "monogamy_margin": cli._fmt(classify.coherence_monogamy_check(p)),
-            "exp_o": cli._fmt(triple.exp_o),
-            "exp_o1": cli._fmt(triple.exp_o1),
-            "exp_o2": cli._fmt(triple.exp_o2),
+            "monogamy_margin": _fmt(classify.coherence_monogamy_check(p)),
+            "exp_o": _fmt(triple.exp_o),
+            "exp_o1": _fmt(triple.exp_o1),
+            "exp_o2": _fmt(triple.exp_o2),
             "witness_holds": flag[triple.witness_holds],
         }
         if classify.in_ghz_window(p):
@@ -559,8 +591,8 @@ def test_sweep_rows_match_the_per_point_api(capsys):
             sum_check = classify.concurrence_sum_check(p)
             expected.update(
                 sum_check_applicable="true",
-                sum_check_lhs=cli._fmt(sum_check.lhs),
-                sum_check_rhs=cli._fmt(sum_check.rhs),
+                sum_check_lhs=_fmt(sum_check.lhs),
+                sum_check_rhs=_fmt(sum_check.rhs),
                 sum_check_holds=flag[sum_check.holds],
                 product_check_holds=flag[classify.coherence_product_check(p).holds],
             )
@@ -579,7 +611,7 @@ def test_sweep_rows_match_the_per_point_api(capsys):
         else:
             expected["witness_implication_ok"] = ""
         assert {key: row[key] for key in expected} == expected, row
-        assert [cli._fmt(v) for v in lam] == [row[name] for name in cli.LAMBDA_NAMES]
+        assert [_fmt(v) for v in lam] == [row[name] for name in cli.LAMBDA_NAMES]
     assert 0 < windows < len(rows)
     assert 0 < witnesses < len(rows)
 
@@ -600,21 +632,21 @@ def test_sweep_output_is_the_same_for_any_chunk_size(tmp_path, capsys, monkeypat
             assert data(chunk, *argv) == reference, (argv, chunk)
 
 
-def _per_cell_table(columns, applies):
-    """The sweep cells as the per-cell loop made them: the reference of ``cli._sweep_table``."""
+def _per_cell_lines(columns, applies):
+    """The CSV rows as the per-cell loop made them: the reference of ``cli._csv_lines``."""
     flag = {True: "true", False: "false"}
     cells = []
     for name, column in columns.items():
         if column.dtype == bool:
             cell = [flag[v] for v in column.tolist()]
         elif column.dtype.kind == "f":
-            cell = [cli._fmt(v) for v in column]
+            cell = [_fmt(v) for v in column]
         else:
             cell = column.tolist()
         if name in applies:
             cell = [c if a else "" for c, a in zip(cell, applies[name].tolist())]
         cells.append(cell)
-    return [list(row) for row in zip(*cells)]
+    return "\n".join(",".join(row) for row in zip(*cells))
 
 
 def test_sweep_table_matches_the_per_cell_formatting():
@@ -632,9 +664,9 @@ def test_sweep_table_matches_the_per_cell_formatting():
         "masked_flag": np.arange(n) % 4 == 1,
     }
     applies = {"masked_x": np.arange(n) % 2 == 0, "masked_flag": np.arange(n) % 3 != 2}
-    assert cli._sweep_table(columns, applies).tolist() == _per_cell_table(columns, applies)
+    assert cli._csv_lines(columns, applies) == _per_cell_lines(columns, applies)
 
     # and a chunk of the sweep itself
-    ks = next(classify.sweep_grid(6))
+    ks = classify.sweep_grid(6)[: classify.SWEEP_CHUNK_SIZE]
     columns, applies = classify.sweep_columns(CanonicalThreeQubit(*np.sqrt(ks.T / 6), theta=0.0))
-    assert cli._sweep_table(columns, applies).tolist() == _per_cell_table(columns, applies)
+    assert cli._csv_lines(columns, applies) == _per_cell_lines(columns, applies)

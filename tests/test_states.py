@@ -11,8 +11,10 @@ from qcohere.classify import ensemble_state
 from qcohere.measures import concurrence
 from qcohere.states import (
     MAX_SEED,
+    TWO_QUBIT_DIM,
     CanonicalThreeQubit,
     DensityMatrix,
+    EnsembleSpec,
     PureState,
     SeedingError,
     StateError,
@@ -325,8 +327,22 @@ def test_ginibre_invariants_and_rank_one_purity():
     assert rho.dim == 4
     assert np.abs(np.trace(rho.matrix, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
     assert np.abs(ensemble_chunk("ginibre", 5, 0, 200, 1).purity() - 1.0).max() <= 1e-10
-    with pytest.raises(StateError, match="rank"):
-        ensemble_chunk("ginibre", 5, 0, 1, 5)
+
+
+def test_ensemble_spec_resolves_and_checks_the_rank():
+    # the spec owns the rank range; a chunk takes the rank of a checked spec
+    full = EnsembleSpec("ginibre", seed=1, count=10)
+    assert full.rank == TWO_QUBIT_DIM == 4
+    assert full.describe() == "ginibre(dim=4,rank=4)"
+    assert EnsembleSpec("ginibre", seed=1, count=10, rank=3).describe() == "ginibre(dim=4,rank=3)"
+    pure = EnsembleSpec("haar-pure", seed=1, count=10)
+    assert pure.rank is None
+    assert pure.describe() == "haar-pure(dim=4)"
+    with pytest.raises(StateError, match="^rank applies to the ginibre ensemble only$"):
+        EnsembleSpec("haar-pure", seed=1, count=10, rank=4)
+    for rank in (0, 5):
+        with pytest.raises(StateError, match=rf"^rank must lie in \[1, 4\], got {rank}$"):
+            EnsembleSpec("ginibre", seed=1, count=10, rank=rank)
 
 
 def test_ginibre_purity_matches_oracle_band():
