@@ -12,10 +12,11 @@ Conventions fixed here and used everywhere else:
   split across workers.  The generator choice (PCG64 behind
   ``numpy.random.default_rng``) is frozen; outputs record it as
   ``GENERATOR_NAME``.  ``sample_rng`` builds that generator for one
-  sample; an ensemble chunk computes the same generator states for all of
-  its samples at once and checks its first sample against ``sample_rng``.
+  sample; an ensemble chunk writes each sample's state into one generator
+  in turn, and checks its first and last samples against ``sample_rng``.
 """
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass
@@ -397,20 +398,21 @@ class EnsembleSpec:
 # --- chunk seeding ------------------------------------------------------------
 #
 # Building ``sample_rng(seed, k)`` costs about 20 us, most of an ensemble
-# state.  What it computes is cheap arithmetic: numpy's SeedSequence mixes
-# the entropy words into a pool of four uint32 words with O'Neill's seed_seq
-# hash, draws PCG64's 128-bit seed and stream from the pool, and PCG64 takes
-# two steps of its LCG (pcg64_srandom_r; O'Neill, "PCG: A Family of Simple
-# Fast Space-Efficient Statistically Good Algorithms for Random Number
-# Generation", 2014).  The seed's words are mixed once per chunk; only the
-# index words are mixed per sample, as uint32 arrays over the chunk.
+# state, but what it computes is cheap arithmetic: numpy's SeedSequence
+# mixes the entropy words into a pool of four uint32 words with O'Neill's
+# seed_seq hash, draws PCG64's 128-bit seed and stream from the pool, and
+# PCG64 takes two steps of its LCG (pcg64_srandom_r; O'Neill, "PCG: A Family
+# of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+# Number Generation", 2014).  A chunk mixes the seed's words once, the index
+# words as uint32 arrays, and steps the LCG on arrays of uint64 limbs.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# the PCG64 multiplier as uint64 limbs, and its low limb as 32-bit halves
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LOW32, _MULT_LO_HI, _MULT_LO_LO = np.uint64(_MASK32), np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A) -> tuple:
@@ -426,8 +428,11 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _pcg64_states(seed: int, lo: int, hi: int) -> list:
-    """PCG64 (state, inc) of samples lo..hi-1: what ``sample_rng(seed, k)`` starts from."""
+def _pcg64_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The PCG64 words ``sample_rng(seed, k)`` starts from, one uint64 row per sample lo..hi-1.
+
+    A row is in the order the generator holds it: state_lo, state_hi, inc_lo, inc_hi.
+    """
     # beside a spawn key the seed's words are zero-padded to the pool size,
     # so a seed of one word and of two fill the pool alike
     const = _INIT_A
@@ -456,47 +461,67 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> list:
     for i in range(8):
         h, const = _hashmix(pools[i % 4], const, _MULT_B)
         out.append(h.astype(np.uint64))
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        (out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)
-    )
-    # pcg64_srandom_r: inc = stream << 1 | 1; step; state += seed; step
-    seeded = []
-    for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        seeded.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return seeded
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
+    # pcg64_srandom_r: inc = stream << 1 | 1; step; state += seed; step.  A
+    # limb sum carries where its low limb wraps below an addend
+    inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
+    s_lo = inc_lo + seed_lo
+    s_hi = inc_hi + seed_hi + (s_lo < seed_lo)
+    # the high limb of s_lo * _MULT_LO, from products of 32-bit halves
+    a0, a1 = s_lo & _LOW32, s_lo >> 32
+    p00, p01, p10 = a0 * _MULT_LO_LO, a0 * _MULT_LO_HI, a1 * _MULT_LO_LO
+    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry_hi = a1 * _MULT_LO_HI + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    state_lo = s_lo * _MULT_LO + inc_lo
+    state_hi = carry_hi + s_lo * _MULT_HI + s_hi * _MULT_LO + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _seeding_error(seed: int, k: int, what: str) -> SeedingError:
+    where = f"at sample {k} (seed {seed}, numpy {np.__version__})"
+    return SeedingError(f"chunk seeding disagrees with the frozen generator {where}: {what}")
+
+
+def _generator_words(bit_generator, first: np.ndarray, seed: int, k: int) -> np.ndarray:
+    """A writable view of the four PCG64 words of the fresh bit generator of sample k.
+
+    The pointer in the first field of numpy's ``ctypes.state_address`` must lie within
+    64 bytes after it, inside the bit-generator object, and point at ``first``; else
+    ``SeedingError``.  The view aliases ``bit_generator``, which must outlive it.
+    """
+    address = bit_generator.ctypes.state_address
+    pointer = ctypes.c_void_p.from_address(address).value or 0
+    end = min(address + 64, id(bit_generator) + type(bit_generator).__basicsize__)
+    if not id(bit_generator) <= address < pointer <= end - 32:
+        raise _seeding_error(seed, k, "the PCG64 words lie outside the bit generator")
+    words = (ctypes.c_uint64 * 4).from_address(pointer)
+    if list(words) != first.tolist():
+        raise _seeding_error(seed, k, "the generator's PCG64 words are not the chunk's first row")
+    return np.frombuffer(words, dtype=np.uint64)
 
 
 def _gaussian_rows(seed: int, lo: int, hi: int, size: int) -> np.ndarray:
     """Complex Gaussian vectors of length ``size`` for samples lo..hi-1, one row each.
 
-    Sample k's generator fills the real parts and then the imaginary parts
-    with one ``standard_normal(2 * size)`` call, the same bits as two calls
-    of ``size`` each.  One generator is set to each sample's state from
-    ``_pcg64_states`` in turn; the first sample is also drawn through
-    ``sample_rng``, and a row that differs from it in any byte raises
-    ``SeedingError``.
+    Sample k's generator fills the real parts and then the imaginary parts with one
+    ``standard_normal(2 * size)`` call.  One generator draws every row, its PCG64 words set
+    to each row of ``_pcg64_states`` in turn; the first and last rows must match ``sample_rng``.
     """
     # sample_rng checks the seed and the first index before anything is hashed
     rng = sample_rng(seed, lo)
-    if hi - 1 > MAX_SEED:
-        raise StateError(f"sample index must be below 2**64, got {hi - 1}")
-    oracle = rng.standard_normal(2 * size)
-    bit_generator = rng.bit_generator
+    if not lo <= hi - 1 <= MAX_SEED:
+        raise StateError(f"sample index must be below 2**64 and at least {lo}, got {hi - 1}")
+    seeded = _pcg64_states(seed, lo, hi)
+    words = _generator_words(rng.bit_generator, seeded[0], seed, lo)
+    first = rng.standard_normal(2 * size)
+    last = sample_rng(seed, hi - 1).standard_normal(2 * size)
     z = np.empty((hi - lo, 2 * size))
-    for row, (state, inc) in zip(z, _pcg64_states(seed, lo, hi)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for row, state in zip(z, seeded):
+        words[:] = state
         rng.standard_normal(out=row)
-    if len(z) and z[0].tobytes() != oracle.tobytes():
-        raise SeedingError(
-            f"chunk seeding disagrees with the frozen generator at sample {lo} (seed {seed},"
-            f" numpy {np.__version__})"
-        )
+    for k, oracle in ((lo, first), (hi - 1, last)):
+        if z[k - lo].tobytes() != oracle.tobytes():
+            raise _seeding_error(seed, k, "its row differs from the generator's own draw")
     return z[:, :size] + 1j * z[:, size:]
 
 

@@ -467,8 +467,9 @@ def test_chunk_seeding_mismatch_exits_70_and_keeps_the_out_file(tmp_path, capsys
     replica = states._pcg64_states
 
     def one_bit_off(seed, lo, hi):
-        (state, inc), *rest = replica(seed, lo, hi)
-        return [(state ^ 1, inc), *rest]
+        rows = replica(seed, lo, hi)
+        rows[0, 0] ^= np.uint64(1)
+        return rows
 
     monkeypatch.setattr(states, "_pcg64_states", one_bit_off)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)

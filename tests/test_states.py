@@ -256,9 +256,27 @@ def test_chunk_rows_match_one_generator_per_sample_byte_for_byte(monkeypatch):
                     m.setattr(states, "_gaussian_rows", _rows_one_generator_each)
                     reference = ensemble_chunk(kind, seed, lo, hi, rank).matrix
                 assert chunk.tobytes() == reference.tobytes(), (seed, lo, kind, rank)
-            for k, (state, inc) in zip(range(lo, hi), states._pcg64_states(seed, lo, hi)):
-                frozen = sample_rng(seed, k).bit_generator.state["state"]
-                assert (state, inc) == (frozen["state"], frozen["inc"]), (seed, k)
+            for k, row in zip(range(lo, hi), states._pcg64_states(seed, lo, hi)):
+                assert row.tolist() == _frozen_words(seed, k), (seed, k)
+
+
+def _frozen_words(seed, k):
+    """Sample k's PCG64 words [state_lo, state_hi, inc_lo, inc_hi], read through numpy's dict."""
+    frozen = sample_rng(seed, k).bit_generator.state["state"]
+    return [w >> shift & (2**64 - 1) for w in (frozen["state"], frozen["inc"]) for shift in (0, 64)]
+
+
+def test_limb_arithmetic_matches_the_frozen_generator_across_word_boundaries():
+    # the 128-bit LCG runs on uint64 limbs: the chunks cover the first
+    # indices, the index that grows a second word, and the last indices
+    seeds = CORPUS_SEEDS + tuple(int(s) for s in np.random.default_rng(13).integers(
+        2**64, size=3, dtype=np.uint64))
+    for seed in seeds:
+        for lo, hi in ((0, 1024), (2**32 - 512, 2**32 + 512), (2**64 - 1024, 2**64)):
+            rows = states._pcg64_states(seed, lo, hi)
+            assert rows.dtype == np.uint64 and rows.shape == (hi - lo, 4)
+            expected = [_frozen_words(seed, k) for k in range(lo, hi)]
+            assert rows.tolist() == expected, (seed, lo)
 
 
 def test_chunk_checks_seed_and_index_before_hashing(monkeypatch):
@@ -281,13 +299,61 @@ def test_chunk_seeding_that_disagrees_with_the_frozen_generator_fails(monkeypatc
     replica = states._pcg64_states
 
     def one_bit_off(seed, lo, hi):
-        (state, inc), *rest = replica(seed, lo, hi)
-        return [(state ^ 1 << 77, inc), *rest]
+        rows = replica(seed, lo, hi)
+        rows[0, 1] ^= np.uint64(1 << 13)  # bit 77 of the first sample's state
+        return rows
 
     monkeypatch.setattr(states, "_pcg64_states", one_bit_off)
     for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
         with pytest.raises(SeedingError, match="sample 5 .seed 11"):
             ensemble_chunk(kind, 11, 5, 25, rank)
+
+
+def test_chunk_seeding_that_spares_the_first_row_fails_at_the_last(monkeypatch):
+    replica = states._pcg64_states
+
+    def last_bit_off(seed, lo, hi):
+        rows = replica(seed, lo, hi)
+        rows[-1, 1] ^= np.uint64(1 << 13)
+        return rows
+
+    monkeypatch.setattr(states, "_pcg64_states", last_bit_off)
+    for lo, hi in ((5, 25), (2**32 - 2, 2**32 + 2)):
+        for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
+            with pytest.raises(SeedingError, match=f"sample {hi - 1} .seed 11.*own draw"):
+                ensemble_chunk(kind, 11, lo, hi, rank)
+
+
+def test_layout_guard_refuses_before_any_write_or_draw(monkeypatch):
+    replica = states._pcg64_states
+    built = []
+
+    def recorded_rng(seed, index):
+        built.append(sample_rng(seed, index))
+        return built[-1]
+
+    def words_swapped(seed, lo, hi):
+        # the high limb first, as a compiler without a 128-bit integer lays it out
+        return replica(seed, lo, hi)[:, [1, 0, 3, 2]]
+
+    monkeypatch.setattr(states, "sample_rng", recorded_rng)
+    monkeypatch.setattr(states, "_pcg64_states", words_swapped)
+    with pytest.raises(SeedingError, match="sample 5 .seed 11.*not the chunk's first row"):
+        ensemble_chunk("haar-pure", 11, 5, 25, 4)
+    # the one generator built was neither written nor drawn from
+    assert len(built) == 1
+    assert built[0].bit_generator.state == sample_rng(11, 5).bit_generator.state
+
+
+def test_pointer_guard_refuses_a_bit_generator_without_the_pcg64_pointer():
+    # these keep their words inline, so the first field is no pointer into the object
+    row = states._pcg64_states(11, 5, 6)[0]
+    for bit_generator in (np.random.SFC64(11), np.random.MT19937(11)):
+        with pytest.raises(SeedingError, match="lie outside the bit generator"):
+            states._generator_words(bit_generator, row, 11, 5)
+    bit_generator = sample_rng(11, 5).bit_generator  # the view aliases its memory
+    words = states._generator_words(bit_generator, row, 11, 5)
+    assert words.tolist() == _frozen_words(11, 5)
 
 
 def test_stack_errors_name_the_sample():
