@@ -482,12 +482,12 @@ def _seeding_error(seed: int, k: int, what: str) -> SeedingError:
     return SeedingError(f"chunk seeding disagrees with the frozen generator {where}: {what}")
 
 
-def _generator_words(bit_generator, first: np.ndarray, seed: int, k: int) -> np.ndarray:
-    """A writable view of the four PCG64 words of the fresh bit generator of sample k.
+def _generator_words(bit_generator, seeded: np.ndarray, seed: int, k: int) -> tuple:
+    """A writable view of sample k's fresh PCG64 words, and ``seeded`` in their order.
 
-    The pointer in the first field of numpy's ``ctypes.state_address`` must lie within
-    64 bytes after it, inside the bit-generator object, and point at ``first``; else
-    ``SeedingError``.  The view aliases ``bit_generator``, which must outlive it.
+    The pointer at ``ctypes.state_address`` must lie within 64 bytes after it, inside the bit
+    generator, and point at row 0's words, low or high limbs first (numpy's two-limb 128-bit
+    type, big-endian hosts); else ``SeedingError``.  The view must not outlive the generator.
     """
     address = bit_generator.ctypes.state_address
     pointer = ctypes.c_void_p.from_address(address).value or 0
@@ -495,9 +495,10 @@ def _generator_words(bit_generator, first: np.ndarray, seed: int, k: int) -> np.
     if not id(bit_generator) <= address < pointer <= end - 32:
         raise _seeding_error(seed, k, "the PCG64 words lie outside the bit generator")
     words = (ctypes.c_uint64 * 4).from_address(pointer)
-    if list(words) != first.tolist():
-        raise _seeding_error(seed, k, "the generator's PCG64 words are not the chunk's first row")
-    return np.frombuffer(words, dtype=np.uint64)
+    for rows in (seeded[:, order] for order in (slice(None), [1, 0, 3, 2])):
+        if list(words) == rows[0].tolist():
+            return np.frombuffer(words, dtype=np.uint64), rows
+    raise _seeding_error(seed, k, "the generator's PCG64 words are not the chunk's first row")
 
 
 def _gaussian_rows(seed: int, lo: int, hi: int, size: int) -> np.ndarray:
@@ -511,9 +512,8 @@ def _gaussian_rows(seed: int, lo: int, hi: int, size: int) -> np.ndarray:
     rng = sample_rng(seed, lo)
     if not lo <= hi - 1 <= MAX_SEED:
         raise StateError(f"sample index must be below 2**64 and at least {lo}, got {hi - 1}")
-    seeded = _pcg64_states(seed, lo, hi)
-    words = _generator_words(rng.bit_generator, seeded[0], seed, lo)
-    first = rng.standard_normal(2 * size)
+    words, seeded = _generator_words(rng.bit_generator, _pcg64_states(seed, lo, hi), seed, lo)
+    first = rng.standard_normal(2 * size)  # the last row's check misses faults confined to row 0
     last = sample_rng(seed, hi - 1).standard_normal(2 * size)
     z = np.empty((hi - lo, 2 * size))
     for row, state in zip(z, seeded):

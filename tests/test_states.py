@@ -324,7 +324,22 @@ def test_chunk_seeding_that_spares_the_first_row_fails_at_the_last(monkeypatch):
                 ensemble_chunk(kind, 11, lo, hi, rank)
 
 
-def test_layout_guard_refuses_before_any_write_or_draw(monkeypatch):
+def test_a_generator_holding_the_high_limbs_first_is_written_in_its_order(monkeypatch):
+    # the order of numpy's two-limb 128-bit type and of big-endian hosts,
+    # seen from this build: the chunk's rows hold the high limbs first
+    replica = states._pcg64_states
+    monkeypatch.setattr(states, "_pcg64_states", lambda *a: replica(*a)[:, [1, 0, 3, 2]])
+    for lo, hi in ((5, 25), (2**32 - 2, 2**32 + 2)):
+        for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
+            chunk = ensemble_chunk(kind, 11, lo, hi, rank).matrix
+            with monkeypatch.context() as m:
+                m.setattr(states, "_gaussian_rows", _rows_one_generator_each)
+                reference = ensemble_chunk(kind, 11, lo, hi, rank).matrix
+            assert chunk.tobytes() == reference.tobytes(), (lo, kind)
+
+
+@pytest.mark.parametrize("order", [[2, 3, 0, 1], [0, 3, 2, 1]], ids=["inc-first", "limbs-crossed"])
+def test_layout_guard_refuses_before_any_write_or_draw(monkeypatch, order):
     replica = states._pcg64_states
     built = []
 
@@ -332,12 +347,8 @@ def test_layout_guard_refuses_before_any_write_or_draw(monkeypatch):
         built.append(sample_rng(seed, index))
         return built[-1]
 
-    def words_swapped(seed, lo, hi):
-        # the high limb first, as a compiler without a 128-bit integer lays it out
-        return replica(seed, lo, hi)[:, [1, 0, 3, 2]]
-
     monkeypatch.setattr(states, "sample_rng", recorded_rng)
-    monkeypatch.setattr(states, "_pcg64_states", words_swapped)
+    monkeypatch.setattr(states, "_pcg64_states", lambda *a: replica(*a)[:, order])
     with pytest.raises(SeedingError, match="sample 5 .seed 11.*not the chunk's first row"):
         ensemble_chunk("haar-pure", 11, 5, 25, 4)
     # the one generator built was neither written nor drawn from
@@ -345,15 +356,28 @@ def test_layout_guard_refuses_before_any_write_or_draw(monkeypatch):
     assert built[0].bit_generator.state == sample_rng(11, 5).bit_generator.state
 
 
+def test_writes_that_miss_the_live_generator_fail_at_the_first_row(monkeypatch):
+    guard = states._generator_words
+
+    def detached(*args):
+        words, rows = guard(*args)
+        return words.copy(), rows
+
+    monkeypatch.setattr(states, "_generator_words", detached)
+    for lo, hi in ((5, 6), (5, 25)):
+        with pytest.raises(SeedingError, match="sample 5 .seed 11.*own draw"):
+            ensemble_chunk("haar-pure", 11, lo, hi, 4)
+
+
 def test_pointer_guard_refuses_a_bit_generator_without_the_pcg64_pointer():
     # these keep their words inline, so the first field is no pointer into the object
-    row = states._pcg64_states(11, 5, 6)[0]
+    rows = states._pcg64_states(11, 5, 6)
     for bit_generator in (np.random.SFC64(11), np.random.MT19937(11)):
         with pytest.raises(SeedingError, match="lie outside the bit generator"):
-            states._generator_words(bit_generator, row, 11, 5)
+            states._generator_words(bit_generator, rows, 11, 5)
     bit_generator = sample_rng(11, 5).bit_generator  # the view aliases its memory
-    words = states._generator_words(bit_generator, row, 11, 5)
-    assert words.tolist() == _frozen_words(11, 5)
+    words, held = states._generator_words(bit_generator, rows, 11, 5)
+    assert words.tolist() == held[0].tolist() == _frozen_words(11, 5)
 
 
 def test_stack_errors_name_the_sample():
