@@ -1,8 +1,8 @@
 """Command-line interface: seeded experiments and single-state analysis.
 
 Reproducibility contract: every output embeds a run header (tool
-version, seed, ensemble, count, generator, worker count, numpy and Python
-versions, UTC timestamp).  Only the header carries what may change from
+version, seed, ensemble, count, generator, worker count, BLAS thread
+setting, numpy and Python versions, UTC timestamp).  Only the header carries what may change from
 run to run, so re-running a command with identical flags reproduces the
 *data section* byte for byte: for CSV that is every non-comment line, for
 JSON the ``data`` object.  Ensemble commands
@@ -30,9 +30,17 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 
-import numpy as np
+BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 
-from . import __version__, classify, linalg, measures, states
+# numpy's OpenBLAS starts a thread per core as it loads, and every product
+# here is a stack of 4x4 or 8x8 matrices that never reaches them, yet an idle
+# one still spins for 0.1-0.17 s of CPU per process.  So numpy, imported just
+# below and in any pool worker, loads with one; a value the caller set wins.
+os.environ.setdefault(BLAS_THREADS_ENV, "1")
+
+import numpy as np  # noqa: E402
+
+from . import __version__, classify, linalg, measures, states  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -57,7 +65,11 @@ class _UsageError(Exception):
 
 
 def _run_header(command, seed=None, ensemble=None, count=None, workers=None) -> dict:
-    """Run metadata; ``workers`` is the requested worker count of an ensemble command."""
+    """Run metadata; ``workers`` is the requested worker count of an ensemble command.
+
+    ``blas_threads`` is the ``OPENBLAS_NUM_THREADS`` value in the
+    environment, or None.
+    """
     return {
         "tool": "qcohere",
         "version": __version__,
@@ -67,6 +79,7 @@ def _run_header(command, seed=None, ensemble=None, count=None, workers=None) -> 
         "count": count,
         "generator": states.GENERATOR_NAME if seed is not None else None,
         "workers": workers,
+        "blas_threads": os.environ.get(BLAS_THREADS_ENV),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -15,13 +15,15 @@ PACKAGE = ROOT / "src" / "qcohere"
 
 
 def _root_exports() -> set:
+    """The names of the package root's export table, read from its source."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.name
+    (table,) = [
+        node.value
         for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+    ]
+    return set(ast.literal_eval(table))
 
 
 def _references(node) -> set:

@@ -87,20 +87,28 @@ def test_sample_header_comments_embed_run_metadata(tmp_path, capsys):
     comments = [line for line in out.read_text().splitlines() if line.startswith("#")]
     fields = dict(line[2:].split(": ", 1) for line in comments)
     assert {"tool", "version", "command", "seed", "ensemble", "count",
-            "generator", "workers", "numpy", "python", "timestamp"} <= set(fields)
+            "generator", "workers", "blas_threads", "numpy", "python", "timestamp"} <= set(fields)
     assert fields["numpy"] == np.__version__
     assert fields["python"] == platform.python_version()
 
 
 def test_audit_header_names_workers_and_versions(capsys, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    monkeypatch.setenv(cli.BLAS_THREADS_ENV, "3")
     _, stdout, _ = run(capsys, ["audit", "--target", "appendix-a", "--n", "20",
                                 "--ensemble", "pure", "--seed", "3"])
     header = json.loads(stdout)["run_header"]
     assert header["workers"] == 2
+    assert header["blas_threads"] == "3"
     assert header["numpy"] == np.__version__
     assert header["python"] == platform.python_version()
-    assert not {"workers", "numpy", "python"} & set(json_data(stdout))
+    assert not {"workers", "blas_threads", "numpy", "python"} & set(json_data(stdout))
+
+
+def test_header_blas_threads_is_none_without_the_variable(capsys, monkeypatch):
+    monkeypatch.delenv(cli.BLAS_THREADS_ENV, raising=False)
+    _, stdout, _ = run(capsys, ["classify", "--lambdas", "0.3,0.2,0.25,0.35,auto"])
+    assert json.loads(stdout)["run_header"]["blas_threads"] is None
 
 
 def test_sample_sharded_run_matches_single_worker(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,101 @@
+"""What a fresh process gets from importing the package or starting the CLI.
+
+Each test starts its own interpreter with an explicit environment: this
+process may already have imported ``qcohere.cli``, which sets the BLAS
+thread variable, and numpy, which reads it once as it loads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
+
+
+def _run(code: str, blas_threads=None) -> dict:
+    """Run ``code`` in a fresh interpreter; the JSON object it prints last."""
+    env = {k: v for k, v in os.environ.items() if k != BLAS_THREADS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env[BLAS_THREADS_ENV] = blas_threads
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_numpy_and_changes_no_environment():
+    result = _run(
+        """
+        import importlib, json, os, sys
+        before = dict(os.environ)
+        import qcohere
+        seen = {"numpy": "numpy" in sys.modules, "environ": dict(os.environ) == before}
+        seen["dir"] = set(qcohere.__all__) <= set(dir(qcohere))
+        seen["mismatched"] = [
+            name for name, module in qcohere._EXPORTS.items()
+            if getattr(qcohere, name) is not getattr(
+                importlib.import_module(f"qcohere.{module}"), name
+            )
+        ]
+        seen["environ_after_exports"] = dict(os.environ) == before
+        seen["all"] = list(qcohere.__all__) == list(qcohere._EXPORTS)
+        print(json.dumps(seen))
+        """
+    )
+    assert result == {
+        "numpy": False,
+        "environ": True,
+        "dir": True,
+        "mismatched": [],
+        "environ_after_exports": True,
+        "all": True,
+    }
+
+
+_ENTRIES = {
+    # the console script imports the module; ``python -m`` runs it as __main__
+    "import": "import qcohere.cli",
+    "python-m": """
+        import runpy
+        sys.argv = ["qcohere", "--version"]
+        try:
+            runpy.run_module("qcohere.cli", run_name="__main__")
+        except SystemExit as exc:
+            assert exc.code in (0, None), exc.code
+    """,
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")], ids=["unset", "caller"])
+def test_the_cli_runs_blas_on_one_thread_unless_the_caller_says(entry, caller, expected):
+    code = "import json, os, sys\n" + textwrap.dedent(_ENTRIES[entry]) + textwrap.dedent(
+        """
+        status = "/proc/self/status"
+        threads = None
+        if os.path.exists(status):
+            with open(status) as fh:
+                threads = next(int(l.split()[1]) for l in fh if l.startswith("Threads:"))
+        print(json.dumps({"numpy": "numpy" in sys.modules,
+                          "value": os.environ.get("OPENBLAS_NUM_THREADS"),
+                          "threads": threads}))
+        """
+    )
+    result = _run(code, blas_threads=caller)
+    assert result["numpy"] and result["value"] == expected
+    if caller is None:
+        if result["threads"] is None:
+            pytest.skip("no /proc/self/status to count the process's threads")
+        assert result["threads"] == 1
