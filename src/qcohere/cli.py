@@ -2,10 +2,10 @@
 
 Reproducibility contract: every output embeds a run header (tool
 version, seed, ensemble, count, generator, worker count, BLAS thread
-setting, numpy and Python versions, UTC timestamp).  Only the header carries what may change from
-run to run, so re-running a command with identical flags reproduces the
-*data section* byte for byte: for CSV that is every non-comment line, for
-JSON the ``data`` object.  Ensemble commands
+setting, numpy and Python versions, UTC timestamp).  Only the header
+carries what may change from run to run, so re-running a command with
+identical flags reproduces the *data section* byte for byte: for CSV that
+is every non-comment line, for JSON the ``data`` object.  Ensemble commands
 evaluate their states in ``QCOHERE_WORKERS`` processes by sample index
 and fold the results in index order (the engine lives in ``classify``);
 because every sample owns its generator, the output is identical for any
@@ -32,10 +32,11 @@ from datetime import datetime, timezone
 
 BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 
-# numpy's OpenBLAS starts a thread per core as it loads, and every product
-# here is a stack of 4x4 or 8x8 matrices that never reaches them, yet an idle
-# one still spins for 0.1-0.17 s of CPU per process.  So numpy, imported just
-# below and in any pool worker, loads with one; a value the caller set wins.
+# numpy's OpenBLAS starts a worker thread per further core as it loads.  Every
+# product here is a stack of 4x4 or 8x8 matrices, too small to reach them, yet
+# on a 2-core box the idle worker spins for 0.1-0.17 s of CPU per process.  So
+# numpy, imported just below and in any pool worker, loads with one thread; a
+# value the caller set wins.
 os.environ.setdefault(BLAS_THREADS_ENV, "1")
 
 import numpy as np  # noqa: E402
@@ -65,11 +66,7 @@ class _UsageError(Exception):
 
 
 def _run_header(command, seed=None, ensemble=None, count=None, workers=None) -> dict:
-    """Run metadata; ``workers`` is the requested worker count of an ensemble command.
-
-    ``blas_threads`` is the ``OPENBLAS_NUM_THREADS`` value in the
-    environment, or None.
-    """
+    """Run metadata; ``workers`` is the requested worker count of an ensemble command."""
     return {
         "tool": "qcohere",
         "version": __version__,
