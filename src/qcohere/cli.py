@@ -17,11 +17,13 @@ Exit codes: 0 success (and no violations where a violation count is the
 tested claim); 1 claim violation found (``sample`` and the
 ``theorem1-chain`` audit target); 2 I/O failure; 64 usage error;
 65 invalid state input; 70 internal failure (the eigensolver did not
-converge, or chunk seeding disagrees with the frozen generator).
+converge, chunk seeding disagrees with the frozen generator, or any other
+unexpected exception).
 """
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -482,9 +484,21 @@ def main(argv=None) -> int:
     except (linalg.ConvergenceError, states.SeedingError) as exc:
         sys.stderr.write(f"qcohere: internal error: {exc}\n")
         return EXIT_SOFTWARE
+    except Exception as exc:
+        # any other failure is a fault of this program, not a claim violation (1);
+        # traceback is imported here because no other path of a run loads it
+        import traceback
+
+        sys.stderr.write(f"qcohere: internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 def entry():
+    # the process ends after main(), so the objects the imports made live until
+    # then: in the permanent generation, the collections at shutdown and in
+    # forked pool workers skip them.  Library callers and main() freeze nothing
+    gc.freeze()
     sys.exit(main())
 
 

@@ -403,8 +403,9 @@ class EnsembleSpec:
 # seed_seq hash, draws PCG64's 128-bit seed and stream from the pool, and
 # PCG64 takes two steps of its LCG (pcg64_srandom_r; O'Neill, "PCG: A Family
 # of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-# Number Generation", 2014).  A chunk mixes the seed's words once, the index
-# words as uint32 arrays, and steps the LCG on arrays of uint64 limbs.
+# Number Generation", 2014).  A chunk mixes the seed's words once, each index
+# word into all four pool words as one (4, N) uint32 array, and steps the LCG
+# on arrays of uint64 limbs.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -421,6 +422,20 @@ def _hashmix(value, const: int, mult: int = _MULT_A) -> tuple:
     const = const * mult & _MASK32
     value = value * const & _MASK32
     return value ^ value >> 16, const
+
+
+def _hashmix_rows(values: np.ndarray, const: int, rows: int, mult: int = _MULT_A) -> tuple:
+    """``rows`` successive ``_hashmix`` calls as one (rows, N) uint32 array, and the next constant.
+
+    Row i hashes ``values`` (one (N,) array for every row, or a (rows, N) array) with the
+    i-th constant.  The constants depend only on the call order, so they are (rows, 1) columns.
+    """
+    consts = [const]
+    for _ in range(rows):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    value = (values ^ column[:-1]) * column[1:]
+    return value ^ value >> 16, consts[-1]
 
 
 def _mix(x, y):
@@ -449,19 +464,13 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> np.ndarray:
     # 2**32 is one word, and the indices from 2**32 on, a tail of the chunk,
     # are two
     k = np.arange(lo, hi, dtype=np.uint64)
-    pools = [np.full(hi - lo, h, dtype=np.uint32) for h in pool]
+    pools = np.array(pool, dtype=np.uint32)[:, None].repeat(hi - lo, axis=1)
     for tail, words in ((0, k), (max(0, 2**32 - lo), k >> 32)):
-        words = (words[tail:] & _MASK32).astype(np.uint32)
-        for dst in range(4):
-            h, const = _hashmix(words, const)
-            pools[dst][tail:] = _mix(pools[dst][tail:], h)
+        h, const = _hashmix_rows((words[tail:] & _MASK32).astype(np.uint32), const, 4)
+        pools[:, tail:] = _mix(pools[:, tail:], h)
     # generate_state(4, uint64): eight hashed pool words, little-endian pairs
-    const = _INIT_B
-    out = []
-    for i in range(8):
-        h, const = _hashmix(pools[i % 4], const, _MULT_B)
-        out.append(h.astype(np.uint64))
-    seed_hi, seed_lo, seq_hi, seq_lo = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
+    out = _hashmix_rows(np.tile(pools, (2, 1)), _INIT_B, 8, _MULT_B)[0].astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
     # pcg64_srandom_r: inc = stream << 1 | 1; step; state += seed; step.  A
     # limb sum carries where its low limb wraps below an addend
     inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63

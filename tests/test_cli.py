@@ -469,9 +469,7 @@ def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch)
     assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
 
 
-def test_chunk_seeding_mismatch_exits_70_and_keeps_the_out_file(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "scatter.csv"
-    out.write_bytes(b"previous contents\n")
+def _seeding_one_bit_off(monkeypatch):
     replica = states._pcg64_states
 
     def one_bit_off(seed, lo, hi):
@@ -480,13 +478,42 @@ def test_chunk_seeding_mismatch_exits_70_and_keeps_the_out_file(tmp_path, capsys
         return rows
 
     monkeypatch.setattr(states, "_pcg64_states", one_bit_off)
+
+
+def _spin_flip_not_psd(monkeypatch):
+    # an error no handler of main() names: it must not exit 1, the violation code
+    clamp = linalg.clamp_psd_eigenvalues
+
+    def reject_spin_flip(w, context="matrix"):
+        if context.startswith("spin-flip"):
+            raise linalg.NotPsdError(f"{context} is not positive semidefinite: injected")
+        return clamp(w, context)
+
+    monkeypatch.setattr(linalg, "clamp_psd_eigenvalues", reject_spin_flip)
+
+
+@pytest.mark.parametrize(
+    "fault, argv, message",
+    [
+        (_seeding_one_bit_off, ["sample", "--ensemble", "ginibre"],
+         "qcohere: internal error: chunk seeding disagrees"),
+        (_spin_flip_not_psd, ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre"],
+         "qcohere: internal error: NotPsdError: spin-flip product spectrum is not positive"),
+    ],
+    ids=["seeding", "not-psd"],
+)
+def test_internal_failure_exits_70_and_keeps_the_out_file(
+    tmp_path, capsys, monkeypatch, fault, argv, message
+):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"previous contents\n")
+    fault(monkeypatch)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    code, _, err = run(capsys, ["sample", "--n", "50", "--ensemble", "ginibre", "--seed", "7",
-                                "--out", str(out)])
+    code, _, err = run(capsys, [*argv, "--n", "50", "--seed", "7", "--out", str(out)])
     assert code == cli.EXIT_SOFTWARE == 70
-    assert err.startswith("qcohere: internal error: chunk seeding disagrees")
+    assert err.startswith(message)
     assert out.read_bytes() == b"previous contents\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 # SHA-256 of the data section (every non-comment line, newline-terminated).

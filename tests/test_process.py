@@ -81,7 +81,7 @@ _ENTRIES = {
 @pytest.mark.parametrize("entry", list(_ENTRIES))
 @pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")], ids=["unset", "caller"])
 def test_the_cli_runs_blas_on_one_thread_unless_the_caller_says(entry, caller, expected):
-    code = "import json, os, sys\n" + textwrap.dedent(_ENTRIES[entry]) + textwrap.dedent(
+    code = "import gc, json, os, sys\n" + textwrap.dedent(_ENTRIES[entry]) + textwrap.dedent(
         """
         status = "/proc/self/status"
         threads = None
@@ -90,11 +90,14 @@ def test_the_cli_runs_blas_on_one_thread_unless_the_caller_says(entry, caller, e
                 threads = next(int(l.split()[1]) for l in fh if l.startswith("Threads:"))
         print(json.dumps({"numpy": "numpy" in sys.modules,
                           "value": os.environ.get("OPENBLAS_NUM_THREADS"),
-                          "threads": threads}))
+                          "threads": threads,
+                          "frozen": gc.get_freeze_count()}))
         """
     )
     result = _run(code, blas_threads=caller)
     assert result["numpy"] and result["value"] == expected
+    # only the entry point freezes the import-time heap; an import leaves the collector alone
+    assert (result["frozen"] > 0) == (entry == "python-m"), result["frozen"]
     if caller is None:
         if result["threads"] is None:
             pytest.skip("no /proc/self/status to count the process's threads")

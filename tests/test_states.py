@@ -241,9 +241,17 @@ def _rows_one_generator_each(seed, lo, hi, size):
 
 # the edge cases of numpy's split of the entropy into 32-bit words: seeds of
 # one and two words, indices of one and two words, and a chunk that straddles
-# 2**32; the indices 0, 1, 2**32-1, 2**32 and 10**6 sit past the first row
+# 2**32; the indices 0, 1, 2**32-1, 2**32 and 10**6 sit past the first row.
+# The one-row chunks, as worst-case redraws take them, sit on each side of
+# 2**32: the first has no two-word index, the second nothing else.
 CORPUS_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
-CORPUS_CHUNKS = ((0, 3), (2**32 - 2, 2**32 + 2), (10**6 - 1, 10**6 + 2))
+CORPUS_CHUNKS = (
+    (0, 3),
+    (2**32 - 2, 2**32 + 2),
+    (10**6 - 1, 10**6 + 2),
+    (2**32 - 1, 2**32),
+    (2**32, 2**32 + 1),
+)
 CORPUS_KINDS = (("haar-pure", 4), ("ginibre", 2), ("ginibre", 4))  # rows of 4, 8 and 16
 
 
