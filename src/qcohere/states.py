@@ -416,8 +416,8 @@ _MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645
 _LOW32, _MULT_LO_HI, _MULT_LO_LO = np.uint64(_MASK32), np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A) -> tuple:
-    """seed_seq's hash of ``value`` (an int or a uint32 array) and the next hash constant."""
+def _hashmix(value, const, mult: int = _MULT_A) -> tuple:
+    """seed_seq's hash of ``value`` and the next hash constant; ints or uint32 arrays."""
     value = value ^ const
     const = const * mult & _MASK32
     value = value * const & _MASK32
@@ -428,14 +428,13 @@ def _hashmix_rows(values: np.ndarray, const: int, rows: int, mult: int = _MULT_A
     """``rows`` successive ``_hashmix`` calls as one (rows, N) uint32 array, and the next constant.
 
     Row i hashes ``values`` (one (N,) array for every row, or a (rows, N) array) with the
-    i-th constant.  The constants depend only on the call order, so they are (rows, 1) columns.
+    i-th constant.  The constants depend only on the call order, so they are one (rows, 1) column.
     """
     consts = [const]
-    for _ in range(rows):
+    for _ in range(rows - 1):
         consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    value = (values ^ column[:-1]) * column[1:]
-    return value ^ value >> 16, consts[-1]
+    h, after = _hashmix(values, np.array(consts, dtype=np.uint32)[:, None], mult)
+    return h, int(after[-1, 0])
 
 
 def _mix(x, y):
