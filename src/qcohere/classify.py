@@ -16,7 +16,9 @@ check that fails names the first failing point of a stack.
 """
 
 import os
-from collections import defaultdict, deque
+import pickle
+import signal
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,10 +412,10 @@ def sweep_columns(p: CanonicalThreeQubit) -> tuple:
 # One engine serves every ensemble command.  The indices 0..count-1 are cut
 # into chunks of CHUNK_SIZE states; a private chunk evaluator draws a chunk
 # as one (N, 4, 4) stack and computes its measures as arrays, inline at one
-# worker, or at more in a process pool with WINDOW_PER_WORKER chunks per
-# worker in flight.  The chunks come back in index order and the caller
-# folds them into Tally objects, so the output is the same for any worker
-# count and any chunk size, and memory does not grow with the count.
+# worker, or at more in forked workers that take the chunks in turn.  The
+# chunks come back in index order and the caller folds them into Tally
+# objects, so the output is the same for any worker count and any chunk
+# size, and memory does not grow with the count.
 #
 # The bound under the one-norm audit says the induced column 1-norm of a
 # two-qubit state never exceeds its l1-coherence.  Two summation
@@ -429,7 +431,6 @@ READING_A = "A"
 READING_B = "B"
 
 CHUNK_SIZE = 256
-WINDOW_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -548,14 +549,15 @@ class Tally:
         return WorstCase(margin=self.margin, sample_index=self.index, state=state)
 
 
-def _evaluate_chunk(job) -> tuple:
-    """(lo, ``evaluate`` of the stack of states lo..hi-1).
+def _evaluate_chunks(spec: EnsembleSpec, evaluate, los):
+    """(lo, ``evaluate`` of the stack of states lo..hi-1) for each chunk start in ``los``.
 
     ``ensemble_chunk`` is looked up by name, so a wrapper set on this module
     sees each draw.
     """
-    evaluate, kind, seed, rank, lo, hi = job
-    return lo, evaluate(ensemble_chunk(kind, seed, lo, hi, rank))
+    for lo in los:
+        hi = min(lo + CHUNK_SIZE, spec.count)
+        yield lo, evaluate(ensemble_chunk(spec.kind, spec.seed, lo, hi, spec.rank))
 
 
 def _cpu_count() -> int:
@@ -566,39 +568,74 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _process_pool(workers: int):
-    # imported here so that runs at one worker never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _start_worker(results, inherited) -> tuple:
+    """Fork a worker that sends ``results`` in turn: (read end of its pipe, its pid).
 
-    return ProcessPoolExecutor(max_workers=workers)
+    It pickles (True, result) into the pipe for each, or (False, exception)
+    and stops; a full pipe blocks it.  It closes the ``inherited`` read ends
+    and leaves through ``os._exit``, so it runs no exit handler and flushes
+    no buffer of this process's.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for fd in (read, *inherited):
+                os.close(fd)
+            with open(write, "wb") as out:
+                try:
+                    for result in results:
+                        out.write(pickle.dumps((True, result)))
+                        out.flush()
+                except Exception as exc:
+                    try:  # an exception that does not round-trip is sent as its text
+                        error = pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    out.write(pickle.dumps((False, error)))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    return os.fdopen(read, "rb"), pid
 
 
 def _map_chunks(spec: EnsembleSpec, evaluate, workers: int):
     """Yield (lo, ``evaluate(states lo..hi-1)``) for the chunks of ``spec``, in index order.
 
-    The pool starts at most one process per chunk and per usable CPU: a
-    forking pool starts all of its processes at the first submission.
+    At most one worker is forked per chunk and per usable CPU.  Worker w of
+    W takes chunks w, w + W, ..., and chunk k is read from pipe k % W, so
+    the pipes bound the chunks in flight.  Every worker is reaped however
+    the pass ends; after a full pass each must have exited with status 0.
     """
-    size = CHUNK_SIZE
-    jobs = (
-        (evaluate, spec.kind, spec.seed, spec.rank, lo, min(lo + size, spec.count))
-        for lo in range(0, spec.count, size)
-    )
-    workers = min(workers, -(-spec.count // size), _cpu_count())
-    if workers <= 1:
-        yield from map(_evaluate_chunk, jobs)
+    los = range(0, spec.count, CHUNK_SIZE)
+    workers = min(workers, len(los), _cpu_count())
+    if workers <= 1 or not hasattr(os, "fork"):
+        yield from _evaluate_chunks(spec, evaluate, los)
         return
-    pool = _process_pool(workers)
+    started, received = [], 0
     try:
-        window = deque()
-        for job in jobs:
-            window.append(pool.submit(_evaluate_chunk, job))
-            if len(window) == WINDOW_PER_WORKER * workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+        for w in range(workers):
+            results = _evaluate_chunks(spec, evaluate, los[w::workers])
+            started.append(_start_worker(results, [pipe.fileno() for pipe, _ in started]))
+        for k in range(len(los)):
+            try:
+                ok, value = pickle.load(started[k % workers][0])
+            except (EOFError, pickle.UnpicklingError):
+                break  # that worker has ended; its exit code is reported below
+            if not ok:
+                raise value
+            received += 1
+            yield value
     finally:
-        pool.shutdown(cancel_futures=True)
+        # a worker that has exited already keeps its status through the kill
+        for pipe, pid in started:
+            pipe.close()
+            if received < len(los):
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for _, pid in started]
+    if received < len(los) or any(codes):
+        raise RuntimeError(f"ensemble worker exit codes {codes} after {received}/{len(los)} chunks")
 
 
 def _scatter_chunk(rho: DensityMatrix) -> tuple:

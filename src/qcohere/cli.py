@@ -37,8 +37,10 @@ BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 # numpy's OpenBLAS starts a worker thread per further core as it loads.  Every
 # product here is a stack of 4x4 or 8x8 matrices, too small to reach them, yet
 # on a 2-core box the idle worker spins for 0.1-0.17 s of CPU per process.  So
-# numpy, imported just below and in any pool worker, loads with one thread; a
-# value the caller set wins.
+# numpy, imported just below, loads with one thread; a value the caller set
+# wins.  numpy reads it only then, so if numpy was loaded before this module,
+# the run header says ``unknown``.
+_NUMPY_CAME_FIRST = "numpy" in sys.modules
 os.environ.setdefault(BLAS_THREADS_ENV, "1")
 
 import numpy as np  # noqa: E402
@@ -78,7 +80,7 @@ def _run_header(command, seed=None, ensemble=None, count=None, workers=None) -> 
         "count": count,
         "generator": states.GENERATOR_NAME if seed is not None else None,
         "workers": workers,
-        "blas_threads": os.environ.get(BLAS_THREADS_ENV),
+        "blas_threads": "unknown" if _NUMPY_CAME_FIRST else os.environ.get(BLAS_THREADS_ENV),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from concurrent.futures import Future
+import os
+import time
 
 import numpy as np
 import pytest
@@ -287,74 +288,106 @@ def test_one_norm_bound_audit_records():
     assert margin_a == pytest.approx(worst.margin, abs=1e-12)
 
 
-class InlineExecutor:
-    """Stands in for the process pool: runs each chunk when it is submitted."""
-
-    def __init__(self, workers):
-        self.workers = workers
-        self.submitted = []
-
-    def submit(self, fn, job):
-        self.submitted.append(job)
-        future = Future()
-        future.set_result(fn(job))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 @pytest.fixture
-def pools(monkeypatch):
-    """Every pool the engine starts, each an InlineExecutor; no process is started."""
+def forks(monkeypatch):
+    """One entry per worker the engine forks, each the number of read ends it inherited."""
     started = []
+    start = classify._start_worker
 
-    def start(workers):
-        started.append(InlineExecutor(workers))
-        return started[-1]
+    def counting(results, inherited):
+        started.append(len(inherited))
+        return start(results, inherited)
 
-    monkeypatch.setattr(classify, "_process_pool", start)
+    monkeypatch.setattr(classify, "_start_worker", counting)
     return started
 
 
-def test_pool_holds_a_bounded_window_of_chunks(monkeypatch, pools):
+def _scatter_chunks(spec, workers):
+    return [(conc.tolist(), coh.tolist()) for conc, coh in
+            classify.scatter(spec, classify.Tally(), workers=workers)]
+
+
+def test_forked_chunks_are_the_inline_chunks(monkeypatch, forks):
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
     monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
     spec = EnsembleSpec(kind="haar-pure", seed=3, count=100)
-    inline = [
-        (conc.tolist(), coh.tolist())
-        for conc, coh in classify.scatter(spec, classify.Tally(), workers=1)
-    ]
-    assert pools == []  # the 1-worker path starts no pool
-
-    unconsumed, pooled = [], []
-    for k, (conc, coh) in enumerate(classify.scatter(spec, classify.Tally(), workers=2)):
-        # chunks submitted minus chunks already consumed
-        unconsumed.append(len(pools[0].submitted) - k)
-        pooled.append((conc.tolist(), coh.tolist()))
-    assert max(unconsumed) == classify.WINDOW_PER_WORKER * 2
-    assert len(pools) == 1 and len(pools[0].submitted) == 25
-    assert pooled == inline
+    inline = _scatter_chunks(spec, workers=1)
+    assert forks == []  # the 1-worker path forks nothing
+    assert _scatter_chunks(spec, workers=2) == inline
+    assert forks == [0, 1]  # the second worker closes the first one's read end
+    with pytest.raises(ChildProcessError):  # both were reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
     "workers, count, cpus, started",
     [
-        (5000, 300, 2, [2]),  # the CPUs this process may use
-        (5000, 10, 64, [3]),  # one process per chunk of 4 states
-        (3, 300, 64, [3]),  # the worker count asked for
-        (5000, 4, 64, []),  # one chunk is evaluated inline
+        (5000, 300, 2, 2),  # the CPUs this process may use
+        (5000, 10, 64, 3),  # one worker per chunk of 4 states
+        (3, 300, 64, 3),  # the worker count asked for
+        (5000, 4, 64, 0),  # one chunk is evaluated inline
     ],
 )
-def test_pool_starts_at_most_one_process_per_chunk_and_cpu(
-    monkeypatch, pools, workers, count, cpus, started
+def test_engine_forks_at_most_one_worker_per_chunk_and_cpu(
+    monkeypatch, forks, workers, count, cpus, started
 ):
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
     monkeypatch.setattr(classify, "_cpu_count", lambda: cpus)
     spec = EnsembleSpec(kind="haar-pure", seed=3, count=count)
-    chunks = list(classify.scatter(spec, classify.Tally(), workers=workers))
+    chunks = _scatter_chunks(spec, workers=workers)
     assert sum(len(conc) for conc, _ in chunks) == count
-    assert [pool.workers for pool in pools] == started
+    assert len(forks) == started
+
+
+def test_chunks_come_back_in_index_order_when_a_worker_lags(monkeypatch):
+    draw = classify.ensemble_chunk
+
+    def slow_first_chunk(kind, seed, lo, hi, rank):
+        if lo == 0:  # worker 0's first chunk: worker 1 runs ahead meanwhile
+            time.sleep(0.3)
+        return draw(kind, seed, lo, hi, rank)
+
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+    spec = EnsembleSpec(kind="ginibre", seed=5, count=40)
+    inline = _scatter_chunks(spec, workers=1)
+    monkeypatch.setattr(classify, "ensemble_chunk", slow_first_chunk)
+    los = [lo for lo, _ in classify._map_chunks(spec, classify._scatter_chunk, workers=2)]
+    assert los == list(range(0, 40, 4))
+    assert _scatter_chunks(spec, workers=2) == inline
+
+
+class _NeedsTwoArguments(Exception):
+    """Pickles, but does not unpickle: its constructor wants two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def test_a_worker_sends_an_exception_that_does_not_round_trip_as_its_text(monkeypatch):
+    def fail(kind, seed, lo, hi, rank):
+        raise _NeedsTwoArguments("bad draw", lo)
+
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(classify, "ensemble_chunk", fail)
+    spec = EnsembleSpec(kind="haar-pure", seed=3, count=20)
+    with pytest.raises(RuntimeError, match=r"^_NeedsTwoArguments: bad draw at 0$"):
+        _scatter_chunks(spec, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_closing_the_scatter_early_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+    # 40 chunks of 256 states: the workers are still evaluating, or blocked on
+    # a full pipe, when the first chunk arrives
+    spec = EnsembleSpec(kind="ginibre", seed=5, count=40 * classify.CHUNK_SIZE)
+    chunks = classify.scatter(spec, classify.Tally(), workers=2)
+    next(chunks)
+    chunks.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_tally_keeps_the_earliest_extreme():

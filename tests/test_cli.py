@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +95,8 @@ def test_sample_header_comments_embed_run_metadata(tmp_path, capsys):
 
 
 def test_audit_header_names_workers_and_versions(capsys, monkeypatch):
+    # this process loaded numpy before the CLI module; a CLI process does not
+    monkeypatch.setattr(cli, "_NUMPY_CAME_FIRST", False)
     monkeypatch.setenv(cli.WORKERS_ENV, "2")
     monkeypatch.setenv(cli.BLAS_THREADS_ENV, "3")
     _, stdout, _ = run(capsys, ["audit", "--target", "appendix-a", "--n", "20",
@@ -106,6 +110,7 @@ def test_audit_header_names_workers_and_versions(capsys, monkeypatch):
 
 
 def test_header_blas_threads_is_none_without_the_variable(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_NUMPY_CAME_FIRST", False)
     monkeypatch.delenv(cli.BLAS_THREADS_ENV, raising=False)
     _, stdout, _ = run(capsys, ["classify", "--lambdas", "0.3,0.2,0.25,0.35,auto"])
     assert json.loads(stdout)["run_header"]["blas_threads"] is None
@@ -467,6 +472,52 @@ def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch)
     assert "did not converge" in err
     assert out.read_text() == "previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
+
+
+def _ensemble_failure(tmp_path, capsys, monkeypatch, workers):
+    """Exit code and first stderr line of a failing 50-state ginibre ``sample`` in 13 chunks."""
+    out = tmp_path / "scatter.csv"
+    out.write_text("previous contents\n")
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+    monkeypatch.setenv(cli.WORKERS_ENV, str(workers))
+    code, _, err = run(capsys, ["sample", "--n", "50", "--ensemble", "ginibre", "--seed", "7",
+                                "--out", str(out)])
+    assert out.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
+    return code, err.splitlines()[0]
+
+
+def test_a_failing_worker_exits_70_as_the_inline_run_does(tmp_path, capsys, monkeypatch):
+    # set before the workers are forked, so each of them fails on its first chunk
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    inline = _ensemble_failure(tmp_path, capsys, monkeypatch, workers=1)
+    assert inline[0] == cli.EXIT_SOFTWARE == 70
+    assert "did not converge" in inline[1]
+    assert _ensemble_failure(tmp_path, capsys, monkeypatch, workers=2) == inline
+
+
+def test_a_worker_that_dies_exits_70_naming_its_status(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    draw = classify.ensemble_chunk
+
+    def die_in_a_worker(kind, seed, lo, hi, rank):
+        # chunk 1 is worker 1's first: it ends without writing anything
+        if lo == 4 and os.getpid() != parent:
+            os._exit(3)
+        return draw(kind, seed, lo, hi, rank)
+
+    monkeypatch.setattr(classify, "ensemble_chunk", die_in_a_worker)
+    code, first = _ensemble_failure(tmp_path, capsys, monkeypatch, workers=2)
+    assert code == cli.EXIT_SOFTWARE
+    # worker 0 was killed, unless it had sent all of its chunks and exited
+    assert re.fullmatch(
+        r"qcohere: internal error: RuntimeError: "
+        r"ensemble worker exit codes \[(0|-9), 3\] after 1/13 chunks",
+        first,
+    ), first
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _seeding_one_bit_off(monkeypatch):

@@ -102,3 +102,39 @@ def test_the_cli_runs_blas_on_one_thread_unless_the_caller_says(entry, caller, e
         if result["threads"] is None:
             pytest.skip("no /proc/self/status to count the process's threads")
         assert result["threads"] == 1
+
+
+@pytest.mark.parametrize("numpy_first, expected", [(True, "unknown"), (False, "1")])
+def test_the_header_says_unknown_when_numpy_was_loaded_before_the_cli(numpy_first, expected):
+    # numpy reads the thread variable only as it loads, so the CLI's own setting
+    # says nothing about a numpy that was already loaded
+    code = ("import numpy\n" if numpy_first else "") + textwrap.dedent(
+        """
+        import json
+        from qcohere import cli
+        print(json.dumps({"blas_threads": cli._run_header("x")["blas_threads"]}))
+        """
+    )
+    assert _run(code)["blas_threads"] == expected
+
+
+def test_a_forked_run_loads_no_multiprocessing(tmp_path):
+    # the workers are forked by the engine itself, so no start method is involved
+    result = _run(
+        f"""
+        import contextlib, io, json, os, sys
+        from qcohere import classify, cli
+        classify._cpu_count = lambda: 2
+        os.environ["QCOHERE_WORKERS"] = "2"
+        forks = []
+        start = classify._start_worker
+        classify._start_worker = lambda *args: forks.append(1) or start(*args)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["sample", "--n", "600", "--seed", "1",
+                             "--out", {str(tmp_path / "w2.csv")!r}])
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] in
+                        ("multiprocessing", "concurrent"))
+        print(json.dumps({{"code": code, "forks": len(forks), "loaded": loaded}}))
+        """
+    )
+    assert result == {"code": 0, "forks": 2, "loaded": []}
