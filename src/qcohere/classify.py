@@ -17,7 +17,6 @@ check that fails names the first failing point of a stack.
 
 import os
 import pickle
-import signal
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -613,6 +612,7 @@ def _map_chunks(spec: EnsembleSpec, evaluate, workers: int):
     if workers <= 1 or not hasattr(os, "fork"):
         yield from _evaluate_chunks(spec, evaluate, los)
         return
+    import signal  # here, so that no other run pays for loading it
     started, received = [], 0
     try:
         for w in range(workers):

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import faulthandler
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,14 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(linalg, "hermitian_eigen", counting)
     return shapes
+
+
+@pytest.fixture
+def deadline():
+    """End the run, with every thread's traceback, if the test is still running after 60 s.
+
+    For tests that wait on forked workers, where a fault would hang, not fail.
+    """
+    faulthandler.dump_traceback_later(60, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()

@@ -307,6 +307,7 @@ def _scatter_chunks(spec, workers):
             classify.scatter(spec, classify.Tally(), workers=workers)]
 
 
+@pytest.mark.usefixtures("deadline")
 def test_forked_chunks_are_the_inline_chunks(monkeypatch, forks):
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
     monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
@@ -339,6 +340,7 @@ def test_engine_forks_at_most_one_worker_per_chunk_and_cpu(
     assert len(forks) == started
 
 
+@pytest.mark.usefixtures("deadline")
 def test_chunks_come_back_in_index_order_when_a_worker_lags(monkeypatch):
     draw = classify.ensemble_chunk
 
@@ -364,6 +366,7 @@ class _NeedsTwoArguments(Exception):
         super().__init__(f"{what} at {where}")
 
 
+@pytest.mark.usefixtures("deadline")
 def test_a_worker_sends_an_exception_that_does_not_round_trip_as_its_text(monkeypatch):
     def fail(kind, seed, lo, hi, rank):
         raise _NeedsTwoArguments("bad draw", lo)
@@ -378,6 +381,26 @@ def test_a_worker_sends_an_exception_that_does_not_round_trip_as_its_text(monkey
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("deadline")
+def test_a_worker_that_exits_nonzero_after_a_full_pass_fails_the_pass(monkeypatch):
+    start = classify._start_worker
+
+    def then_interrupt(results):
+        yield from results
+        # not an Exception, so nothing is sent: the worker leaves through os._exit(1)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(
+        classify, "_start_worker", lambda results, inherited: start(then_interrupt(results), inherited)
+    )
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+    spec = EnsembleSpec(kind="haar-pure", seed=3, count=20)
+    with pytest.raises(RuntimeError, match=r"exit codes \[1, 1\] after 5/5 chunks"):
+        _scatter_chunks(spec, workers=2)
+
+
+@pytest.mark.usefixtures("deadline")
 def test_closing_the_scatter_early_leaves_no_worker(monkeypatch):
     monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
     # 40 chunks of 256 states: the workers are still evaluating, or blocked on

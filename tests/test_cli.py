@@ -488,6 +488,7 @@ def _ensemble_failure(tmp_path, capsys, monkeypatch, workers):
     return code, err.splitlines()[0]
 
 
+@pytest.mark.usefixtures("deadline")
 def test_a_failing_worker_exits_70_as_the_inline_run_does(tmp_path, capsys, monkeypatch):
     # set before the workers are forked, so each of them fails on its first chunk
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
@@ -497,6 +498,7 @@ def test_a_failing_worker_exits_70_as_the_inline_run_does(tmp_path, capsys, monk
     assert _ensemble_failure(tmp_path, capsys, monkeypatch, workers=2) == inline
 
 
+@pytest.mark.usefixtures("deadline")
 def test_a_worker_that_dies_exits_70_naming_its_status(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
     draw = classify.ensemble_chunk
