@@ -573,7 +573,7 @@ def _start_worker(results, inherited) -> tuple:
     It pickles (True, result) into the pipe for each, or (False, exception)
     and stops; a full pipe blocks it.  It closes the ``inherited`` read ends
     and leaves through ``os._exit``, so it runs no exit handler and flushes
-    no buffer of this process's.
+    none of the output buffers it was forked with.
     """
     read, write = os.pipe()
     pid = os.fork()

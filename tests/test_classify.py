@@ -349,14 +349,18 @@ def test_chunks_come_back_in_index_order_when_a_worker_lags(monkeypatch):
             time.sleep(0.3)
         return draw(kind, seed, lo, hi, rank)
 
+    def chunks(workers):
+        pairs = classify._map_chunks(spec, classify._scatter_chunk, workers)
+        return [(lo, conc.tolist(), coh.tolist()) for lo, (conc, coh) in pairs]
+
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
     monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
     spec = EnsembleSpec(kind="ginibre", seed=5, count=40)
-    inline = _scatter_chunks(spec, workers=1)
+    inline = chunks(workers=1)
     monkeypatch.setattr(classify, "ensemble_chunk", slow_first_chunk)
-    los = [lo for lo, _ in classify._map_chunks(spec, classify._scatter_chunk, workers=2)]
-    assert los == list(range(0, 40, 4))
-    assert _scatter_chunks(spec, workers=2) == inline
+    forked = chunks(workers=2)
+    assert [lo for lo, _, _ in forked] == list(range(0, 40, 4))
+    assert forked == inline
 
 
 class _NeedsTwoArguments(Exception):
