@@ -219,12 +219,7 @@ def _add_point_flags(sub):
     sub.add_argument(
         "--lambdas",
         required=True,
-        help="comma-separated amplitudes: five values, or four plus --normalize-last (or 'auto')",
-    )
-    sub.add_argument(
-        "--normalize-last",
-        action="store_true",
-        help="complete the fifth amplitude from normalization",
+        help="five comma-separated amplitudes, or four (or 'auto' as the fifth) completing lambda4",
     )
     sub.add_argument("--theta", type=float, default=0.0, help="phase in [0, pi]")
 
@@ -273,7 +268,7 @@ def _canonical_row(data: dict) -> tuple:
 
 
 def _cmd_canonical(args) -> int:
-    p = states.parse_lambdas(args.lambdas, args.normalize_last, args.theta)
+    p = states.parse_lambdas(args.lambdas, args.theta)
     data = measures.canonical_report(p)
     header = _run_header("canonical")
     if args.format == "csv":
@@ -288,7 +283,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    p = states.parse_lambdas(args.lambdas, args.normalize_last, args.theta)
+    p = states.parse_lambdas(args.lambdas, args.theta)
     report = classify.discriminate(p)
     _write_json(None, _run_header("classify"), report.to_json_dict())
     return EXIT_OK

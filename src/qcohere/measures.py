@@ -232,11 +232,17 @@ def tangle_analytic(p: CanonicalThreeQubit) -> float:
 
 
 def _reductions(psi: PureState) -> tuple:
-    """AB, AC and A reductions of a three-qubit pure state, from one projector."""
+    """The AB and AC reductions of a three-qubit pure state as one stack, and its A reduction.
+
+    All three come from one projector.  The stack carries the 4 x 2 factors
+    of its two states: both partial concurrences take two 2 x 2 solves.
+    """
     if psi.dim != 8:
         raise MeasureError(f"expected a three-qubit pure state, got dim {psi.dim}")
     rho = psi.density()
-    return tuple(partial_trace(rho, (2, 2, 2), keep) for keep in ((0, 1), (0, 2), (0,)))
+    ab, ac, a = (partial_trace(rho, (2, 2, 2), keep) for keep in ((0, 1), (0, 2), (0,)))
+    factors = np.stack([ab.factor, ac.factor])
+    return DensityMatrix._lazy(np.stack([ab.matrix, ac.matrix]), factor=factors), a
 
 
 def _cut_concurrence(rho_a: DensityMatrix) -> float:
@@ -277,23 +283,15 @@ def _tangle(c_cut: float, c_ab: float, c_ac: float) -> float:
     return max(t, 0.0)
 
 
-def _pair_concurrences(rho_ab: DensityMatrix, rho_ac: DensityMatrix) -> tuple:
-    """(C_AB, C_AC), solved as one stack of the two reductions and their factors."""
-    pair = DensityMatrix._lazy(
-        np.stack([rho_ab.matrix, rho_ac.matrix]), factor=np.stack([rho_ab.factor, rho_ac.factor])
-    )
-    c_ab, c_ac = concurrence(pair)
-    return float(c_ab), float(c_ac)
-
-
 def tangle_residual(psi: PureState) -> float:
     """Residual three-way entanglement C_A(BC)^2 - C_AB^2 - C_AC^2.
 
-    Partial concurrences come from the tau matrices of the numerically
-    reduced states, whose factors are the state vector folded to 4 x 2.
+    Both partial concurrences come from one stack of the tau matrices of
+    the numerically reduced states, whose factors are the state vector
+    folded to 4 x 2.
     """
-    rho_ab, rho_ac, rho_a = _reductions(psi)
-    return _tangle(_cut_concurrence(rho_a), *_pair_concurrences(rho_ab, rho_ac))
+    pair, rho_a = _reductions(psi)
+    return _tangle(_cut_concurrence(rho_a), *concurrence(pair).tolist())
 
 
 # The six canonical measures, in their serialized order.
@@ -347,24 +345,18 @@ def canonical_report(p: CanonicalThreeQubit) -> dict:
     zero-phase slice only the tangle has one, and the other five are None.
     ``residuals`` holds |analytic - matrix| for every closed form there is.
     """
-    rho_ab, rho_ac, rho_a = _reductions(canonical_state(p))
-    c_ab, c_ac = _pair_concurrences(rho_ab, rho_ac)
+    pair, rho_a = _reductions(canonical_state(p))
+    c_ab, c_ac = concurrence(pair).tolist()
+    coh_ab, coh_ac = l1_coherence(pair).tolist()
     cut = _cut_concurrence(rho_a)
-    m = CanonicalMeasures(
-        c_ab=c_ab,
-        c_ac=c_ac,
-        coh_ab=l1_coherence(rho_ab),
-        coh_ac=l1_coherence(rho_ac),
-        coh_a=l1_coherence(rho_a),
-        tangle=_tangle(cut, c_ab, c_ac),
-    )
+    m = CanonicalMeasures(c_ab, c_ac, coh_ab, coh_ac, l1_coherence(rho_a), _tangle(cut, c_ab, c_ac))
     matrix = {
         **m.to_json_dict(),
         "bipartition_concurrence": cut,
         "ckw_margin": _ckw_margin(cut, m.c_ab, m.c_ac),
         "monogamy_margin": _monogamy_margin(m.coh_ab, m.coh_ac, m.coh_a),
-        "purity_ab": rho_ab.purity(),
-        "purity_ac": rho_ac.purity(),
+        "purity_ab": pair[0].purity(),
+        "purity_ac": pair[1].purity(),
         "purity_a": rho_a.purity(),
     }
     if p.theta == 0.0:

@@ -288,8 +288,6 @@ class CanonicalThreeQubit:
     lambda4: float
     theta: float = 0.0
 
-    NORM_TOL = 1e-10
-
     def __post_init__(self):
         shapes = sorted({np.shape(v) for v in self.lambdas()})
         if len(shapes) != 1 or len(shapes[0]) > 1:
@@ -309,13 +307,14 @@ class CanonicalThreeQubit:
             raise StateError(f"{prefix}{LAMBDA_NAMES[i]} must be a non-negative real, got {value}")
         if not 0.0 <= self.theta <= math.pi:
             raise StateError(f"theta must lie in [0, pi], got {self.theta}")
+        # the pure state's tolerance: every point accepted here builds its state
         dev = abs((lam * lam).sum(axis=0) - 1.0)
-        k = linalg._first(dev > self.NORM_TOL)
+        k = linalg._first(dev > PureState.NORM_TOL)
         if k is not None:
             prefix, bad = _point(dev, k)
             raise StateError(
                 f"{prefix}squared amplitudes must sum to 1: deviation {bad:.3e},"
-                f" tolerance {self.NORM_TOL:.1e}"
+                f" tolerance {PureState.NORM_TOL:.1e}"
             )
 
     def __getitem__(self, k) -> "CanonicalThreeQubit":
@@ -605,26 +604,18 @@ def werner_state(p: float) -> DensityMatrix:
 # normalization (also asked for by ``auto`` as the fifth value).
 
 
-def parse_lambdas(
-    text: str, normalize_last: bool = False, theta: float = 0.0
-) -> CanonicalThreeQubit:
+def parse_lambdas(text: str, theta: float = 0.0) -> CanonicalThreeQubit:
     """The canonical point that an amplitude list names.
 
-    Four values, ``auto`` as the fifth, or ``normalize_last`` complete
-    lambda4 from normalization; ``normalize_last`` with five numeric values
-    is refused, since it would replace the given lambda4.  Squared
-    amplitudes that sum to 1 within 1e-8 are renormalized exactly.
+    Four values, or ``auto`` as the fifth, complete lambda4 from
+    normalization; five numbers are taken as given.  Squared amplitudes
+    that sum to 1 within 1e-8 are renormalized exactly.
     """
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) not in (4, 5):
         raise StateError(f"amplitude list needs 4 or 5 comma-separated values, got {len(parts)}")
     if len(parts) == 5 and parts[4] == "auto":
         parts = parts[:4]
-    elif len(parts) == 5 and normalize_last:
-        raise StateError(
-            "five amplitudes conflict with normalize-last, which would replace the given"
-            f" lambda4={parts[4]}: give four values, or 'auto' as the fifth"
-        )
     try:
         values = [float(piece) for piece in parts]
     except ValueError as exc:

@@ -1,11 +1,18 @@
 """Shared fixtures."""
 
 import faulthandler
+import os
+import signal
+import sys
 
-import numpy as np
-import pytest
+# numpy loads with one BLAS thread, as under the CLI, so that the tests which
+# fork (the engine, QCOHERE_WORKERS, criterion 9) fork a one-thread process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from qcohere import linalg
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from qcohere import linalg  # noqa: E402
 
 
 @pytest.fixture
@@ -27,12 +34,27 @@ def solves(monkeypatch):
     return shapes
 
 
+_TERMINAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # stderr as it is while no test captures it: a test's captured output is
+    # lost with the process that the deadline ends
+    config.stash[_TERMINAL_STDERR] = os.dup(2)
+
+
 @pytest.fixture
-def deadline():
+def deadline(request):
     """End the run, with every thread's traceback, if the test is still running after 60 s.
 
     For tests that wait on forked workers, where a fault would hang, not fail.
+    The alarm starts no watchdog thread, so the test still forks from one.
     """
-    faulthandler.dump_traceback_later(60, exit=True)
+    if sys.platform == "linux":
+        assert len(os.listdir("/proc/self/task")) == 1, "the test would fork a threaded process"
+    stderr = request.config.stash[_TERMINAL_STDERR]
+    faulthandler.register(signal.SIGALRM, file=stderr, all_threads=True, chain=True)
+    signal.alarm(60)
     yield
-    faulthandler.cancel_dump_traceback_later()
+    signal.alarm(0)
+    faulthandler.unregister(signal.SIGALRM)

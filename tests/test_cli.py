@@ -131,8 +131,7 @@ def test_sample_sharded_run_matches_single_worker(tmp_path, capsys, monkeypatch)
 
 
 def test_canonical_example_values(capsys):
-    code, stdout, _ = run(capsys, ["canonical", "--lambdas", "0.6,0.2,0.3,0.5",
-                                   "--normalize-last", "--theta", "0"])
+    code, stdout, _ = run(capsys, ["canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--theta", "0"])
     assert code == 0
     data = json_data(stdout)
     assert data["analytic"]["coh_ab"] == pytest.approx(1.345941, abs=1e-6)
@@ -152,7 +151,7 @@ def test_canonical_ghz_tangle(capsys):
 
 def test_canonical_nonzero_phase_compares_tangle_only(capsys):
     code, stdout, _ = run(capsys, ["canonical", "--lambdas", "0.6,0.2,0.3,0.5",
-                                   "--normalize-last", "--theta", "1.0471976"])
+                                   "--theta", "1.0471976"])
     assert code == 0
     data = json_data(stdout)
     assert data["analytic"]["c_ab"] is None
@@ -176,15 +175,13 @@ def test_canonical_rejects_bad_normalization(capsys):
 
 
 @pytest.mark.parametrize("command", ["canonical", "classify"])
-def test_five_values_conflict_with_normalize_last(capsys, command):
-    code, stdout, err = run(capsys, [command, "--lambdas", "0.6,0.2,0.3,0.5,0.9",
+def test_normalize_last_is_gone_and_auto_completes_lambda4(capsys, command):
+    code, stdout, err = run(capsys, [command, "--lambdas", "0.6,0.2,0.3,0.5",
                                      "--normalize-last"])
-    assert code == 65
+    assert code == 64
     assert stdout == ""
-    assert "normalize-last" in err and "lambda4=0.9" in err
-    # 'auto' as the fifth value asks for the same completion, so it still works
-    code, stdout, _ = run(capsys, [command, "--lambdas", "0.6,0.2,0.3,0.5,auto",
-                                   "--normalize-last"])
+    assert "--normalize-last" in err
+    code, stdout, _ = run(capsys, [command, "--lambdas", "0.6,0.2,0.3,0.5,auto"])
     assert code == 0
     assert json_data(stdout)["params"]["lambdas"][4] == pytest.approx(math.sqrt(0.26), abs=1e-12)
 
@@ -199,7 +196,7 @@ def test_classify_labels(capsys):
     _, stdout, _ = run(capsys, ["classify", "--lambdas", "0.57735027,0,0.57735027,0.57735027,0"])
     assert json_data(stdout)["case_label"] == "boundary"
 
-    _, stdout, _ = run(capsys, ["classify", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last"])
+    _, stdout, _ = run(capsys, ["classify", "--lambdas", "0.6,0.2,0.3,0.5"])
     assert json_data(stdout)["case_label"] == "CaseI-W-consistent"
 
 
@@ -619,14 +616,13 @@ def test_sample_data_section_is_pinned(capsys, monkeypatch, ensemble, n, seed, r
 # concurrence moved to the tau matrix, which moved c_ab, c_ac, the tangle and
 # their residuals by at most 2.9e-14 (toward the closed forms).
 _POINT_DIGESTS = {
-    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last"):
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5"):
         "f62e9dbab426b1259cff6a83c796227a079ce0f5e285a9ac6dde551742e3e41b",
-    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--format", "csv"):
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--format", "csv"):
         "565479309c503efb08d701c7705e083a917d10305ba9547c394d815953564817",
-    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--theta", "1.0471976"):
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--theta", "1.0471976"):
         "dd044ad38b63722c3de979fc5d635e04145973b1606dcaf63e1f1286cb09a4a7",
-    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--normalize-last", "--theta", "1.0471976",
-     "--format", "csv"):
+    ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--theta", "1.0471976", "--format", "csv"):
         "5cbc2ef7f9d1a9b2593358259aebd971ca2f7d3c3c82710b3ba3ae63ef03cc6e",
     ("classify", "--lambdas", "0.3,0.2,0.25,0.35,auto"):
         "6d34f112160e302be66a22f54f229769d63ca4e0700a2af7ef7d8b2dfddf5c46",

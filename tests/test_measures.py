@@ -32,6 +32,7 @@ from qcohere.states import (
     DensityMatrix,
     OutOfFamilyError,
     PureState,
+    StateError,
     _haar_vectors,
     canonical_sample,
     canonical_state,
@@ -358,8 +359,25 @@ def test_pure_one_norm_margins_take_no_solve(solves):
 
 def test_canonical_measures_matrix_skips_the_eight_dim_solve(solves):
     # the AB and AC reductions carry 4 x 2 factors: one stack of two 2 x 2 solves
-    canonical_report(POINT_A)
-    assert solves == [(2, 2), (2, 2)]
+    for route in (canonical_report, lambda p: tangle_residual(canonical_state(p))):
+        solves.clear()
+        route(POINT_A)
+        assert solves == [(2, 2), (2, 2)]
+
+
+def test_canonical_points_check_the_tolerance_of_their_pure_state():
+    # a point refused by the pure state it becomes is refused when it is made
+    far = math.sqrt(0.5 + 5e-11)
+    with pytest.raises(StateError, match="deviation 5.000e-11, tolerance 1.0e-12"):
+        CanonicalThreeQubit(far, 0.0, 0.0, 0.0, S2)
+    zeros = np.zeros(2)
+    with pytest.raises(StateError, match="^point 1: .* tolerance 1.0e-12"):
+        CanonicalThreeQubit(np.array([S2, far]), zeros, zeros, zeros, np.array([S2, S2]))
+    # and a point accepted within it goes through every matrix route
+    near = CanonicalThreeQubit(math.sqrt(0.5 + 5e-13), 0.0, 0.0, 0.0, S2)
+    assert canonical_state(near).dim == 8
+    assert canonical_report(near)["matrix"]["tangle"] == pytest.approx(1.0, abs=1e-10)
+    assert tangle_residual(canonical_state(near)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pure_state_concurrence_takes_no_solve(solves):
