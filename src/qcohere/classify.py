@@ -12,7 +12,7 @@ The closed forms, checks and observables take one point or a stack of
 points (``CanonicalThreeQubit`` with (N,) amplitude arrays): the same
 arithmetic gives floats for the one and arrays for the other, and a
 check that fails names the first failing point of a stack.
-``sweep_columns`` evaluates a chunk of the sweep grid that way.
+``sweep_columns`` evaluates each chunk of the sweep grid that way, for ``sweep``.
 """
 
 import os
@@ -36,6 +36,7 @@ from .states import (
     CanonicalThreeQubit,
     DensityMatrix,
     EnsembleSpec,
+    StateError,
     _point,
     canonical_amplitudes,
     ensemble_chunk,
@@ -329,11 +330,6 @@ SWEEP_COLUMNS = (
 )
 
 
-# Grid points per stack; a sweep evaluates and writes one chunk at a time,
-# so only its integer grid grows with the resolution.
-SWEEP_CHUNK_SIZE = 512
-
-
 def sweep_grid(resolution: int, fixes=()) -> np.ndarray:
     """The squared-amplitude grid k_i / resolution in lexicographic order.
 
@@ -406,14 +402,28 @@ def sweep_columns(p: CanonicalThreeQubit) -> tuple:
     return dict(zip(SWEEP_COLUMNS, values, strict=True)), applies
 
 
+def sweep(grid: np.ndarray, resolution: int):
+    """The ``sweep_columns`` of each chunk of a ``sweep_grid``, evaluated as they are consumed.
+
+    An empty grid raises ``StateError`` here, before any chunk is evaluated.
+    """
+    if not len(grid):
+        raise StateError("the requested constraints admit no grid points")
+
+    def draw(lo, hi):  # lambda_i = sqrt(k_i / resolution)
+        return CanonicalThreeQubit(*np.sqrt(grid[lo:hi].T / resolution), theta=0.0)
+
+    return (columns for _, columns in _map_chunks(len(grid), draw, sweep_columns, 1))
+
+
 # --- ensemble audits --------------------------------------------------------
 #
-# One engine serves every ensemble command.  The indices 0..count-1 are cut
-# into chunks of CHUNK_SIZE states; a private chunk evaluator draws a chunk
-# as one (N, 4, 4) stack and computes its measures as arrays, inline at one
-# worker, or at more in forked workers that take the chunks in turn.  The
-# chunks come back in index order and the caller folds them into Tally
-# objects, so the output is the same for any worker count and any chunk
+# One engine serves every streamed command.  The indices 0..count-1 are cut
+# into chunks of CHUNK_SIZE; a chunk source draws a chunk as one stack, such
+# as (N, 4, 4) states, and a private evaluator computes its measures as
+# arrays, inline at one worker, or at more in forked workers that take the
+# chunks in turn.  The chunks come back in index order for the caller to fold
+# or write, so the output is the same for any worker count and any chunk
 # size, and memory does not grow with the count.
 #
 # The bound under the one-norm audit says the induced column 1-norm of a
@@ -429,7 +439,7 @@ def sweep_columns(p: CanonicalThreeQubit) -> tuple:
 READING_A = "A"
 READING_B = "B"
 
-CHUNK_SIZE = 256
+CHUNK_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -548,15 +558,10 @@ class Tally:
         return WorstCase(margin=self.margin, sample_index=self.index, state=state)
 
 
-def _evaluate_chunks(spec: EnsembleSpec, evaluate, los):
-    """(lo, ``evaluate`` of the stack of states lo..hi-1) for each chunk start in ``los``.
-
-    ``ensemble_chunk`` is looked up by name, so a wrapper set on this module
-    sees each draw.
-    """
+def _evaluate_chunks(count: int, draw, evaluate, los):
+    """(lo, ``evaluate(draw(lo, hi))``) for each chunk start lo in ``los``; hi stops at count."""
     for lo in los:
-        hi = min(lo + CHUNK_SIZE, spec.count)
-        yield lo, evaluate(ensemble_chunk(spec.kind, spec.seed, lo, hi, spec.rank))
+        yield lo, evaluate(draw(lo, min(lo + CHUNK_SIZE, count)))
 
 
 def _cpu_count() -> int:
@@ -599,24 +604,24 @@ def _start_worker(results, inherited) -> tuple:
     return os.fdopen(read, "rb"), pid
 
 
-def _map_chunks(spec: EnsembleSpec, evaluate, workers: int):
-    """Yield (lo, ``evaluate(states lo..hi-1)``) for the chunks of ``spec``, in index order.
+def _map_chunks(count: int, draw, evaluate, workers: int):
+    """Yield (lo, ``evaluate(draw(lo, hi))``) for the chunks of items 0..count-1, in index order.
 
     At most one worker is forked per chunk and per usable CPU.  Worker w of
     W takes chunks w, w + W, ..., and chunk k is read from pipe k % W, so
     the pipes bound the chunks in flight.  Every worker is reaped however
     the pass ends; after a full pass each must have exited with status 0.
     """
-    los = range(0, spec.count, CHUNK_SIZE)
+    los = range(0, count, CHUNK_SIZE)
     workers = min(workers, len(los), _cpu_count())
     if workers <= 1 or not hasattr(os, "fork"):
-        yield from _evaluate_chunks(spec, evaluate, los)
+        yield from _evaluate_chunks(count, draw, evaluate, los)
         return
     import signal  # here, so that no other run pays for loading it
     started, received = [], 0
     try:
         for w in range(workers):
-            results = _evaluate_chunks(spec, evaluate, los[w::workers])
+            results = _evaluate_chunks(count, draw, evaluate, los[w::workers])
             started.append(_start_worker(results, [pipe.fileno() for pipe, _ in started]))
         for k in range(len(los)):
             try:
@@ -636,6 +641,14 @@ def _map_chunks(spec: EnsembleSpec, evaluate, workers: int):
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for _, pid in started]
     if received < len(los) or any(codes):
         raise RuntimeError(f"ensemble worker exit codes {codes} after {received}/{len(los)} chunks")
+
+
+def _map_ensemble(spec: EnsembleSpec, evaluate, workers: int):
+    """``_map_chunks`` over ``spec``; each draw looks ``ensemble_chunk`` up, so wrappers see it."""
+    def draw(lo, hi):
+        return ensemble_chunk(spec.kind, spec.seed, lo, hi, spec.rank)
+
+    return _map_chunks(spec.count, draw, evaluate, workers)
 
 
 def _scatter_chunk(rho: DensityMatrix) -> tuple:
@@ -663,7 +676,7 @@ def scatter(spec: EnsembleSpec, tally: Tally, workers: int = 1):
     Each margin ``C_l1 - C`` goes into ``tally`` with its verdict on
     ``C <= C_l1``, the end-to-end link's verdict in ``measures``.
     """
-    for lo, (conc, coh) in _map_chunks(spec, _scatter_chunk, workers):
+    for lo, (conc, coh) in _map_ensemble(spec, _scatter_chunk, workers):
         verdict = measures._verdict(coh - conc)
         tally.fold(lo, verdict.margin, ~verdict.holds)
         yield conc, coh
@@ -672,7 +685,7 @@ def scatter(spec: EnsembleSpec, tally: Tally, workers: int = 1):
 def chain_audit(spec: EnsembleSpec, workers: int = 1) -> dict:
     """Audit every link of the inequality chain over an ensemble; records by sorted link name."""
     tallies = defaultdict(Tally)
-    for lo, verdicts in _map_chunks(spec, _chain_chunk, workers):
+    for lo, verdicts in _map_ensemble(spec, _chain_chunk, workers):
         for name, verdict in verdicts.items():
             tallies[name].fold(lo, verdict.margin, ~verdict.holds)
     return {
@@ -685,7 +698,7 @@ def one_norm_bound_audit(spec: EnsembleSpec, workers: int = 1) -> tuple:
     """Audit the one-norm bound over an ensemble; returns (reading A, reading B) records."""
     tallies = (Tally(highest=True), Tally(highest=True))
     entangled = [0, 0]
-    for lo, (margin_a, margin_b, is_entangled) in _map_chunks(spec, _one_norm_chunk, workers):
+    for lo, (margin_a, margin_b, is_entangled) in _map_ensemble(spec, _one_norm_chunk, workers):
         for i, margin in enumerate((margin_a, margin_b)):
             violated = margin > AUDIT_TOL
             tallies[i].fold(lo, margin, violated)

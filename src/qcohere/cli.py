@@ -221,7 +221,6 @@ def _add_point_flags(sub):
         required=True,
         help="five comma-separated amplitudes, or four (or 'auto' as the fifth) completing lambda4",
     )
-    sub.add_argument("--theta", type=float, default=0.0, help="phase in [0, pi]")
 
 
 # --- sample -------------------------------------------------------------------
@@ -283,8 +282,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    p = states.parse_lambdas(args.lambdas, args.theta)
-    report = classify.discriminate(p)
+    report = classify.discriminate(states.parse_lambdas(args.lambdas))
     _write_json(None, _run_header("classify"), report.to_json_dict())
     return EXIT_OK
 
@@ -377,15 +375,8 @@ def _cmd_sweep(args) -> int:
     if r < 2:
         raise _UsageError(f"--resolution must be at least 2, got {r}")
     grid = classify.sweep_grid(r, _parse_fix(args.fix))
-    if not len(grid):
-        raise states.StateError("the requested constraints admit no grid points")
-    # one text per chunk of points (amplitudes sqrt(k_i / r)): the rows stream a chunk at a time
-    size = classify.SWEEP_CHUNK_SIZE
-    chunks = (
-        states.CanonicalThreeQubit(*np.sqrt(grid[lo : lo + size].T / r), theta=0.0)
-        for lo in range(0, len(grid), size)
-    )
-    rows = (_csv_lines(*classify.sweep_columns(p)) for p in chunks)
+    # one text per chunk of points: the rows stream a chunk at a time
+    rows = (_csv_lines(*columns) for columns in classify.sweep(grid, r))
     _write_csv(args.out, _run_header("sweep", count=len(grid)), classify.SWEEP_COLUMNS, rows)
     return EXIT_OK
 
@@ -414,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate one canonical three-qubit point, closed forms beside the matrix route",
     )
     _add_point_flags(canonical)
+    canonical.add_argument("--theta", type=float, default=0.0, help="phase in [0, pi]")
     canonical.add_argument("--format", choices=("json", "csv"), default="json")
     canonical.add_argument("--out", default=None, help="output path (default: stdout)")
     canonical.set_defaults(func=_cmd_canonical)

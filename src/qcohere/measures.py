@@ -54,8 +54,8 @@ class MeasureError(ValueError):
     pass
 
 
-class NumericalInconsistencyError(MeasureError):
-    """Two routes to the same quantity disagree beyond their noise band."""
+class NumericalInconsistencyError(RuntimeError):
+    """Two routes to the same quantity disagree beyond their noise band: a fault, not an input."""
 
 
 def l1_coherence(rho: DensityMatrix):

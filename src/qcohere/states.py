@@ -402,9 +402,9 @@ class EnsembleSpec:
 # seed_seq hash, draws PCG64's 128-bit seed and stream from the pool, and
 # PCG64 takes two steps of its LCG (pcg64_srandom_r; O'Neill, "PCG: A Family
 # of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-# Number Generation", 2014).  A chunk mixes the seed's words once, each index
-# word into all four pool words as one (4, N) uint32 array, and steps the LCG
-# on arrays of uint64 limbs.
+# Number Generation", 2014).  A chunk takes the seed's pool from
+# ``SeedSequence(seed)``, mixes each index word into all four pool words as
+# one (4, N) uint32 array, and steps the LCG on arrays of uint64 limbs.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -415,25 +415,18 @@ _MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645
 _LOW32, _MULT_LO_HI, _MULT_LO_LO = np.uint64(_MASK32), np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 
 
-def _hashmix(value, const, mult: int = _MULT_A) -> tuple:
-    """seed_seq's hash of ``value`` and the next hash constant; ints or uint32 arrays."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
 def _hashmix_rows(values: np.ndarray, const: int, rows: int, mult: int = _MULT_A) -> tuple:
-    """``rows`` successive ``_hashmix`` calls as one (rows, N) uint32 array, and the next constant.
+    """``rows`` successive seed_seq hashes of uint32 ``values`` as (rows, N), and the next constant.
 
     Row i hashes ``values`` (one (N,) array for every row, or a (rows, N) array) with the
-    i-th constant.  The constants depend only on the call order, so they are one (rows, 1) column.
+    i-th constant.  The constants depend only on the call order, so they are one column.
     """
     consts = [const]
-    for _ in range(rows - 1):
+    for _ in range(rows):
         consts.append(consts[-1] * mult & _MASK32)
-    h, after = _hashmix(values, np.array(consts, dtype=np.uint32)[:, None], mult)
-    return h, int(after[-1, 0])
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    h = (values ^ c[:-1]) * c[1:]
+    return h ^ h >> 16, consts[-1]
 
 
 def _mix(x, y):
@@ -446,23 +439,15 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> np.ndarray:
 
     A row is in the order the generator holds it: state_lo, state_hi, inc_lo, inc_hi.
     """
-    # beside a spawn key the seed's words are zero-padded to the pool size,
-    # so a seed of one word and of two fill the pool alike
-    const = _INIT_A
-    pool = []
-    for word in (seed & _MASK32, seed >> 32, 0, 0):
-        h, const = _hashmix(word, const)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
+    # SeedSequence(seed) fills its pool as sample_rng's does, the seed's words
+    # zero-padded to the pool size and each pool word hashed into the others:
+    # 16 hashes in all
+    const = _INIT_A * _MULT_A**16 & _MASK32
     # then each index word is mixed into every pool word: an index below
     # 2**32 is one word, and the indices from 2**32 on, a tail of the chunk,
     # are two
     k = np.arange(lo, hi, dtype=np.uint64)
-    pools = np.array(pool, dtype=np.uint32)[:, None].repeat(hi - lo, axis=1)
+    pools = np.random.SeedSequence(seed).pool[:, None].repeat(hi - lo, axis=1)
     for tail, words in ((0, k), (max(0, 2**32 - lo), k >> 32)):
         h, const = _hashmix_rows((words[tail:] & _MASK32).astype(np.uint32), const, 4)
         pools[:, tail:] = _mix(pools[:, tail:], h)

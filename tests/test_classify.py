@@ -349,8 +349,11 @@ def test_chunks_come_back_in_index_order_when_a_worker_lags(monkeypatch):
             time.sleep(0.3)
         return draw(kind, seed, lo, hi, rank)
 
+    def source(lo, hi):  # looked up on each call, so the patch below takes effect
+        return classify.ensemble_chunk(spec.kind, spec.seed, lo, hi, spec.rank)
+
     def chunks(workers):
-        pairs = classify._map_chunks(spec, classify._scatter_chunk, workers)
+        pairs = classify._map_chunks(spec.count, source, classify._scatter_chunk, workers)
         return [(lo, conc.tolist(), coh.tolist()) for lo, (conc, coh) in pairs]
 
     monkeypatch.setattr(classify, "CHUNK_SIZE", 4)
@@ -560,3 +563,35 @@ def test_sweep_grid_is_the_filtered_lexicographic_grid(fixes):
     grid = classify.sweep_grid(r, fixes)
     assert grid.dtype == np.int64 and grid.shape == (len(expected), 5)
     assert [tuple(row) for row in grid.tolist()] == expected
+
+
+def test_sweep_walks_its_grid_in_chunks_through_the_engine(monkeypatch):
+    engine, calls, sizes = classify._map_chunks, [], []
+
+    def counting(count, draw, evaluate, workers):
+        calls.append((count, workers))
+
+        def sized(lo, hi):
+            sizes.append(hi - lo)
+            return draw(lo, hi)
+
+        return engine(count, sized, evaluate, workers)
+
+    monkeypatch.setattr(classify, "CHUNK_SIZE", 7)
+    monkeypatch.setattr(classify, "_map_chunks", counting)
+    r = 7
+    grid = classify.sweep_grid(r)
+    with pytest.raises(StateError, match="admit no grid points"):
+        classify.sweep(grid[:0], r)
+    assert calls == []
+    chunks = list(classify.sweep(grid, r))
+    assert calls == [(len(grid), 1)]
+    assert len(chunks) == len(sizes) == math.ceil(len(grid) / 7) == 48
+    assert sizes == [7] * 47 + [len(grid) - 7 * 47]
+    # the chunks' columns, joined, are those of the whole grid as one stack
+    whole, applies = classify.sweep_columns(CanonicalThreeQubit(*np.sqrt(grid.T / r), theta=0.0))
+    for name, column in whole.items():
+        joined = np.concatenate([columns[name] for columns, _ in chunks])
+        assert joined.tobytes() == column.tobytes(), name
+    for name, mask in applies.items():
+        assert np.concatenate([a[name] for _, a in chunks]).tolist() == mask.tolist(), name

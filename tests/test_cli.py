@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from qcohere import classify, cli, linalg, states
+from qcohere import classify, cli, linalg, measures, states
 from qcohere.states import CanonicalThreeQubit, PureState, _haar_vectors, werner_state
 
 
@@ -116,6 +116,7 @@ def test_header_blas_threads_is_none_without_the_variable(capsys, monkeypatch):
     assert json.loads(stdout)["run_header"]["blas_threads"] is None
 
 
+@pytest.mark.usefixtures("deadline")
 def test_sample_sharded_run_matches_single_worker(tmp_path, capsys, monkeypatch):
     argv = ["sample", "--n", "600", "--ensemble", "ginibre", "--seed", "5"]
     sections, headers = [], []
@@ -201,10 +202,13 @@ def test_classify_labels(capsys):
 
 
 def test_classify_rejects_nonzero_theta(capsys):
-    code, _, err = run(capsys, ["classify", "--lambdas", "0.3,0.2,0.25,0.35,auto",
-                                "--theta", "0.5"])
-    assert code == 65
-    assert "theta" in err
+    # discrimination is defined at zero phase only, so classify has no --theta flag
+    for theta in ("0.5", "0"):
+        code, stdout, err = run(capsys, ["classify", "--lambdas", "0.3,0.2,0.25,0.35,auto",
+                                         "--theta", theta])
+        assert code == 64
+        assert stdout == ""
+        assert "--theta" in err
 
 
 def test_audit_smoke_runs(capsys):
@@ -421,11 +425,14 @@ def _data_section(path):
         ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre", "--n", "300",
          "--seed", "11"],
         ["audit", "--target", "appendix-a", "--ensemble", "pure", "--n", "400", "--seed", "3"],
+        ["sweep", "--resolution", "9"],
+        ["sweep", "--resolution", "8", "--fix", "lambda1=lambda3"],
     ],
-    ids=["sample", "theorem1-chain", "appendix-a"],
+    ids=["sample", "theorem1-chain", "appendix-a", "sweep", "sweep-tie"],
 )
+@pytest.mark.usefixtures("deadline")
 def test_outputs_match_for_any_worker_count_and_chunk_size(tmp_path, capsys, monkeypatch, argv):
-    out = tmp_path / ("out.csv" if argv[0] == "sample" else "out.json")
+    out = tmp_path / ("out.json" if argv[0] == "audit" else "out.csv")
     default_chunk = classify.CHUNK_SIZE
     # let the pool start every worker asked for, whatever this machine's CPU count
     monkeypatch.setattr(classify, "_cpu_count", lambda: 4)
@@ -566,6 +573,22 @@ def test_internal_failure_exits_70_and_keeps_the_out_file(
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_an_inconsistent_tangle_exits_70_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # a tangle below -TANGLE_CLAMP is a fault of the construction, not an invalid input (65)
+    monkeypatch.setattr(measures, "_ckw_margin", lambda c_cut, c_ab, c_ac: -1.0)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"previous contents\n")
+    code, stdout, err = run(capsys, ["canonical", "--lambdas", "0.6,0.2,0.3,0.5",
+                                     "--out", str(out)])
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert stdout == ""
+    assert err.startswith("qcohere: internal error: NumericalInconsistencyError: "
+                          "tangle residual -1.000e+00")
+    assert "Traceback (most recent call last)" in err
+    assert out.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 # SHA-256 of the data section (every non-comment line, newline-terminated).
 # Captured from the per-point implementation the chunked sweep replaced; the
 # unconstrained resolution-29 grid (the benchmark's size, no --fix) from the
@@ -701,22 +724,6 @@ def test_sweep_rows_match_the_per_point_api(capsys):
     assert 0 < witnesses < len(rows)
 
 
-def test_sweep_output_is_the_same_for_any_chunk_size(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "sweep.csv"
-
-    def data(chunk, *argv):
-        monkeypatch.setattr(classify, "SWEEP_CHUNK_SIZE", chunk)
-        code, _, _ = run(capsys, ["sweep", *argv, "--out", str(out)])
-        assert code == 0
-        return _data_section(out)
-
-    default_chunk = classify.SWEEP_CHUNK_SIZE
-    for argv in (["--resolution", "9"], ["--resolution", "8", "--fix", "lambda1=lambda3"]):
-        reference = data(default_chunk, *argv)
-        for chunk in (1, 7):
-            assert data(chunk, *argv) == reference, (argv, chunk)
-
-
 def _per_cell_lines(columns, applies):
     """The CSV rows as the per-cell loop made them: the reference of ``cli._csv_lines``."""
     flag = {True: "true", False: "false"}
@@ -752,6 +759,6 @@ def test_sweep_table_matches_the_per_cell_formatting():
     assert cli._csv_lines(columns, applies) == _per_cell_lines(columns, applies)
 
     # and a chunk of the sweep itself
-    ks = classify.sweep_grid(6)[: classify.SWEEP_CHUNK_SIZE]
+    ks = classify.sweep_grid(6)[: classify.CHUNK_SIZE]
     columns, applies = classify.sweep_columns(CanonicalThreeQubit(*np.sqrt(ks.T / 6), theta=0.0))
     assert cli._csv_lines(columns, applies) == _per_cell_lines(columns, applies)
