@@ -17,7 +17,6 @@ _EXPORTS = {
     "ConcurrenceSumCheck": "classify",
     "LinkRecord": "classify",
     "ObservableTriple": "classify",
-    "ParameterWitness": "classify",
     "chain_audit": "classify",
     "coherence_difference": "classify",
     "coherence_monogamy_check": "classify",
@@ -27,7 +26,6 @@ _EXPORTS = {
     "observable_closed_forms": "classify",
     "observables_expectations": "classify",
     "one_norm_bound_audit": "classify",
-    "parameter_witness": "classify",
     "ConvergenceError": "linalg",
     "hermitian_eigen": "linalg",
     "induced_one_norm": "linalg",

@@ -18,7 +18,7 @@ check that fails names the first failing point of a stack.
 import os
 import pickle
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class HypothesisError(ValueError):
 
 
 def _window_margin(p: CanonicalThreeQubit):
-    """lambda0 + lambda1 - lambda4: the GHZ-window and parameter-witness margin."""
+    """lambda0 + lambda1 - lambda4: the GHZ-window and witness-implication margin."""
     return p.lambda0 + p.lambda1 - p.lambda4
 
 
@@ -97,17 +97,7 @@ class ClassificationReport:
     tangle: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "params": {
-                "lambdas": list(self.params.lambdas()),
-                "theta": self.params.theta,
-            },
-            "measures": self.measures.to_json_dict(),
-            "coherence_difference": self.coherence_difference,
-            "factored_difference": list(self.factored_difference),
-            "case_label": self.case_label,
-            "tangle": self.tangle,
-        }
+        return {**asdict(self), "params": self.params.to_json_dict()}
 
 
 def discriminate(p: CanonicalThreeQubit) -> ClassificationReport:
@@ -283,40 +273,6 @@ def observable_closed_forms(p: CanonicalThreeQubit) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class ParameterWitness:
-    """One-directional link from the amplitude margin to the observable witness.
-
-    Only ``lambda_margin < 0  =>  witness_holds`` is checked; the converse
-    is false in general because the witness inequality compares rescaled
-    expectations.
-    """
-
-    lambda_margin: float
-    witness_implication_ok: bool
-    observables: ObservableTriple
-
-
-def _witness_implication(p: CanonicalThreeQubit, triple: ObservableTriple) -> tuple:
-    """(lambda margin, whether ``margin < 0  =>  witness_holds`` holds) per point."""
-    margin = _window_margin(p)
-    return margin, (margin >= 0.0) | triple.witness_holds
-
-
-def parameter_witness(p: CanonicalThreeQubit) -> ParameterWitness:
-    k = linalg._first(np.logical_not(p.lambda0 > 0.0))
-    if k is not None:
-        prefix, l0 = _point(p.lambda0, k)
-        raise HypothesisError(f"{prefix}the parameter witness needs lambda0 > 0, got {l0}")
-    triple = observables_expectations(p)
-    margin, ok = _witness_implication(p, triple)
-    return ParameterWitness(
-        lambda_margin=margin,
-        witness_implication_ok=ok,
-        observables=triple,
-    )
-
-
 # --- sweep -------------------------------------------------------------------
 
 SWEEP_COLUMNS = (
@@ -369,7 +325,7 @@ def sweep_columns(p: CanonicalThreeQubit) -> tuple:
 
     Returns ``(columns, applies)``: ``columns`` maps each name of
     SWEEP_COLUMNS, in order, to an (N,) array.  The window checks apply
-    inside the GHZ window and the parameter witness where lambda0 > 0;
+    inside the GHZ window and the witness implication where lambda0 > 0;
     ``applies`` maps those columns to their (N,) masks, and their cells
     elsewhere carry no value.  The observables are evaluated once per point.
     """
@@ -380,7 +336,6 @@ def sweep_columns(p: CanonicalThreeQubit) -> tuple:
     inside = p[window]
     sum_check = concurrence_sum_check(inside)
     product_check = coherence_product_check(inside)
-    _, implication = _witness_implication(p, triple)
     values = (
         *p.lambdas(),
         np.full(p.lambda0.shape, p.theta),
@@ -393,7 +348,7 @@ def sweep_columns(p: CanonicalThreeQubit) -> tuple:
         _spread(window, sum_check.holds),
         _spread(window, product_check.holds),
         triple.exp_o, triple.exp_o1, triple.exp_o2, triple.witness_holds,
-        implication,
+        (_window_margin(p) >= 0.0) | triple.witness_holds,
     )
     applies = dict.fromkeys(
         ("sum_check_lhs", "sum_check_rhs", "sum_check_holds", "product_check_holds"), window
@@ -656,7 +611,7 @@ def _scatter_chunk(rho: DensityMatrix) -> tuple:
 
 
 def _chain_chunk(rho: DensityMatrix) -> dict:
-    return measures.inequality_chain(rho).link_verdicts
+    return measures.inequality_chain(rho).links
 
 
 def _one_norm_chunk(rho: DensityMatrix) -> tuple:

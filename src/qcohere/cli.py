@@ -45,7 +45,7 @@ os.environ.setdefault(BLAS_THREADS_ENV, "1")
 
 import numpy as np  # noqa: E402
 
-from . import __version__, classify, linalg, measures, states  # noqa: E402
+from . import __version__, classify, measures, states  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -470,9 +470,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"qcohere: i/o error: {exc}\n")
         return EXIT_IO
-    except (linalg.ConvergenceError, states.SeedingError) as exc:
-        sys.stderr.write(f"qcohere: internal error: {exc}\n")
-        return EXIT_SOFTWARE
     except Exception as exc:
         # any other failure is a fault of this program, not a claim violation (1);
         # traceback is imported here because no other path of a run loads it

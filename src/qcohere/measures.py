@@ -22,7 +22,7 @@ stack of points.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -129,26 +129,14 @@ class ChainReport:
     trace_sq_product: float
     candidate_one_norms: dict
     l1_coherence: float
-    link_verdicts: dict
+    links: dict
 
     @property
     def end_to_end(self) -> LinkVerdict:
-        return self.link_verdicts[END_TO_END_LINK]
+        return self.links[END_TO_END_LINK]
 
     def to_json_dict(self) -> dict:
-        return {
-            "concurrence": self.concurrence,
-            "sqrt_lambda_max": self.sqrt_lambda_max,
-            "smax_product": self.smax_product,
-            "frobenius_product": self.frobenius_product,
-            "trace_sq_product": self.trace_sq_product,
-            "candidate_one_norms": dict(self.candidate_one_norms),
-            "l1_coherence": self.l1_coherence,
-            "links": {
-                name: {"holds": v.holds, "margin": v.margin}
-                for name, v in self.link_verdicts.items()
-            },
-        }
+        return asdict(self)
 
 
 def inequality_chain(rho: DensityMatrix) -> ChainReport:
@@ -203,7 +191,7 @@ def inequality_chain(rho: DensityMatrix) -> ChainReport:
             "induced_one": induced_one,
         },
         l1_coherence=l1,
-        link_verdicts=links,
+        links=links,
     )
 
 
@@ -294,10 +282,6 @@ def tangle_residual(psi: PureState) -> float:
     return _tangle(_cut_concurrence(rho_a), *concurrence(pair).tolist())
 
 
-# The six canonical measures, in their serialized order.
-CANONICAL_KEYS = ("c_ab", "c_ac", "coh_ab", "coh_ac", "coh_a", "tangle")
-
-
 @dataclass(frozen=True)
 class CanonicalMeasures:
     """Partial concurrences, reduced coherences and tangle of one canonical point.
@@ -325,7 +309,11 @@ class CanonicalMeasures:
             raise MeasureError(f"{prefix}tangle exceeds 1: {bad}")
 
     def to_json_dict(self) -> dict:
-        return {key: getattr(self, key) for key in CANONICAL_KEYS}
+        return asdict(self)
+
+
+# The six canonical measures, in their serialized order.
+CANONICAL_KEYS = tuple(f.name for f in fields(CanonicalMeasures))
 
 
 def canonical_measures_analytic(p: CanonicalThreeQubit) -> CanonicalMeasures:
@@ -365,7 +353,7 @@ def canonical_report(p: CanonicalThreeQubit) -> dict:
         analytic = dict.fromkeys(CANONICAL_KEYS)
         analytic["tangle"] = tangle_analytic(p)
     return {
-        "params": {"lambdas": list(p.lambdas()), "theta": p.theta},
+        "params": p.to_json_dict(),
         "matrix": matrix,
         "analytic": analytic,
         "residuals": {

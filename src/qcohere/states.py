@@ -327,6 +327,9 @@ class CanonicalThreeQubit:
     def lambdas(self) -> tuple:
         return (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
 
+    def to_json_dict(self) -> dict:
+        return {"lambdas": list(self.lambdas()), "theta": self.theta}
+
 
 def require_zero_phase(p: CanonicalThreeQubit, what: str):
     """The one precondition of every zero-phase closed form and check."""
@@ -625,7 +628,8 @@ def parse_lambdas(text: str, theta: float = 0.0) -> CanonicalThreeQubit:
 # --- density-matrix file format -------------------------------------------
 #
 # A density matrix on disk is a JSON object {"dim": d, "re": [...],
-# "im": [...]} with row-major real and imaginary parts of length d*d.
+# "im": [...]} with an integer d and row-major real and imaginary parts of
+# length d*d.
 
 
 def density_matrix_from_json_dict(obj) -> DensityMatrix:
@@ -633,11 +637,13 @@ def density_matrix_from_json_dict(obj) -> DensityMatrix:
     if not isinstance(obj, dict):
         raise StateError("density-matrix JSON must be an object")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise StateError(f"density-matrix JSON is malformed: {exc}") from exc
+    if type(dim) is not int:  # a JSON integer: no float, string or bool
+        raise StateError(f"density-matrix JSON needs an integer dim, got {dim!r}")
     if dim < 1 or re.shape != (dim * dim,) or im.shape != (dim * dim,):
         raise StateError(
             f"density-matrix JSON needs re/im arrays of length dim^2={dim * dim},"

@@ -27,7 +27,6 @@ from qcohere.classify import (
     observables_expectations,
     one_norm_bound_audit,
     one_norm_margins,
-    parameter_witness,
 )
 from qcohere.states import (
     CanonicalThreeQubit,
@@ -234,26 +233,6 @@ def test_observables_exp_o_is_phase_independent():
         triple = observables_expectations(p)
         assert triple.exp_o == pytest.approx(4.0 * p.lambda0 * p.lambda4, abs=1e-12)
         assert triple.exp_o2 == pytest.approx(2.0 * p.lambda0**2, abs=1e-12)
-
-
-def test_parameter_witness():
-    record = parameter_witness(POINT_A)
-    assert record.lambda_margin == pytest.approx(-0.327647, abs=1e-6)
-    assert record.witness_implication_ok
-    assert record.observables.witness_holds
-
-    vacuous = parameter_witness(GHZ)
-    assert vacuous.lambda_margin == pytest.approx(0.0, abs=1e-12)
-    assert vacuous.witness_implication_ok
-
-    with pytest.raises(HypothesisError, match="lambda0"):
-        parameter_witness(CanonicalThreeQubit(0.0, S2, 0.0, 0.0, S2))
-
-
-def test_parameter_witness_holds_on_samples():
-    for k in range(2000):
-        p = canonical_sample(67, k, "zero")
-        assert parameter_witness(p).witness_implication_ok
 
 
 def test_one_norm_margins_werner():
@@ -487,14 +466,6 @@ def test_closed_forms_on_a_stack_are_the_per_point_values():
         )
         assert products.holds[k] == coherence_product_check(p).holds
         assert products.expansion_matches[k] == coherence_product_check(p).expansion_matches
-    positive = stack.lambda0 > 0.0
-    witness = parameter_witness(stack[positive])
-    for k, p in enumerate(p for p in points if p.lambda0 > 0.0):
-        one = parameter_witness(p)
-        assert (witness.lambda_margin[k], witness.witness_implication_ok[k]) == (
-            one.lambda_margin,
-            one.witness_implication_ok,
-        )
 
 
 def test_stack_errors_name_the_point():
@@ -525,8 +496,6 @@ def test_stack_errors_name_the_point():
         coherence_product_check(w_second)
     with pytest.raises(HypothesisError, match="^point 1: .* lambda4 < 0, got 0.0$"):
         concurrence_sum_check(stack(POINT_A.lambdas(), GHZ.lambdas()))
-    with pytest.raises(HypothesisError, match="^point 1: .* needs lambda0 > 0, got 0.0$"):
-        parameter_witness(stack(POINT_A.lambdas(), (0.0, 0.0, 0.0, 0.0, 1.0)))
     # one point keeps its messages without a prefix
     with pytest.raises(HypothesisError, match="^the concurrence-sum check needs lambda4 > 0"):
         concurrence_sum_check(W_MEMBER)

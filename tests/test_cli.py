@@ -272,6 +272,25 @@ def test_audit_state_file_paths(tmp_path, capsys):
     assert chain["links"]["concurrence_le_l1_coherence"]["holds"]
 
 
+# SHA-256 of the data section of ``audit --target theorem1-chain --state-file``
+# on ``werner_state(0.7)``, dumped as the CLI dumps it, without its
+# ``state_file`` path.  Captured before the chain report was serialized from
+# its own fields.
+_CHAIN_STATE_FILE_DIGEST = "6693692b2e1f812bba5de6b31a07c2797ddf9cb4d0a4fe56f287cae2713ac55f"
+
+
+def test_chain_state_file_data_section_is_pinned(tmp_path, capsys):
+    path = tmp_path / "werner.json"
+    path.write_text(json.dumps(werner_state(0.7).to_json_dict()))
+    code, stdout, _ = run(capsys, ["audit", "--target", "theorem1-chain",
+                                   "--state-file", str(path)])
+    assert code == 0
+    data = json_data(stdout)
+    assert data.pop("state_file") == str(path)
+    digest = hashlib.sha256(json.dumps(data, indent=2, sort_keys=True).encode()).hexdigest()
+    assert digest == _CHAIN_STATE_FILE_DIGEST
+
+
 def test_audit_state_file_rejects_invalid_state(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0, 0, 0, 0]}')
@@ -279,6 +298,13 @@ def test_audit_state_file_rejects_invalid_state(tmp_path, capsys):
                                 "--state-file", str(bad)])
     assert code == 65
     assert "trace" in err
+
+    float_dim = tmp_path / "float-dim.json"
+    float_dim.write_text(json.dumps({**werner_state(0.9).to_json_dict(), "dim": 4.0}))
+    code, _, err = run(capsys, ["audit", "--target", "theorem1-chain",
+                                "--state-file", str(float_dim)])
+    assert code == 65
+    assert "needs an integer dim, got 4.0" in err
 
     code, _, _ = run(capsys, ["audit", "--target", "appendix-a",
                               "--state-file", str(tmp_path / "missing.json")])
@@ -408,7 +434,9 @@ def test_unconverged_solver_exits_70(capsys, monkeypatch):
     code, _, err = run(capsys, ["audit", "--target", "theorem1-chain", "--n", "2",
                                 "--ensemble", "ginibre", "--seed", "7"])
     assert code == cli.EXIT_SOFTWARE == 70
+    assert err.startswith("qcohere: internal error: ConvergenceError: ")
     assert "did not converge" in err
+    assert "Traceback (most recent call last)" in err
 
 
 def _data_section(path):
@@ -451,7 +479,12 @@ def test_outputs_match_for_any_worker_count_and_chunk_size(tmp_path, capsys, mon
     assert reference[0] == 0
     if argv[0] == "audit":
         assert reference[2]  # worst-case files were written and are compared too
-    for workers in (1, 3, 4):
+    worker_counts = (1, 3, 4)
+    if argv[0] == "sweep":
+        # the sweep always walks at one worker, so only its chunk size varies
+        assert "# workers: none\n" in out.read_text()
+        worker_counts = (1,)
+    for workers in worker_counts:
         for chunk in (1, 7, default_chunk, 4096):
             assert outputs(workers, chunk) == reference, (workers, chunk)
 
@@ -473,7 +506,9 @@ def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch)
     code, _, err = run(capsys, ["sample", "--n", "50", "--ensemble", "ginibre", "--seed", "7",
                                 "--out", str(out)])
     assert code == cli.EXIT_SOFTWARE == 70
+    assert err.startswith("qcohere: internal error: ConvergenceError: ")
     assert "did not converge" in err
+    assert "Traceback (most recent call last)" in err
     assert out.read_text() == "previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
 
@@ -553,7 +588,7 @@ def _spin_flip_not_psd(monkeypatch):
     "fault, argv, message",
     [
         (_seeding_one_bit_off, ["sample", "--ensemble", "ginibre"],
-         "qcohere: internal error: chunk seeding disagrees"),
+         "qcohere: internal error: SeedingError: chunk seeding disagrees"),
         (_spin_flip_not_psd, ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre"],
          "qcohere: internal error: NotPsdError: spin-flip product spectrum is not positive"),
     ],
@@ -569,6 +604,7 @@ def test_internal_failure_exits_70_and_keeps_the_out_file(
     code, _, err = run(capsys, [*argv, "--n", "50", "--seed", "7", "--out", str(out)])
     assert code == cli.EXIT_SOFTWARE == 70
     assert err.startswith(message)
+    assert "Traceback (most recent call last)" in err
     assert out.read_bytes() == b"previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -714,8 +750,9 @@ def test_sweep_rows_match_the_per_point_api(capsys):
             )
         if p.lambda0 > 0.0:
             witnesses += 1
-            witness = classify.parameter_witness(p)
-            expected["witness_implication_ok"] = flag[witness.witness_implication_ok]
+            # the implication l0 + l1 < l4  =>  <O> > <O1> + <O2>
+            implication = (p.lambda0 + p.lambda1 - p.lambda4 >= 0.0) or triple.witness_holds
+            expected["witness_implication_ok"] = flag[implication]
         else:
             expected["witness_implication_ok"] = ""
         assert {key: row[key] for key in expected} == expected, row

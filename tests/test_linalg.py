@@ -201,7 +201,7 @@ def test_induced_one_norm():
 def chain_norms(rho: DensityMatrix) -> dict:
     """Recover each chain norm from the report's values and link margins."""
     rep = inequality_chain(rho)
-    m = {name: v.margin for name, v in rep.link_verdicts.items()}
+    m = {name: v.margin for name, v in rep.links.items()}
     trace_norm = rep.candidate_one_norms["trace_norm"]
     frobenius = trace_norm - m["frobenius_le_trace_norm"]
     smax = frobenius - m["smax_le_frobenius"]

@@ -204,10 +204,10 @@ def test_chain_bell_saturates():
 
 def test_chain_reports_failing_literal_reading():
     rep = inequality_chain(DensityMatrix(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)))
-    literal = rep.link_verdicts["smax_le_trace_of_square"]
+    literal = rep.links["smax_le_trace_of_square"]
     assert not literal.holds
     assert literal.margin == pytest.approx(-0.125, abs=1e-10)
-    root = rep.link_verdicts["smax_le_frobenius"]
+    root = rep.links["smax_le_frobenius"]
     assert root.holds
     assert root.margin == pytest.approx(math.sqrt(0.375) - 0.5, abs=1e-10)
 
@@ -219,7 +219,7 @@ def test_chain_maximally_mixed():
     assert rep.end_to_end.holds
     assert abs(rep.end_to_end.margin) <= 1e-12
     # the trace-norm reading of the one-norm bound fails on incoherent states
-    assert not rep.link_verdicts["trace_norm_le_l1_coherence"].holds
+    assert not rep.links["trace_norm_le_l1_coherence"].holds
 
 
 def test_chain_end_to_end_on_samples():

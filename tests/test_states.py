@@ -522,6 +522,19 @@ def test_density_matrix_reader_reports_residuals(tmp_path):
         read_density_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "dim, re",
+    [(2.9, [0.5, 0.0, 0.0, 0.5]), (True, [1.0]), ("2", [0.5, 0.0, 0.0, 0.5]),
+     (2.0, [0.5, 0.0, 0.0, 0.5])],
+    ids=["float", "bool", "string", "integral-float"],
+)
+def test_density_matrix_reader_needs_an_integer_dim(dim, re):
+    # each would be a valid state if its dim were read as int(dim)
+    obj = {"dim": dim, "re": re, "im": [0.0] * len(re)}
+    with pytest.raises(StateError, match="needs an integer dim, got"):
+        density_matrix_from_json_dict(obj)
+
+
 def test_density_matrix_reader_solves_once(solves):
     obj = werner_state(0.9).to_json_dict()
     solves.clear()
