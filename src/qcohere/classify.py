@@ -170,16 +170,10 @@ class ConcurrenceSumCheck:
     holds: bool
     coh_ab: float
     coh_ac: float
-    ordering_holds: bool
 
 
 def concurrence_sum_check(p: CanonicalThreeQubit) -> ConcurrenceSumCheck:
-    """Check C_AB + C_AC < 2 coh_ac for points with l0 > 0, l4 > 0 and l0 + l1 < l4.
-
-    ``ordering_holds`` reports the intermediate step coh_ab < coh_ac used
-    in the derivation; it is reported, not required, because the factored
-    difference can invert it when l3 < l2.
-    """
+    """Check C_AB + C_AC < 2 coh_ac for points with l0 > 0, l4 > 0 and l0 + l1 < l4."""
     _require_ghz_window(p, "the concurrence-sum check")
     c_ab, c_ac = measures.partial_concurrences_analytic(p)
     coh_ab, coh_ac, _ = reduced_coherences_analytic(p)
@@ -191,7 +185,6 @@ def concurrence_sum_check(p: CanonicalThreeQubit) -> ConcurrenceSumCheck:
         holds=lhs < rhs,
         coh_ab=coh_ab,
         coh_ac=coh_ac,
-        ordering_holds=coh_ab < coh_ac,
     )
 
 

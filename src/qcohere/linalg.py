@@ -154,18 +154,17 @@ def _pair_rounds(n: int) -> tuple:
 
 
 @functools.cache
-def _upper_triangle(n: int) -> np.ndarray:
+def _upper_triangle(n: int):
     """Positions of the entries above the diagonal in an n x n matrix flattened to n*n."""
-    rows, cols = np.triu_indices(n, 1)
-    return rows * n + cols
+    return _indexer([row * n + col for row in range(n) for col in range(row + 1, n)])
 
 
 # sigma times a complex z is re*z + im*(-z.imag, z.real): im carries these signs
 _IM_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
-def _rotate(w: np.ndarray, n: int, r: _Round, target: np.ndarray) -> np.ndarray:
-    """One round of Jacobi rotations applied to every matrix of the stack ``w``.
+def _rotate(w: np.ndarray, n: int, r: _Round, target: np.ndarray, gathered, product, out) -> None:
+    """One round of Jacobi rotations applied in place to every matrix of the stack ``w``.
 
     ``w`` has shape (2, n, n, N): the real and imaginary parts of the
     matrices, with the stack axis last.  ``target`` (N,) is each matrix's
@@ -177,8 +176,11 @@ def _rotate(w: np.ndarray, n: int, r: _Round, target: np.ndarray) -> np.ndarray:
     pairs get the identity (t = 0), so every matrix follows its own
     trajectory whatever the rest of the stack does.  Only + - * / and sqrt
     are used, each correctly rounded elementwise, which is what makes a
-    matrix's result independent of the stack it sits in.  Returns the
-    rotated stack.
+    matrix's result independent of the stack it sits in.
+
+    ``gathered``, ``product`` and ``out`` are work buffers of ``w``'s shape:
+    the partners of an index round, one product and the column update, which
+    the row update reads back into ``w``.
     """
     flat = w.reshape(2, n * n, -1)
     apq = flat[:, r.pq]
@@ -195,17 +197,27 @@ def _rotate(w: np.ndarray, n: int, r: _Round, target: np.ndarray) -> np.ndarray:
     re = sigma[0][r.slot] * r.sign
     im = (sigma[1] * _IM_SIGNS)[:, r.slot]
     # columns: x <- c x + conj(sigma) y, y <- c y - sigma x
-    y = w[:, :, r.partner]
-    w = c * w + re * y + im[:, None] * y[::-1]
+    # a slice round reads its partners through a view; an index round gathers
+    # them (its indices are in range: clip only skips take's buffered check)
+    view = isinstance(r.partner, slice)
+    y = w[:, :, r.partner] if view else np.take(w, r.partner, 2, gathered, "clip")
+    np.multiply(c, w, out=out)
+    out += np.multiply(re, y, out=product)
+    out += np.multiply(im[:, None], y[::-1], out=product)
     # rows: x <- c x + sigma y, y <- c y - conj(sigma) x
-    y = w[:, r.partner]
-    w = c[:, None] * w + re[:, None] * y - im[:, :, None] * y[::-1]
+    y = out[:, r.partner] if view else np.take(out, r.partner, 1, gathered, "clip")
+    np.multiply(c[:, None], out, out=w)
+    w += np.multiply(re[:, None], y, out=product)
+    w -= np.multiply(im[:, :, None], y[::-1], out=product)
     # the rotated pairs are zero by construction; store them exactly
     inactive = ~active
-    flat = w.reshape(2, n * n, -1)
     flat[:, r.pq] *= inactive
     flat[:, r.qp] *= inactive
-    return w
+
+
+# Once at most 1/_STRAGGLER_SHARE of a stack is unconverged at a sweep's
+# start, the rest of the solve sweeps those matrices alone.
+_STRAGGLER_SHARE = 8
 
 
 def _jacobi_stack(m: np.ndarray) -> np.ndarray:
@@ -216,9 +228,13 @@ def _jacobi_stack(m: np.ndarray) -> np.ndarray:
     zero row and column, whose pairs are never rotated.  The sweeps stop
     once no matrix has an off-diagonal modulus above its target,
     OFF_DIAGONAL_TARGET times its Frobenius norm; ConvergenceError is raised
-    if one still has after MAX_SWEEPS sweeps.  Every matrix runs to the last
-    sweep: a converged one gets identity rotations, which keep its values
-    but may turn a -0.0 into +0.0, so the eigenvalues' zeros are made +0.0.
+    if one still has after MAX_SWEEPS sweeps.  The rotations write into
+    three work buffers of the stack's size, allocated once per solve.  At
+    the first sweep where at most 1/_STRAGGLER_SHARE of the stack is still
+    unconverged, those matrices are copied out and swept alone, then copied
+    back.  Every other matrix of the swept stack runs to its last sweep: a
+    converged one gets identity rotations, which keep its values but may
+    turn a -0.0 into +0.0, so the eigenvalues' zeros are made +0.0.
     """
     count, n = m.shape[0], m.shape[-1]
     # each matrix's squares are summed along one contiguous row of n*n, so
@@ -229,23 +245,32 @@ def _jacobi_stack(m: np.ndarray) -> np.ndarray:
     w = np.zeros((2, size, size, count))
     w[0, :n, :n] = m.real.transpose(1, 2, 0)
     w[1, :n, :n] = m.imag.transpose(1, 2, 0)
+    whole, rows = w, None
+    buffers = np.empty((3,) + w.shape)
     upper = _upper_triangle(size)
     for sweep in range(MAX_SWEEPS + 1):
         off = w.reshape(2, size * size, -1)[:, upper]
         off = np.sqrt((off * off).sum(axis=0)).max(axis=0, initial=0.0)
         unconverged = off > target
-        if not unconverged.any():
+        left = np.count_nonzero(unconverged)
+        if not left:
             break
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps:"
-                f" {np.count_nonzero(unconverged)} of {count} matrices unconverged, largest"
-                f" off-diagonal modulus {off.max():.3e}, target {OFF_DIAGONAL_TARGET:.1e} x Frobenius norm"
+                f" {left} of {count} matrices unconverged, the largest off-diagonal modulus"
+                f" among them {off[unconverged].max():.3e}, target {OFF_DIAGONAL_TARGET:.1e} x Frobenius norm"
             )
+        if rows is None and _STRAGGLER_SHARE * left <= count:
+            # a converged matrix only gets identity rotations from here on
+            rows = np.flatnonzero(unconverged)
+            w, target = np.take(w, rows, axis=3), target[rows]
+            buffers = np.empty((3,) + w.shape)
         for r in _pair_rounds(size):
-            w = _rotate(w, size, r, target)
-    diagonal = np.arange(n)
-    return w[0, diagonal, diagonal].T + 0.0
+            _rotate(w, size, r, target, *buffers)
+    if rows is not None:
+        whole[..., rows] = w
+    return whole[0].diagonal()[:, :n] + 0.0
 
 
 def hermitian_eigen(a) -> np.ndarray:

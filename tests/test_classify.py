@@ -139,7 +139,6 @@ def test_concurrence_sum_check_example():
     assert record.holds
     assert record.coh_ab == pytest.approx(0.883824, abs=1e-6)
     assert record.coh_ac == pytest.approx(0.949353, abs=1e-6)
-    assert record.ordering_holds
 
 
 def test_checks_reject_points_outside_the_window():

@@ -119,6 +119,38 @@ def test_eigen_raises_when_one_matrix_of_a_stack_runs_out(monkeypatch):
     hermitian_eigen(stack[:6])
 
 
+def _rotated_sizes(monkeypatch) -> list:
+    """Record the stack size of every Jacobi round from here on."""
+    sizes, rotate = [], linalg._rotate
+    monkeypatch.setattr(linalg, "_rotate", lambda w, *args: sizes.append(w.shape[-1]) or rotate(w, *args))
+    return sizes
+
+
+def test_stragglers_are_swept_alone_with_the_same_bits(monkeypatch):
+    # fifteen diagonal matrices have converged before the first sweep, so the
+    # sixteenth is split off at once; sixty 2x2 blocks converge in the first
+    # sweep, after which four random matrices are split off
+    rng = np.random.default_rng(1611)
+    diagonal = [np.diag(rng.standard_normal(4)).astype(complex) for _ in range(15)]
+    one = np.stack(diagonal + [random_hermitian(4, rng)])[rng.permutation(16)]
+    blocks = np.stack([np.diag(rng.standard_normal(4)).astype(complex) for _ in range(60)])
+    blocks[:, 0, 1] = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    blocks[:, 1, 0] = blocks[:, 0, 1].conj()
+    four = np.concatenate([blocks, [random_hermitian(4, rng) for _ in range(4)]])[rng.permutation(64)]
+    for stack, first, last in ((one, 1, 1), (four, 64, 4)):
+        sizes = _rotated_sizes(monkeypatch)
+        whole = hermitian_eigen(stack)
+        assert (sizes[0], sizes[-1]) == (first, last), sizes
+        monkeypatch.undo()
+        for k, m in enumerate(stack):
+            assert _bits(hermitian_eigen(m)) == _bits(whole[k]), k
+    # the straggler runs out of sweeps inside the split-off stack; the error
+    # still counts over the whole stack
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="1 sweeps: 1 of 16 matrices unconverged"):
+        hermitian_eigen(one)
+
+
 def test_eigen_stack_errors_name_the_matrix():
     stack = np.stack([np.eye(2, dtype=complex)] * 3)
     stack[2, 0, 1] = 1.0
@@ -193,6 +225,28 @@ def test_induced_one_norm():
     assert induced_one_norm(np.eye(4) / 4) == pytest.approx(0.25, abs=1e-15)
     # hand column sums: 0.475 + 0.45 in the outer columns
     assert induced_one_norm(werner_matrix(0.9)) == pytest.approx(0.925, abs=1e-12)
+
+
+def test_spectral_floor_zeroes_entries_below_1e_13_of_the_largest():
+    # the floor's value is written out here, not read from linalg, so a change
+    # to RESOLUTION_FLOOR fails this test
+    w = np.array([[2.0, 0.5e-13 * 2.0, 2e-13 * 2.0, 0.0], [3.0, 2e-13 * 3.0, 0.5e-13 * 3.0, -1e-12]])
+    expected = w.copy()
+    expected[[0, 1, 1], [1, 2, 3]] = 0.0
+    assert np.array_equal(linalg.spectral_floor(w), expected)
+    assert np.array_equal(linalg.spectral_floor(w[0]), expected[0])
+    # a spectrum with no positive entry floors to zeros
+    assert np.array_equal(linalg.spectral_floor(np.array([0.0, -1e-12])), np.zeros(2))
+
+
+def test_pivoted_cholesky_stops_at_1e_13_of_the_trace():
+    # pivots at 2x and at 0.5x of 1e-13 times the trace: the first is taken,
+    # the second is not, and its column stays zero
+    m = np.diag([0.5, 0.5, 2e-13, 0.5e-13]).astype(complex)
+    v = pivoted_cholesky(m)
+    assert v[2, 2] == 2e-13 / math.sqrt(2e-13)
+    assert np.count_nonzero(v[:, 3]) == 0
+    assert np.abs(v @ v.conj().T - m).max() == 0.5e-13
 
 
 # --- the norms that the inequality chain reads off the cached spectrum -------
