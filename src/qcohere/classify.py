@@ -3,10 +3,10 @@
 The discrimination criterion is one-directional.  On the zero-phase
 canonical slice the coherence difference factors as
 ``2 (l3 - l2)(l0 + l1 - l4)``; a sign of the difference that no W-class
-point (l4 = 0) can produce therefore certifies GHZ-class entanglement,
-while the W-consistent sign certifies nothing.  Reports carry the tangle
-so callers can see when a W-consistent label coexists with genuine
-three-way entanglement.
+point (l4 = 0) can produce therefore certifies GHZ-class entanglement
+wherever l0 > 0, while the W-consistent sign certifies nothing.  Reports
+carry the tangle so callers can see when a W-consistent label coexists with
+genuine three-way entanglement.
 
 The closed forms, checks and observables take one point or a stack of
 points (``CanonicalThreeQubit`` with (N,) amplitude arrays): the same
@@ -18,7 +18,7 @@ check that fails names the first failing point of a stack.
 import os
 import pickle
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,7 @@ def coherence_difference(p: CanonicalThreeQubit):
     return coh_ab - coh_ac, factors
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """The label of one point; for a stack every field but ``params`` is an (N,) array."""
 
     params: CanonicalThreeQubit
@@ -97,7 +96,8 @@ class ClassificationReport:
     tangle: float
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "params": self.params.to_json_dict()}
+        nested = {"params": self.params.to_json_dict(), "measures": self.measures.to_json_dict()}
+        return {**self._asdict(), **nested}
 
 
 def discriminate(p: CanonicalThreeQubit) -> ClassificationReport:
@@ -105,14 +105,17 @@ def discriminate(p: CanonicalThreeQubit) -> ClassificationReport:
 
     Case I is l3 > l2, Case II is l3 < l2.  Within a case, the sign that
     every W-class point shares is 'W-consistent'; the opposite sign is a
-    GHZ witness.  Exact zeros of either factor give 'boundary'.
+    GHZ witness.  Exact zeros of either factor give 'boundary', and so does
+    the GHZ sign at lambda0 <= BOUNDARY_TOL: lambda0 = 0 is A|BC biseparable.
     """
     require_zero_phase(p, "discrimination")
     m = canonical_measures_analytic(p)
     diff, factors = coherence_difference(p)
     f_32, f_014 = factors
+    ghz_sign = (f_32 > 0.0) == (diff < 0.0)
     label = np.where(
-        (abs(f_32) <= BOUNDARY_TOL) | (abs(f_014) <= BOUNDARY_TOL),
+        (abs(f_32) <= BOUNDARY_TOL) | (abs(f_014) <= BOUNDARY_TOL)
+        | (ghz_sign & (p.lambda0 <= BOUNDARY_TOL)),
         BOUNDARY,
         np.where(
             f_32 > 0.0,
@@ -161,8 +164,7 @@ def _require_ghz_window(p: CanonicalThreeQubit, what: str):
     )
 
 
-@dataclass(frozen=True)
-class ConcurrenceSumCheck:
+class ConcurrenceSumCheck(NamedTuple):
     """C_AB + C_AC against twice the AC coherence, on the GHZ window."""
 
     lhs: float
@@ -188,8 +190,7 @@ def concurrence_sum_check(p: CanonicalThreeQubit) -> ConcurrenceSumCheck:
     )
 
 
-@dataclass(frozen=True)
-class CoherenceProductCheck:
+class CoherenceProductCheck(NamedTuple):
     """coh_a against coh_ac, with both routes to coh_ab*coh_ac - coh_a^2.
 
     ``product_minus_square_expansion`` is the partially expanded form
@@ -227,8 +228,7 @@ def coherence_product_check(p: CanonicalThreeQubit) -> CoherenceProductCheck:
     )
 
 
-@dataclass(frozen=True)
-class ObservableTriple:
+class ObservableTriple(NamedTuple):
     """Expectations of the three witness observables and the witness verdict."""
 
     exp_o: float
@@ -390,8 +390,7 @@ READING_B = "B"
 CHUNK_SIZE = 512
 
 
-@dataclass(frozen=True)
-class WorstCase:
+class WorstCase(NamedTuple):
     margin: float
     sample_index: int
     state: DensityMatrix
@@ -406,8 +405,7 @@ class WorstCase:
         return record
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     reading: str
     violations_found: int
     entangled_violations: int
@@ -424,8 +422,7 @@ class AuditRecord:
         }
 
 
-@dataclass(frozen=True)
-class LinkRecord:
+class LinkRecord(NamedTuple):
     """One link of the inequality chain over an ensemble; ``worst_case`` only if it failed."""
 
     violations: int
@@ -474,7 +471,6 @@ def ensemble_state(kind: str, seed: int, index: int, rank: int) -> DensityMatrix
     return ensemble_chunk(kind, seed, index, index + 1, rank)[0]
 
 
-@dataclass
 class Tally:
     """Violation count and extreme margin over an ensemble; ties keep the earliest index.
 
@@ -482,10 +478,11 @@ class Tally:
     (a slack).
     """
 
-    highest: bool = False
-    violations: int = 0
-    margin: float | None = None
-    index: int | None = None
+    def __init__(self, highest: bool = False):
+        self.highest = highest
+        self.violations = 0
+        self.margin: float | None = None
+        self.index: int | None = None
 
     def fold(self, lo: int, margins: np.ndarray, violated: np.ndarray):
         """Fold in one chunk: the margins of states lo, lo + 1, ... and their verdicts.

@@ -13,7 +13,7 @@ included.
 """
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +103,7 @@ def _indexer(seq):
     return np.array(seq, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class _Round:
+class _Round(NamedTuple):
     """Disjoint pairs (p, q) that cover every index once, rotated together.
 
     ``partner``, ``slot`` and ``sign`` are per index: its pair partner, the

@@ -23,6 +23,7 @@ stack of points.
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,7 @@ def concurrence(rho: DensityMatrix):
     return per_state(_wootters(_spin_flip_roots(rho)))
 
 
-@dataclass(frozen=True)
-class LinkVerdict:
+class LinkVerdict(NamedTuple):
     """A link's margin and whether it holds: scalars, or arrays over a stack."""
 
     holds: bool
@@ -112,8 +112,7 @@ def _verdict(margin) -> LinkVerdict:
     return LinkVerdict(holds=margin >= -LINK_TOL, margin=margin)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Every quantity in the concurrence-vs-coherence inequality chain.
 
     Intermediate links are reported, never asserted: the literal
@@ -136,7 +135,11 @@ class ChainReport:
         return self.links[END_TO_END_LINK]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            **self._asdict(),
+            "candidate_one_norms": dict(self.candidate_one_norms),
+            "links": {name: verdict._asdict() for name, verdict in self.links.items()},
+        }
 
 
 def inequality_chain(rho: DensityMatrix) -> ChainReport:

@@ -108,6 +108,26 @@ def test_discriminate_boundary_on_equal_factors():
     assert discriminate(GHZ).case_label == BOUNDARY
 
 
+def test_ghz_sign_at_lambda0_zero_is_boundary():
+    # lambda0 = 0 makes the state A|BC biseparable, so its GHZ sign certifies nothing
+    p = CanonicalThreeQubit(0.0, 0.3, 0.2, 0.4, math.sqrt(0.71))
+    _, (f_32, f_014) = coherence_difference(p)
+    assert f_32 > 0.0 and f_014 < 0.0
+    report = discriminate(p)
+    assert report.case_label == BOUNDARY
+    assert report.tangle == 0.0
+
+
+def test_ghz_witnesses_of_the_sweep_grid_have_positive_tangle():
+    witnesses = 0
+    for columns, _ in classify.sweep(classify.sweep_grid(29), 29):
+        ghz = np.isin(columns["case_label"], (CASE_I_GHZ, CASE_II_GHZ))
+        assert np.all(columns["tangle"][ghz] > 0.0)
+        witnesses += int(np.count_nonzero(ghz))
+    # 6568 rows carry the GHZ sign; the 2240 of them at lambda0 = 0 are boundary
+    assert witnesses == 6568 - 2240
+
+
 def test_w_class_points_are_never_ghz_witnesses():
     for k in range(2000):
         label = discriminate(w_class_sample(53, k)).case_label

@@ -200,6 +200,13 @@ def test_classify_labels(capsys):
     _, stdout, _ = run(capsys, ["classify", "--lambdas", "0.6,0.2,0.3,0.5"])
     assert json_data(stdout)["case_label"] == "CaseI-W-consistent"
 
+    # the GHZ sign pattern at lambda0 = 0, where the state is A|BC biseparable
+    code, stdout, _ = run(capsys, ["classify", "--lambdas", "0,0.3,0.2,0.4,auto"])
+    assert code == 0
+    data = json_data(stdout)
+    assert data["factored_difference"][0] > 0.0 > data["factored_difference"][1]
+    assert (data["case_label"], data["tangle"]) == ("boundary", 0.0)
+
 
 def test_classify_rejects_nonzero_theta(capsys):
     # discrimination is defined at zero phase only, so classify has no --theta flag
@@ -628,11 +635,12 @@ def test_an_inconsistent_tangle_exits_70_with_its_traceback(tmp_path, capsys, mo
 # SHA-256 of the data section (every non-comment line, newline-terminated).
 # Captured from the per-point implementation the chunked sweep replaced; the
 # unconstrained resolution-29 grid (the benchmark's size, no --fix) from the
-# per-cell formatting that the chunk-wide one replaced.
+# per-cell formatting that the chunk-wide one replaced, and again when the GHZ
+# sign at lambda0 = 0 became 'boundary', which moved only those case_label cells.
 _SWEEP_DIGESTS = {
     ("10", "lambda4=0"): "0fed194062701879e67c196f6e04db24b35e802db60bb57fd09d073b5a77d7e9",
     ("12", "lambda2=lambda3"): "f70c9c9d8f121f36ae5152f38a7e8781efec1c77d66a49a5fcbd579a84ed42a0",
-    ("29", None): "adb1a964235714438520adb86775a448412102b065ca3753526b696ab4a85121",
+    ("29", None): "4ca908e6d8f8820256afdb9e3ae7961a7ccb669a25cc48cf2de271da827f6b37",
 }
 
 
@@ -643,6 +651,50 @@ def test_sweep_data_section_is_pinned(capsys, resolution, fix):
     assert code == 0
     data = "".join(f"{line}\n" for line in data_lines(stdout))
     assert hashlib.sha256(data.encode()).hexdigest() == _SWEEP_DIGESTS[resolution, fix]
+
+
+# SHA-256 of the data sections of two ensemble audits written with --out,
+# dumped as the CLI dumps them, and of every worst-case file written beside
+# them, by the tag in its name.  Captured while the audit records were dataclasses.
+_AUDIT_DIGESTS = {
+    ("theorem1-chain", "ginibre", "7"): (
+        "2af1e5950536e727ae3ae0f4dd4e7f78065b9724926568c8f51fe372526cc070",
+        {
+            "concurrence_le_trace_sq_product":
+                "ac4cbb71de988e23965535d7fb8ac266ee029a527994182501fb9beae8bee3c9",
+            "induced_one_le_l1_coherence":
+                "8734e91539935804f03e83ada663289d06c056e9b2bfaaca50860e4f337cc914",
+            "smax_le_trace_of_square":
+                "d0652d0bd8c1798ba1ae3152de6a2fb589cc908415f97ec8c5937a7c6d685b7a",
+            "sqrt_lambda_max_le_smax_product":
+                "5933a100fa942e812d0a768b48e234a186e4179ed58f2f25b28c99421fc628bb",
+            "trace_norm_le_l1_coherence":
+                "8734e91539935804f03e83ada663289d06c056e9b2bfaaca50860e4f337cc914",
+        },
+    ),
+    ("appendix-a", "pure", "3"): (
+        "11b50caf8b59bbfb433acb8dbf2c8def1b2f66e30040b1435890f7f59d8f7d72",
+        {"A": "6dfaf680821c962dd0bc5bfc5058f52fe95252f466ac38e1736ef5d120d7967c"},
+    ),
+}
+
+
+@pytest.mark.parametrize("target, ensemble, seed", sorted(_AUDIT_DIGESTS))
+def test_audit_data_section_and_worst_cases_are_pinned(
+    tmp_path, capsys, monkeypatch, target, ensemble, seed
+):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    out = tmp_path / "audit.json"
+    code, _, _ = run(capsys, ["audit", "--target", target, "--ensemble", ensemble, "--n", "600",
+                              "--seed", seed, "--out", str(out)])
+    assert code == 0
+    data_digest, worst_digests = _AUDIT_DIGESTS[target, ensemble, seed]
+    assert hashlib.sha256(_data_section(out).encode()).hexdigest() == data_digest
+    worst = {
+        path.stem.removeprefix("audit-worst-"): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("audit-worst-*.json")
+    }
+    assert worst == worst_digests
 
 
 # SHA-256 of the ``sample`` data section, as for the sweep.  Captured from the
