@@ -120,33 +120,55 @@ def _output(path):
         raise
 
 
-def _csv_lines(columns: dict, applies: dict) -> str:
-    """The CSV rows of one chunk as one text, a line per point.
+# a bool cell's text, indexed by the bool
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 
-    ``columns`` maps each column name, in order, to an (N,) array.  A float
-    is written as its ``repr``, the shortest decimal that round-trips the
-    double; a bool as ``true`` or ``false``; a string as it is.  A cell is
-    empty where the column's mask in ``applies`` is false.
+
+class _CsvLines:
+    """Formats chunks of CSV rows, each chunk as one text with a line per point.
+
+    Called with ``columns``, which maps each column name, in order, to an
+    (N,) array, and ``applies``.  A float is written as its ``repr``, the
+    shortest decimal that round-trips the double; a bool as ``true`` or
+    ``false``; a string as it is.  A cell is empty where the column's mask
+    in ``applies`` is false.
 
     ``repr`` of a double depends only on its 64 bits, so each distinct bit
-    pattern of the chunk is formatted once.  The key is the bits, not the
+    pattern of a chunk is formatted once.  The key is the bits, not the
     value, which would merge -0.0 with 0.0, and one 1-D array of them, whose
-    inverse has the same shape in every numpy.  Nothing is kept across
-    chunks, so memory stays per chunk.
+    inverse has the same shape in every numpy.  The previous chunk's sorted
+    patterns and their texts are kept, and a pattern found among them is not
+    formatted again; so memory stays at two chunks.  Make one per output.
     """
-    floats = [name for name, column in columns.items() if column.dtype.kind == "f"]
-    values = np.stack([columns[name] for name in floats]).ravel()
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
-    formatted = dict(zip(floats, texts[inverse].reshape(len(floats), -1)))
-    cells = []
-    for name, column in columns.items():
-        if name in formatted:
-            column = formatted[name]
-        elif column.dtype == bool:
-            column = np.where(column, "true", "false")
-        cells.append(np.where(applies[name], column, "") if name in applies else column)
-    return "\n".join(map(",".join, np.column_stack(cells).tolist()))
+
+    def __init__(self):
+        self._bits = np.empty(0, dtype=np.int64)
+        self._texts = np.empty(0, dtype=object)
+
+    def __call__(self, columns: dict, applies: dict) -> str:
+        floats = [name for name, column in columns.items() if column.dtype.kind == "f"]
+        values = np.stack([columns[name] for name in floats]).ravel()
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = np.empty(len(bits), dtype=object)
+        known = np.zeros(len(bits), dtype=bool)
+        if len(self._bits):
+            at = np.minimum(np.searchsorted(self._bits, bits), len(self._bits) - 1)
+            known = self._bits[at] == bits
+            texts[known] = self._texts[at[known]]
+        fresh = ~known
+        texts[fresh] = list(map(repr, bits[fresh].view(np.float64).tolist()))
+        self._bits, self._texts = bits, texts
+        formatted = dict(zip(floats, texts[inverse].reshape(len(floats), -1)))
+        cells = []
+        for name, column in columns.items():
+            if name in formatted:
+                column = formatted[name]
+            elif column.dtype == bool:
+                column = _BOOL_TEXTS[column.view(np.uint8)]
+            if name in applies:
+                column = np.where(applies[name], column, "")
+            cells.append(column.tolist())
+        return "\n".join(map(",".join, zip(*cells)))
 
 
 def _write_csv(path, header: dict, columns, chunks):
@@ -235,7 +257,8 @@ def _cmd_sample(args) -> int:
         "sample", seed=spec.seed, ensemble=spec.describe(), count=spec.count, workers=workers
     )
     columns = ("concurrence", "l1_coherence")
-    rows = (_csv_lines(dict(zip(columns, chunk)), {}) for chunk in chunks)
+    csv_lines = _CsvLines()
+    rows = (csv_lines(dict(zip(columns, chunk)), {}) for chunk in chunks)
     _write_csv(args.out, header, columns, rows)
     summary = _json_document(
         header,
@@ -263,7 +286,7 @@ def _canonical_row(data: dict) -> tuple:
         values.update((f"{block}_{key}", value) for key, value in data[block].items())
     columns = {name: np.array([0.0 if v is None else v], dtype=float) for name, v in values.items()}
     missing = {name: np.array([False]) for name, v in values.items() if v is None}
-    return tuple(columns), _csv_lines(columns, missing)
+    return tuple(columns), _CsvLines()(columns, missing)
 
 
 def _cmd_canonical(args) -> int:
@@ -376,7 +399,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--resolution must be at least 2, got {r}")
     grid = classify.sweep_grid(r, _parse_fix(args.fix))
     # one text per chunk of points: the rows stream a chunk at a time
-    rows = (_csv_lines(*columns) for columns in classify.sweep(grid, r))
+    csv_lines = _CsvLines()
+    rows = (csv_lines(*columns) for columns in classify.sweep(grid, r))
     _write_csv(args.out, _run_header("sweep", count=len(grid)), classify.SWEEP_COLUMNS, rows)
     return EXIT_OK
 

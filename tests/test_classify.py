@@ -33,6 +33,7 @@ from qcohere.states import (
     EnsembleSpec,
     OutOfFamilyError,
     StateError,
+    canonical_amplitudes,
     canonical_sample,
     werner_state,
 )
@@ -252,6 +253,47 @@ def test_observables_exp_o_is_phase_independent():
         triple = observables_expectations(p)
         assert triple.exp_o == pytest.approx(4.0 * p.lambda0 * p.lambda4, abs=1e-12)
         assert triple.exp_o2 == pytest.approx(2.0 * p.lambda0**2, abs=1e-12)
+
+
+def _dense_observables(p):
+    """<O>, <O1>, <O2> by the dense double contraction: the reference of the gather."""
+    psi = canonical_amplitudes(p)
+    o_psi = np.einsum("kij,...j->...ki", classify._OBSERVABLES, psi)
+    values = np.einsum("...i,...ki->...k", psi.conj(), o_psi).real
+    return tuple(values[..., i] for i in range(3))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, "uniform"])
+def test_observables_are_the_dense_products_bit_for_bit(theta):
+    rng = np.random.default_rng(24)
+    if theta == "uniform":
+        theta = float(rng.uniform(0.0, math.pi))
+    # exact zero amplitudes: the grids hold every pattern of zeros, with
+    # lambda0 = 0 and lambda2 = 0 among them
+    grid = classify.sweep_grid(6)
+    stacks = [np.sqrt(grid / 6.0), np.sqrt(rng.dirichlet(np.ones(5), size=160))]
+    zeroed = stacks[1].copy()
+    zeroed[::2, 0] = 0.0
+    zeroed[1::2, 2] = 0.0
+    stacks.append(zeroed / np.linalg.norm(zeroed, axis=1, keepdims=True))
+    assert (stacks[0][:, 0] == 0.0).any() and (stacks[0][:, 2] == 0.0).any()
+    for lam in stacks:
+        stack = CanonicalThreeQubit(*lam.T, theta=theta)
+        triple = observables_expectations(stack)
+        dense = _dense_observables(stack)
+        for got, want in zip(triple[:3], dense):
+            assert np.array_equal(_bits(got), _bits(want)), theta
+        assert np.array_equal(triple.witness_holds, dense[0] > dense[1] + dense[2])
+    for lam in (POINT_A.lambdas(), (1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.6, 0.0, 0.0, 0.8),
+                (0.6, 0.0, 0.0, 0.0, 0.8), (0.3, 0.2, 0.0, 0.35, math.sqrt(0.7475))):
+        p = CanonicalThreeQubit(*lam, theta=theta)
+        triple = observables_expectations(p)
+        assert all(isinstance(value, float) for value in triple[:3])
+        assert _bits(triple[:3]).tolist() == _bits(_dense_observables(p)).tolist(), lam
 
 
 def test_one_norm_margins_werner():

@@ -814,7 +814,7 @@ def test_sweep_rows_match_the_per_point_api(capsys):
 
 
 def _per_cell_lines(columns, applies):
-    """The CSV rows as the per-cell loop made them: the reference of ``cli._csv_lines``."""
+    """The CSV rows as the per-cell loop made them: the reference of ``cli._CsvLines``."""
     flag = {True: "true", False: "false"}
     cells = []
     for name, column in columns.items():
@@ -836,18 +836,58 @@ def test_sweep_table_matches_the_per_cell_formatting():
         1.0, np.nextafter(1.0, 2.0), 0.1 + 0.2, 0.3,
     ])
     n = len(awkward)
-    columns = {
-        "x": awkward,
-        "y": awkward[::-1].copy(),
-        "label": np.array(["GHZ", "W", "boundary"] * (n // 3)),
-        "flag": np.arange(n) % 3 == 0,
-        "masked_x": np.roll(awkward, 5),
-        "masked_flag": np.arange(n) % 4 == 1,
-    }
-    applies = {"masked_x": np.arange(n) % 2 == 0, "masked_flag": np.arange(n) % 3 != 2}
-    assert cli._csv_lines(columns, applies) == _per_cell_lines(columns, applies)
 
-    # and a chunk of the sweep itself
-    ks = classify.sweep_grid(6)[: classify.CHUNK_SIZE]
-    columns, applies = classify.sweep_columns(CanonicalThreeQubit(*np.sqrt(ks.T / 6), theta=0.0))
-    assert cli._csv_lines(columns, applies) == _per_cell_lines(columns, applies)
+    def chunk(values):
+        columns = {
+            "x": values,
+            "y": values[::-1].copy(),
+            "label": np.array(["GHZ", "W", "boundary"] * (n // 3)),
+            "flag": np.arange(n) % 3 == 0,
+            "masked_x": np.roll(values, 5),
+            "masked_flag": np.arange(n) % 4 == 1,
+        }
+        applies = {"masked_x": np.arange(n) % 2 == 0, "masked_flag": np.arange(n) % 3 != 2}
+        return columns, applies
+
+    assert cli._CsvLines()(*chunk(awkward)) == _per_cell_lines(*chunk(awkward))
+
+    # one formatter over a sequence of chunks: each chunk's text is its own
+    # per-cell text, whatever the formatter kept from the chunk before
+    zeros = np.zeros(n)
+    fresh = np.linspace(2.0, 3.0, n)
+    sequence = [
+        awkward,
+        np.roll(awkward, 3),                                   # every value recurs
+        zeros,                                                 # 0.0 only
+        np.where(np.arange(n) % 2 == 0, -0.0, 0.3),            # -0.0 after 0.0
+        np.array([np.nan, np.inf, -np.inf, 0.3] * (n // 4)),   # NaN and inf
+        fresh,                                                 # nothing shared
+        np.concatenate([fresh[: n // 2], awkward[n // 2:]]),   # some of each
+    ]
+    csv_lines = cli._CsvLines()
+    reused = 0
+    for values in sequence:
+        before = dict(zip(csv_lines._bits.tolist(), csv_lines._texts.tolist()))
+        columns, applies = chunk(values)
+        assert csv_lines(columns, applies) == _per_cell_lines(columns, applies), values
+        # only this chunk's patterns are kept, sorted, each beside its text
+        floats = np.concatenate([columns[name] for name in ("x", "y", "masked_x")])
+        kept = np.unique(floats.view(np.int64))
+        assert np.array_equal(csv_lines._bits, kept)
+        assert csv_lines._texts.tolist() == [repr(v) for v in kept.view(np.float64).tolist()]
+        # a pattern of the chunk before keeps the text formatted then
+        for key, text in zip(kept.tolist(), csv_lines._texts.tolist()):
+            if key in before:
+                assert text is before[key]
+                reused += 1
+    assert reused > n
+
+    # and chunks of the sweep itself
+    grid = classify.sweep_grid(6)
+    csv_lines = cli._CsvLines()
+    for lo in range(0, len(grid), 50):
+        ks = grid[lo:lo + 50]
+        columns, applies = classify.sweep_columns(
+            CanonicalThreeQubit(*np.sqrt(ks.T / 6), theta=0.0)
+        )
+        assert csv_lines(columns, applies) == _per_cell_lines(columns, applies)
