@@ -177,24 +177,15 @@ class ConcurrenceSumCheck(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
-    coh_ab: float
-    coh_ac: float
 
 
 def concurrence_sum_check(p: CanonicalThreeQubit) -> ConcurrenceSumCheck:
     """Check C_AB + C_AC < 2 coh_ac for points with l0 > 0, l4 > 0 and l0 + l1 < l4."""
     _require_ghz_window(p, "the concurrence-sum check")
     c_ab, c_ac = measures.partial_concurrences_analytic(p)
-    coh_ab, coh_ac, _ = reduced_coherences_analytic(p)
-    lhs = c_ab + c_ac
-    rhs = 2.0 * coh_ac
-    return ConcurrenceSumCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs < rhs,
-        coh_ab=coh_ab,
-        coh_ac=coh_ac,
-    )
+    _, coh_ac, _ = reduced_coherences_analytic(p)
+    lhs, rhs = c_ab + c_ac, 2.0 * coh_ac
+    return ConcurrenceSumCheck(lhs=lhs, rhs=rhs, holds=lhs < rhs)
 
 
 class CoherenceProductCheck(NamedTuple):

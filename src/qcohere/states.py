@@ -64,22 +64,23 @@ class DensityMatrix:
     the whole stack, and an error names the sample that failed.  Indexing a
     stack gives one state, or a sub-stack for an index array.
 
-    The public constructor validates eagerly: the Hermiticity and trace
-    checks, then one Jacobi solve whose eigenvalues are checked for
-    positivity and kept, so consumers (the chain norms, the factor) never
-    repeat it.  States that are PSD by construction (pure-state projectors,
-    Ginibre draws, partial traces) come from ``_lazy``: the same
-    Hermiticity and trace checks run at once, and the solve, with its PSD
-    clamp and ``StateError``, runs on first use of the spectrum.  Such a
-    state usually knows a factor ``V`` with ``rho = V V^H`` from the way it
-    was built; see ``factor``.
+    The public constructor validates eagerly: the finite, Hermiticity and
+    trace checks, then, once every state is finite and Hermitian, one Jacobi
+    solve whose eigenvalues are checked for positivity and kept, so
+    consumers (the chain norms, the factor) never repeat it.  A refused
+    state's ``StateError`` names every residual of the first failing state,
+    joined by "; ".  States that are PSD by construction (pure-state
+    projectors, Ginibre draws, partial traces) come from ``_lazy``: the same
+    finite, Hermiticity and trace checks run at once, and the solve, with
+    its PSD clamp and ``StateError``, runs on first use of the spectrum.
+    Such a state usually knows a factor ``V`` with ``rho = V V^H`` from the
+    way it was built; see ``factor``.
     """
 
     TRACE_TOL = 1e-10
 
     def __init__(self, matrix):
-        self._check(matrix)
-        self._spectrum()
+        self._check(matrix, solve=True)
 
     @classmethod
     def _lazy(cls, matrix, indices=None, factor=None) -> "DensityMatrix":
@@ -96,7 +97,8 @@ class DensityMatrix:
         rho._factor = factor
         return rho
 
-    def _check(self, matrix, indices=None):
+    def _check(self, matrix, indices=None, solve=False):
+        """Take ``matrix``; with ``solve``, positivity joins once every state is Hermitian."""
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise StateError(f"density matrix must be square, got shape {m.shape}")
@@ -107,22 +109,34 @@ class DensityMatrix:
         self.indices = indices
         self._factor = None
         self._eigenvalues = None
-        k = linalg._first(~np.isfinite(m).all(axis=(-2, -1)))
-        if k is not None:
-            raise StateError(self._sample(k) + "density matrix contains non-finite entries")
-        herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        k = linalg._first(herm > linalg.HERMITIAN_TOL)
-        if k is not None:
-            raise StateError(
-                self._sample(k) + f"not Hermitian: max |M - M^H| entry is"
-                f" {herm.flat[k]:.3e}, tolerance {linalg.HERMITIAN_TOL:.1e}"
+        with np.errstate(invalid="ignore"):  # inf - inf: a non-finite state's residuals are NaN
+            herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+        # one row per residual, one column per state; the last row is positivity
+        failed = np.array([
+            ~np.isfinite(m).all(axis=(-2, -1)),
+            herm > linalg.HERMITIAN_TOL,
+            trace_dev > self.TRACE_TOL,
+            np.zeros(herm.shape, dtype=bool),
+        ]).reshape(4, -1)
+        not_psd = None
+        if solve and not failed[:2].any():
+            try:
+                self._spectrum()
+            except StateError as exc:
+                not_psd = exc.__cause__  # the clamp's NotPsdError, with its stack position
+                failed[3, not_psd.index or 0] = True
+        if failed.any():
+            k = linalg._first(failed.any(axis=0))
+            residuals = (
+                "density matrix contains non-finite entries",
+                f"not Hermitian: max |M - M^H| entry is {herm.flat[k]:.3e},"
+                f" tolerance {linalg.HERMITIAN_TOL:.1e}",
+                f"trace deviates from 1 by {trace_dev.flat[k]:.3e}, tolerance {self.TRACE_TOL:.1e}",
+                str(not_psd),
             )
-        trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-        k = linalg._first(trace_dev > self.TRACE_TOL)
-        if k is not None:
             raise StateError(
-                self._sample(k) + f"trace deviates from 1 by {trace_dev.flat[k]:.3e},"
-                f" tolerance {self.TRACE_TOL:.1e}"
+                self._sample(k) + "; ".join(r for r, bad in zip(residuals, failed[:, k]) if bad)
             )
 
     def _sample(self, k) -> str:
@@ -132,15 +146,13 @@ class DensityMatrix:
         index = self.indices if self.matrix.ndim == 2 else self.indices[k]
         return f"sample {index}: "
 
-    def _adopt_spectrum(self, w: np.ndarray):
-        try:
-            self._eigenvalues = linalg.clamp_psd_eigenvalues(w, context="density matrix")
-        except linalg.NotPsdError as exc:
-            raise StateError(self._sample(exc.index) + str(exc)) from exc
-
     def _spectrum(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self._adopt_spectrum(linalg.hermitian_eigen(self.matrix))
+            w = linalg.hermitian_eigen(self.matrix)
+            try:
+                self._eigenvalues = linalg.clamp_psd_eigenvalues(w, context="density matrix")
+            except linalg.NotPsdError as exc:
+                raise StateError(self._sample(exc.index) + str(exc)) from exc
         return self._eigenvalues
 
     def __getitem__(self, k) -> "DensityMatrix":
@@ -628,49 +640,33 @@ def parse_lambdas(text: str, theta: float = 0.0) -> CanonicalThreeQubit:
 # --- density-matrix file format -------------------------------------------
 #
 # A density matrix on disk is a JSON object {"dim": d, "re": [...],
-# "im": [...]} with an integer d and row-major real and imaginary parts of
-# length d*d.
+# "im": [...]} with an integer d and row-major real and imaginary parts:
+# arrays of d*d JSON numbers.
 
 
 def density_matrix_from_json_dict(obj) -> DensityMatrix:
-    """Build a validated DensityMatrix from the JSON wire format."""
+    """Read the JSON wire format; ``DensityMatrix`` then checks the state it holds."""
     if not isinstance(obj, dict):
         raise StateError("density-matrix JSON must be an object")
     try:
-        dim = obj["dim"]
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateError(f"density-matrix JSON is malformed: {exc}") from exc
+        dim, parts = obj["dim"], (obj["re"], obj["im"])
+    except KeyError as exc:
+        raise StateError(f"density-matrix JSON is missing the key {exc}") from exc
     if type(dim) is not int:  # a JSON integer: no float, string or bool
         raise StateError(f"density-matrix JSON needs an integer dim, got {dim!r}")
-    if dim < 1 or re.shape != (dim * dim,) or im.shape != (dim * dim,):
+    if dim < 1 or any(type(p) is not list or len(p) != dim * dim for p in parts):
+        lengths = [len(p) if type(p) is list else type(p).__name__ for p in parts]
         raise StateError(
-            f"density-matrix JSON needs re/im arrays of length dim^2={dim * dim},"
-            f" got {re.shape} and {im.shape}"
+            f"density-matrix JSON needs re/im arrays of length dim^2={dim * dim}, got {lengths}"
         )
-    m = (re + 1j * im).reshape(dim, dim)
-    if not np.all(np.isfinite(m)):
-        raise StateError("density-matrix JSON contains non-finite entries")
-    # report every residual at once so a bad file is diagnosable in one pass;
-    # the one solve serves both the report and the state
-    herm = float(np.abs(m - m.conj().T).max())
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
-    problems = []
-    if herm > linalg.HERMITIAN_TOL:
-        problems.append(f"hermiticity residual {herm:.3e}")
-    if trace_dev > DensityMatrix.TRACE_TOL:
-        problems.append(f"trace deviation {trace_dev:.3e}")
-    if herm <= linalg.HERMITIAN_TOL:
-        w = linalg.hermitian_eigen(m)
-        wmin = float(w.min())
-        if wmin < -linalg.PSD_CLAMP:
-            problems.append(f"minimum eigenvalue {wmin:.3e}")
-    if problems:
-        raise StateError("density-matrix file fails validation: " + ", ".join(problems))
-    rho = DensityMatrix._lazy(m)
-    rho._adopt_spectrum(w)
-    return rho
+    for x in parts[0] + parts[1]:
+        if type(x) not in (int, float):  # a JSON number: no string, bool or null
+            raise StateError(f"density-matrix JSON needs numbers in re/im, got {x!r}")
+    try:
+        re, im = np.array(parts, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise StateError(f"density-matrix JSON holds a number too large: {exc}") from exc
+    return DensityMatrix((re + 1j * im).reshape(dim, dim))
 
 
 def read_density_matrix(path) -> DensityMatrix:

@@ -158,8 +158,6 @@ def test_concurrence_sum_check_example():
     assert record.lhs == pytest.approx(0.36, abs=1e-12)
     assert record.rhs == pytest.approx(1.898706, abs=1e-6)
     assert record.holds
-    assert record.coh_ab == pytest.approx(0.883824, abs=1e-6)
-    assert record.coh_ac == pytest.approx(0.949353, abs=1e-6)
 
 
 def test_checks_reject_points_outside_the_window():

@@ -313,6 +313,16 @@ def test_audit_state_file_rejects_invalid_state(tmp_path, capsys):
     assert code == 65
     assert "needs an integer dim, got 4.0" in err
 
+    # a string holding a number is no JSON number, though this one makes I/4 as a float
+    string_entry = tmp_path / "string-entry.json"
+    obj = werner_state(0.0).to_json_dict()
+    obj["re"][0] = "0.25"
+    string_entry.write_text(json.dumps(obj))
+    code, _, err = run(capsys, ["audit", "--target", "theorem1-chain",
+                                "--state-file", str(string_entry)])
+    assert code == 65
+    assert "needs numbers in re/im, got '0.25'" in err
+
     code, _, _ = run(capsys, ["audit", "--target", "appendix-a",
                               "--state-file", str(tmp_path / "missing.json")])
     assert code == 2

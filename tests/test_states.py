@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qcohere import states
+from qcohere import linalg, states
 from qcohere.classify import ensemble_state
-from qcohere.measures import concurrence
+from qcohere.measures import concurrence, inequality_chain
 from qcohere.states import (
     MAX_SEED,
     TWO_QUBIT_DIM,
@@ -410,6 +411,42 @@ def test_stack_errors_name_the_sample():
         DensityMatrix(stack[1])
 
 
+TRACE_HALF_OFF = "trace deviates from 1 by 5.000e-01, tolerance 1.0e-10"
+EIGENVALUE_HALF_NEGATIVE = (
+    "density matrix is not positive semidefinite: eigenvalue -5.000e-01 is below -1.0e-10"
+)
+
+
+def refused_with(message):
+    """Expect a ``StateError`` whose text is exactly ``message``."""
+    return pytest.raises(StateError, match=f"^{re.escape(message)}$")
+
+
+def test_eager_state_names_every_failing_residual():
+    # trace 1.5 and eigenvalue -0.5: the one solve finds the second, one message names both
+    with refused_with(f"{TRACE_HALF_OFF}; {EIGENVALUE_HALF_NEGATIVE}"):
+        DensityMatrix(np.diag([2.0, -0.5]))
+    # no solve takes a non-Hermitian matrix, so no eigenvalue is named
+    m = np.diag([2.0, -0.5]).astype(complex)
+    m[0, 1] = 0.3
+    not_hermitian = "not Hermitian: max |M - M^H| entry is 3.000e-01, tolerance 1.0e-10"
+    with refused_with(f"{not_hermitian}; {TRACE_HALF_OFF}"):
+        DensityMatrix(m)
+
+
+def test_stack_error_names_the_first_failing_sample_with_all_its_residuals():
+    good = np.eye(4, dtype=complex) / 4
+    stack = np.stack([good] * 5)
+    stack[2] = np.diag([2.0, -0.5, 0.0, 0.0])  # trace and positivity
+    stack[3] = np.diag([1.5, -0.5, 0.0, 0.0])  # positivity only
+    stack[4] *= 2.0  # trace only
+    with refused_with(f"sample 2: {TRACE_HALF_OFF}; {EIGENVALUE_HALF_NEGATIVE}"):
+        DensityMatrix(stack)
+    # the first failing sample fails positivity alone, the next one its trace
+    with refused_with(f"sample 0: {EIGENVALUE_HALF_NEGATIVE}"):
+        DensityMatrix(stack[3:])
+
+
 def test_haar_reduced_purity_matches_oracle_band():
     # Monte Carlo oracle at 10^6 samples gives 0.7999 (analytic 4/5) for the
     # single-qubit reduction of a Haar two-qubit pure state
@@ -491,34 +528,55 @@ def test_density_matrix_json_round_trip(tmp_path):
 
 
 def test_density_matrix_reader_reports_residuals(tmp_path):
+    # the reader hands the matrix to DensityMatrix, whose phrases it reports
     good = werner_state(0.5).to_json_dict()
 
     bad_trace = dict(good)
     bad_trace["re"] = [2.0 * x for x in good["re"]]
-    with pytest.raises(StateError, match="trace deviation"):
+    with refused_with("trace deviates from 1 by 1.000e+00, tolerance 1.0e-10"):
         density_matrix_from_json_dict(bad_trace)
 
     bad_herm = dict(good)
-    re = list(good["re"])
-    re[1] += 0.3
-    bad_herm["re"] = re
-    with pytest.raises(StateError, match="hermiticity residual"):
+    real = list(good["re"])
+    real[1] += 0.3
+    bad_herm["re"] = real
+    with refused_with("not Hermitian: max |M - M^H| entry is 3.000e-01, tolerance 1.0e-10"):
         density_matrix_from_json_dict(bad_herm)
 
     bad_psd = {"dim": 2, "re": [1.2, 0.0, 0.0, -0.2], "im": [0.0, 0.0, 0.0, 0.0]}
-    with pytest.raises(StateError, match="eigenvalue"):
+    with pytest.raises(StateError, match="eigenvalue -2.000e-01"):
         density_matrix_from_json_dict(bad_psd)
 
     # a Hermitian matrix failing both trace and positivity reports both
     bad_both = {"dim": 2, "re": [2.0, 0.0, 0.0, -0.5], "im": [0.0, 0.0, 0.0, 0.0]}
-    with pytest.raises(
-        StateError, match="trace deviation 5.000e-01, minimum eigenvalue -5.000e-01"
-    ):
+    with refused_with(f"{TRACE_HALF_OFF}; {EIGENVALUE_HALF_NEGATIVE}"):
         density_matrix_from_json_dict(bad_both)
 
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(StateError, match="not valid JSON"):
+        read_density_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "part, entry",
+    [("re", "0.25"), ("re", True), ("re", None), ("re", [0.25]), ("im", False)],
+    ids=["string", "bool", "null", "array", "im-bool"],
+)
+def test_density_matrix_reader_needs_json_numbers(part, entry):
+    # converted, "0.25", [0.25] and false would each leave the state I/4 valid
+    obj = werner_state(0.0).to_json_dict()
+    obj[part][0] = entry
+    with refused_with(f"density-matrix JSON needs numbers in re/im, got {entry!r}"):
+        density_matrix_from_json_dict(obj)
+
+
+def test_density_matrix_reader_refuses_an_integer_beyond_the_float_range(tmp_path):
+    # JSON integers have no size limit; a float conversion would raise OverflowError
+    path = tmp_path / "huge.json"
+    obj = werner_state(0.0).to_json_dict()
+    path.write_text(json.dumps(obj).replace("0.25", "1" + "0" * 400, 1))
+    with pytest.raises(StateError, match="holds a number too large"):
         read_density_matrix(path)
 
 
@@ -545,3 +603,19 @@ def test_density_matrix_reader_solves_once(solves):
     # product and nothing else
     concurrence(rho)
     assert solves == [(4, 4), (4, 4)]
+
+
+def test_state_file_chain_audit_makes_two_solver_calls(tmp_path, monkeypatch):
+    # the reader's one solve for rho, kept for the chain, and the one for T^H T
+    calls = []
+    solve = linalg.hermitian_eigen
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(werner_state(0.9).to_json_dict()))
+    monkeypatch.setattr(linalg, "hermitian_eigen", counting)
+    inequality_chain(read_density_matrix(path))
+    assert calls == [(4, 4), (4, 4)]
