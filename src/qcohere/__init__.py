@@ -27,8 +27,6 @@ _EXPORTS = {
     "observables_expectations": "classify",
     "one_norm_bound_audit": "classify",
     "ConvergenceError": "linalg",
-    "hermitian_eigen": "linalg",
-    "induced_one_norm": "linalg",
     "CanonicalMeasures": "measures",
     "ChainReport": "measures",
     "bipartition_concurrence": "measures",

@@ -2,14 +2,16 @@
 
 All routines work on plain ``numpy`` arrays of ``complex128``, either one
 matrix or an ``(N, n, n)`` stack of them; a function given a stack returns
-one result per matrix.  The eigensolver is a cyclic Jacobi iteration for
-Hermitian matrices, vectorised over the stack, so an ensemble chunk costs
-one call and a single matrix is a stack of one.  It computes eigenvalues
-only: nothing in the package reads an eigenvector.  A positive semidefinite
-matrix gets a factor V with A = V V^H from a pivoted Cholesky instead.
-Nothing here depends on an external eigenvalue backend, and each matrix's
-result is bit-identical whatever stack it was computed in, signed zeros
-included.
+one result per matrix.  They are kernels that check nothing: every caller
+hands them a matrix that ``states.DensityMatrix`` has checked, or one that
+is exactly Hermitian by construction.  The eigensolver is a cyclic Jacobi
+iteration for Hermitian matrices, vectorised over the stack, so an ensemble
+chunk costs one call and a single matrix is a stack of one.  It computes
+eigenvalues only: nothing in the package reads an eigenvector.  A positive
+semidefinite matrix gets a factor V with A = V V^H from a pivoted Cholesky
+instead.  Nothing here depends on an external eigenvalue backend, and each
+matrix's result is bit-identical whatever stack it was computed in, signed
+zeros included.
 """
 
 import functools
@@ -24,9 +26,6 @@ import numpy as np
 OFF_DIAGONAL_TARGET = 1e-13
 MAX_SWEEPS = 100
 
-# The solver and the density-matrix checks refuse an entry of A - A^H above this.
-HERMITIAN_TOL = 1e-10
-
 # Eigenvalues in [-PSD_CLAMP, 0) are rounding noise and are treated as
 # exact zeros wherever positive semidefiniteness is consumed.  Anything
 # below -PSD_CLAMP is a hard error: it signals a wrongly built operator,
@@ -39,19 +38,7 @@ PSD_CLAMP = 1e-10
 RESOLUTION_FLOOR = 1e-13
 
 
-class LinalgError(ValueError):
-    """Base error for invalid matrix inputs."""
-
-
-class DimensionError(LinalgError):
-    """Shapes do not allow the requested operation."""
-
-
-class NotHermitianError(LinalgError):
-    """Input fails the Hermiticity check."""
-
-
-class NotPsdError(LinalgError):
+class NotPsdError(ValueError):
     """Input has an eigenvalue below the PSD tolerance.
 
     ``index`` is the position of the offending spectrum in a stack, or None
@@ -69,18 +56,7 @@ class ConvergenceError(RuntimeError):
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
-
-def _as_matrices(a) -> np.ndarray:
-    """One matrix or an (N, rows, cols) stack, as finite complex128."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim not in (2, 3):
-        raise DimensionError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise LinalgError("matrix contains non-finite entries")
-    return m
 
 
 def _first(flags: np.ndarray):
@@ -276,24 +252,11 @@ def hermitian_eigen(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, (n,), or of an (N, n, n) stack, (N, n).
 
     The stack is solved in one vectorised cyclic Jacobi pass; a single
-    matrix is a stack of one; a matrix with an entry of A - A^H above
-    HERMITIAN_TOL is refused.  No eigenvectors are computed.
+    matrix is a stack of one.  No eigenvectors are computed.  The input must
+    be finite, square and Hermitian within ``DensityMatrix.HERMITIAN_TOL``.
     """
-    m = _as_matrices(a)
-    if m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {m.shape}")
-    stack = m.reshape((-1,) + m.shape[-2:])
-    if stack.size:
-        residual = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        k = _first(residual > HERMITIAN_TOL)
-        if k is not None:
-            which = "matrix" if m.ndim == 2 else f"matrix {k} of the stack"
-            raise NotHermitianError(
-                f"{which} is not Hermitian: max |A - A^H| entry is {residual[k]:.3e},"
-                f" tolerance {HERMITIAN_TOL:.1e}"
-            )
-    values = np.sort(_jacobi_stack(stack), axis=-1)
-    return values[0] if m.ndim == 2 else values
+    values = np.sort(_jacobi_stack(a.reshape((-1,) + a.shape[-2:])), axis=-1)
+    return values[0] if a.ndim == 2 else values
 
 
 def pivoted_cholesky(a) -> np.ndarray:
@@ -307,10 +270,9 @@ def pivoted_cholesky(a) -> np.ndarray:
     stops, its remaining columns zero, once d_p is below RESOLUTION_FLOOR
     times its trace.  Only + - * / and sqrt on real and imaginary parts are
     used, so a matrix's factor does not depend on its stack.  The input is
-    not checked for positivity; ``DensityMatrix.factor`` checks it first.
+    not checked; ``DensityMatrix.factor`` checks its positivity first.
     """
-    m = _as_matrices(a)
-    stack = m.reshape((-1,) + m.shape[-2:])
+    stack = a.reshape((-1,) + a.shape[-2:])
     n = stack.shape[-1]
     re, im = stack.real.copy(), stack.imag.copy()
     diagonal, rows = np.arange(n), np.arange(len(stack))
@@ -328,7 +290,7 @@ def pivoted_cholesky(a) -> np.ndarray:
         re -= l_re[:, :, None] * l_re[:, None, :] + l_im[:, :, None] * l_im[:, None, :]
         im -= l_im[:, :, None] * l_re[:, None, :] - l_re[:, :, None] * l_im[:, None, :]
         re[rows, p], re[rows, :, p], im[rows, p], im[rows, :, p] = 0.0, 0.0, 0.0, 0.0
-    return v[0] if m.ndim == 2 else v
+    return v[0] if a.ndim == 2 else v
 
 
 def clamp_psd_eigenvalues(w: np.ndarray, context: str = "matrix") -> np.ndarray:
@@ -360,5 +322,5 @@ def spectral_floor(w: np.ndarray) -> np.ndarray:
 
 def induced_one_norm(a):
     """Maximum over columns of the sum of entry moduli, per matrix of a stack."""
-    norms = np.abs(_as_matrices(a)).sum(axis=-2).max(axis=-1)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms

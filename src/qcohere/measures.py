@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import SIGMA_Y
 from .states import (
     CanonicalThreeQubit,
     DensityMatrix,
@@ -39,8 +38,6 @@ from .states import (
     per_state,
     require_zero_phase,
 )
-
-SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 # Slack applied to every inequality verdict in the chain report, and the
 # band inside which a slightly negative tangle residual is treated as zero.
@@ -66,6 +63,15 @@ def l1_coherence(rho: DensityMatrix):
     return per_state(np.abs(m).sum(axis=(-2, -1)) - diagonal)
 
 
+def _tau(v: np.ndarray) -> np.ndarray:
+    """T = V^T (sigma_y x sigma_y) V for a 4 x r factor V, or an (N, 4, r) stack.
+
+    sigma_y x sigma_y is the anti-diagonal -1, 1, 1, -1: V^T's columns reversed
+    and signed.  The + 0.0 turns -0.0 into +0.0, so T has the dense product's bits.
+    """
+    return (v.swapaxes(-1, -2)[..., ::-1] * np.array([-1.0, 1.0, 1.0, -1.0]) + 0.0) @ v
+
+
 def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
     """The four descending square roots of the eigenvalues of rho.rho~.
 
@@ -76,8 +82,7 @@ def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
     T is its own singular value, |psi^T (sigma_y x sigma_y) psi| for a pure
     state (Hill & Wootters, PRL 78, 5022 (1997)), and needs no solve.
     """
-    v = rho.factor
-    t = v.swapaxes(-1, -2) @ SIGMA_YY @ v
+    t = _tau(rho.factor)
     if t.shape[-1] == 1:
         roots = np.abs(t[..., 0])
     else:

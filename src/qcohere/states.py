@@ -77,6 +77,7 @@ class DensityMatrix:
     way it was built; see ``factor``.
     """
 
+    HERMITIAN_TOL = 1e-10
     TRACE_TOL = 1e-10
 
     def __init__(self, matrix):
@@ -115,7 +116,7 @@ class DensityMatrix:
         # one row per residual, one column per state; the last row is positivity
         failed = np.array([
             ~np.isfinite(m).all(axis=(-2, -1)),
-            herm > linalg.HERMITIAN_TOL,
+            herm > self.HERMITIAN_TOL,
             trace_dev > self.TRACE_TOL,
             np.zeros(herm.shape, dtype=bool),
         ]).reshape(4, -1)
@@ -131,7 +132,7 @@ class DensityMatrix:
             residuals = (
                 "density matrix contains non-finite entries",
                 f"not Hermitian: max |M - M^H| entry is {herm.flat[k]:.3e},"
-                f" tolerance {linalg.HERMITIAN_TOL:.1e}",
+                f" tolerance {self.HERMITIAN_TOL:.1e}",
                 f"trace deviates from 1 by {trace_dev.flat[k]:.3e}, tolerance {self.TRACE_TOL:.1e}",
                 str(not_psd),
             )
@@ -191,6 +192,9 @@ class DensityMatrix:
         return per_state(np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1).real)
 
     def to_json_dict(self) -> dict:
+        """The file format of ``read_density_matrix``; a stack has none and is refused."""
+        if self.matrix.ndim == 3:
+            raise StateError(f"a density-matrix file holds one state, got a stack of {len(self.matrix)}")
         return {
             "dim": int(self.dim),
             "re": [float(x) for x in self.matrix.real.ravel()],

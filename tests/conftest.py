@@ -34,6 +34,26 @@ def solves(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def kernel_inputs(monkeypatch):
+    """(kernel name, matrix argument) of every call of the linalg kernels during the test.
+
+    The kernels check nothing; this records what their callers hand them.
+    """
+    inputs = []
+
+    def recording(name, original):
+        def kernel(a, *args, **kwargs):
+            inputs.append((name, a))
+            return original(a, *args, **kwargs)
+
+        return kernel
+
+    for name in ("hermitian_eigen", "pivoted_cholesky", "induced_one_norm"):
+        monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
+    return inputs
+
+
 _TERMINAL_STDERR = pytest.StashKey[int]()
 
 

@@ -445,6 +445,48 @@ def test_one_norm_audit_solves_only_the_violating_states(tmp_path, capsys, monke
     assert solves == [(4, 4)] * 2
 
 
+def test_kernels_get_only_checked_matrices(tmp_path, capsys, monkeypatch, kernel_inputs):
+    # the linalg kernels check nothing: every matrix a command hands them must
+    # already be finite, square and Hermitian within DensityMatrix's tolerance
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    state = tmp_path / "werner.json"
+    state.write_text(json.dumps(werner_state(0.7).to_json_dict()))
+    out = ["--out", str(tmp_path / "out")]
+    commands = [
+        ["sample", "--ensemble", "pure", "--n", "40", "--seed", "7", *out],
+        ["sample", "--ensemble", "ginibre", "--n", "40", "--seed", "7", *out],
+        ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre", "--n", "40", "--seed", "7", *out],
+        ["audit", "--target", "appendix-a", "--ensemble", "pure", "--n", "300", "--seed", "3", *out],
+        ["audit", "--target", "theorem1-chain", "--state-file", str(state)],
+        ["audit", "--target", "appendix-a", "--state-file", str(state)],
+        ["canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--theta", "0"],
+        ["canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--theta", "1"],
+        ["sweep", "--resolution", "4", *out],
+    ]
+    seen = set()
+    for argv in commands:
+        kernel_inputs.clear()
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        for name, a in kernel_inputs:
+            assert a.ndim in (2, 3) and a.shape[-1] == a.shape[-2], (argv, name, a.shape)
+            assert np.isfinite(a).all(), (argv, name)
+            residual = np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0)
+            assert residual <= states.DensityMatrix.HERMITIAN_TOL, (argv, name, residual)
+            seen.add(name)
+    assert seen == {"hermitian_eigen", "pivoted_cholesky", "induced_one_norm"}
+
+
+def test_non_hermitian_state_file_is_refused_before_any_kernel(tmp_path, capsys, kernel_inputs):
+    path = tmp_path / "skew.json"
+    path.write_text('{"dim": 2, "re": [0.5, 0.3, 0.0, 0.5], "im": [0, 0, 0, 0]}')
+    for target in ("theorem1-chain", "appendix-a"):
+        code, _, err = run(capsys, ["audit", "--target", target, "--state-file", str(path)])
+        assert code == 65
+        assert "not Hermitian: max |M - M^H| entry is 3.000e-01" in err
+    assert kernel_inputs == []
+
+
 def test_unconverged_solver_exits_70(capsys, monkeypatch):
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)

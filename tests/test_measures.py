@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from qcohere import classify
+from qcohere import classify, measures
 from qcohere.linalg import pivoted_cholesky
 from qcohere.measures import (
     CANONICAL_KEYS,
@@ -183,6 +183,27 @@ def test_concurrence_matches_the_tau_oracle_on_the_hard_corpus():
         rescaled = DensityMatrix._lazy(rho.matrix, factor=1e4 * pivoted_cholesky(small))
         for state in (rho, bare, rescaled):
             assert np.abs(np.reshape(concurrence(state), -1) - oracle).max() <= 1e-12, name
+
+
+def test_tau_is_the_dense_spin_flip_product_bit_for_bit():
+    # the signed column reversal against V^T @ YY @ V: Ginibre factors of
+    # every rank, the same states through the pivoted Cholesky, and the 4 x 2
+    # factors of three-qubit reductions, whose exact zeros keep their signs
+    def dense(v):
+        return v.swapaxes(-1, -2) @ YY @ v
+
+    factors = []
+    for rank in range(1, 5):
+        chunk = ensemble_chunk("ginibre", 2245, 0, 512, rank)
+        factors += [chunk.factor, DensityMatrix(chunk.matrix).factor]
+    factors.append(ensemble_chunk("haar-pure", 2245, 0, 512, None).factor)
+    for k in range(100):
+        for mode in ("zero", "uniform"):
+            factors.append(measures._reductions(canonical_state(canonical_sample(2245, k, mode)))[0].factor)
+    for p in (POINT_A, POINT_B, CanonicalThreeQubit(S3, 0.0, S3, S3, 0.0)):
+        factors.append(measures._reductions(canonical_state(p))[0].factor)
+    for v in factors:
+        assert measures._tau(v).tobytes() == dense(v).tobytes()
 
 
 def test_measure_report_fields():

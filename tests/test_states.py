@@ -411,6 +411,19 @@ def test_stack_errors_name_the_sample():
         DensityMatrix(stack[1])
 
 
+def test_non_hermitian_states_are_refused_before_any_kernel(kernel_inputs):
+    # the kernels trust their input: the Hermiticity check is DensityMatrix's alone
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = 0.3
+    with pytest.raises(StateError, match="not Hermitian: max [|]M - M\\^H[|] entry is 3.000e-01"):
+        DensityMatrix(m)
+    stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+    stack[1, 2, 3] = 0.3j
+    with pytest.raises(StateError, match="sample 1: not Hermitian"):
+        DensityMatrix._lazy(stack)
+    assert kernel_inputs == []
+
+
 TRACE_HALF_OFF = "trace deviates from 1 by 5.000e-01, tolerance 1.0e-10"
 EIGENVALUE_HALF_NEGATIVE = (
     "density matrix is not positive semidefinite: eigenvalue -5.000e-01 is below -1.0e-10"
@@ -525,6 +538,16 @@ def test_density_matrix_json_round_trip(tmp_path):
     obj = json.loads(path.read_text())
     assert set(obj) == {"dim", "re", "im"}
     assert len(obj["re"]) == 16
+
+
+def test_a_stack_has_no_file_format():
+    # the format holds dim^2 entries, one state; a stack is refused, not written
+    # as a file that the reader then refuses
+    chunk = ensemble_chunk("ginibre", 1, 0, 3, 4)
+    with pytest.raises(StateError, match="^a density-matrix file holds one state, got a stack of 3$"):
+        chunk.to_json_dict()
+    back = density_matrix_from_json_dict(chunk[1].to_json_dict())
+    assert np.array_equal(back.matrix, chunk.matrix[1])
 
 
 def test_density_matrix_reader_reports_residuals(tmp_path):
