@@ -102,10 +102,6 @@ class ClassificationReport(NamedTuple):
     case_label: str
     tangle: float
 
-    def to_json_dict(self) -> dict:
-        nested = {"params": self.params.to_json_dict(), "measures": self.measures.to_json_dict()}
-        return {**self._asdict(), **nested}
-
 
 def discriminate(p: CanonicalThreeQubit) -> ClassificationReport:
     """Label a zero-phase canonical point by the sign pattern of the coherence difference.
@@ -395,31 +391,12 @@ class WorstCase(NamedTuple):
     sample_index: int
     state: DensityMatrix
 
-    def to_json_dict(self, state_file: str | None = None) -> dict:
-        """The state inline, or only the name of the file it was written to."""
-        record = {"margin": self.margin, "sample_index": self.sample_index}
-        if state_file is None:
-            record["state"] = self.state.to_json_dict()
-        else:
-            record["state_file"] = state_file
-        return record
-
 
 class AuditRecord(NamedTuple):
     reading: str
     violations_found: int
     entangled_violations: int
     worst_case: WorstCase | None
-
-    def to_json_dict(self, state_file: str | None = None) -> dict:
-        return {
-            "reading": self.reading,
-            "violations_found": self.violations_found,
-            "entangled_violations": self.entangled_violations,
-            "worst_case": (
-                None if self.worst_case is None else self.worst_case.to_json_dict(state_file)
-            ),
-        }
 
 
 class LinkRecord(NamedTuple):
@@ -429,16 +406,6 @@ class LinkRecord(NamedTuple):
     min_margin: float
     min_margin_index: int
     worst_case: WorstCase | None
-
-    def to_json_dict(self, state_file: str | None = None) -> dict:
-        entry = {
-            "violations": self.violations,
-            "min_margin": self.min_margin,
-            "min_margin_index": self.min_margin_index,
-        }
-        if self.worst_case is not None:
-            entry["worst_case"] = self.worst_case.to_json_dict(state_file)
-        return entry
 
 
 def one_norm_margins(rho: DensityMatrix) -> tuple:

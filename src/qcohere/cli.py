@@ -109,10 +109,11 @@ def _output(path):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".qcohere-", suffix=".tmp", dir=directory)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            # by path: Windows Python has os.fchmod only from 3.13
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -184,15 +185,26 @@ def _write_json(path, header: dict, data: dict):
         out.write(_json_document(header, data))
 
 
-def _state_file(out_path, tag: str, worst) -> str | None:
-    """Write the worst-case state beside ``out_path``; its file name, or None if not written."""
-    if out_path is None or worst is None:
-        return None
-    stem, _ = os.path.splitext(out_path)
-    path = f"{stem}-worst-{tag}.json"
-    with _output(path) as out:
-        out.write(json.dumps(worst.state.to_json_dict()) + "\n")
-    return os.path.basename(path)
+def _json(record):
+    """A result record by its fields, nested records and dicts in turn; ``to_json_dict`` wins."""
+    if hasattr(record, "to_json_dict"):
+        return record.to_json_dict()
+    if hasattr(record, "_asdict"):
+        record = record._asdict()
+    if isinstance(record, dict):
+        return {key: _json(value) for key, value in record.items()}
+    return record
+
+
+def _state_file(out_path, tag: str, record: dict) -> dict:
+    """``record``; with ``out_path``, its worst-case state moves to <out-stem>-worst-<tag>.json."""
+    worst = record.get("worst_case")
+    if out_path is not None and worst is not None:
+        path = f"{os.path.splitext(out_path)[0]}-worst-{tag}.json"
+        with _output(path) as out:
+            out.write(json.dumps(worst.pop("state")) + "\n")
+        worst["state_file"] = os.path.basename(path)
+    return record
 
 
 def _worker_count() -> int:
@@ -306,7 +318,7 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_classify(args) -> int:
     report = classify.discriminate(states.parse_lambdas(args.lambdas))
-    _write_json(None, _run_header("classify"), report.to_json_dict())
+    _write_json(None, _run_header("classify"), _json(report))
     return EXIT_OK
 
 
@@ -320,7 +332,7 @@ def _audit_state_file(args) -> int:
     code = EXIT_OK
     if args.target == "theorem1-chain":
         report = measures.inequality_chain(rho)
-        data["chain"] = report.to_json_dict()
+        data["chain"] = _json(report)
         if not report.end_to_end.holds:
             code = EXIT_VIOLATION
     else:
@@ -339,19 +351,18 @@ def _cmd_audit(args) -> int:
     code = EXIT_OK
     if args.target == "theorem1-chain":
         links = classify.chain_audit(spec, workers=workers)
-        data["links"] = {
-            name: link.to_json_dict(state_file=_state_file(args.out, name, link.worst_case))
-            for name, link in links.items()
-        }
+        data["links"] = {}
+        for name, link in links.items():
+            record = data["links"][name] = _state_file(args.out, name, _json(link))
+            if link.worst_case is None:  # a link that held has no worst_case key
+                del record["worst_case"]
         data["end_to_end_violations"] = links[measures.END_TO_END_LINK].violations
         if data["end_to_end_violations"]:
             code = EXIT_VIOLATION
     else:
         records = classify.one_norm_bound_audit(spec, workers=workers)
         data["readings"] = {
-            record.reading: record.to_json_dict(
-                state_file=_state_file(args.out, record.reading, record.worst_case)
-            )
+            record.reading: _state_file(args.out, record.reading, _json(record))
             for record in records
         }
         # deterministic regression point: the bound under reading A fails here

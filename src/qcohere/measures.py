@@ -139,13 +139,6 @@ class ChainReport(NamedTuple):
     def end_to_end(self) -> LinkVerdict:
         return self.links[END_TO_END_LINK]
 
-    def to_json_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "candidate_one_norms": dict(self.candidate_one_norms),
-            "links": {name: verdict._asdict() for name, verdict in self.links.items()},
-        }
-
 
 def inequality_chain(rho: DensityMatrix) -> ChainReport:
     """Evaluate the full chain of bounds linking concurrence to l1-coherence.

@@ -400,6 +400,19 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_out_file_gets_the_umask_mode_without_fchmod(tmp_path, capsys, monkeypatch):
+    # Windows Python has os.fchmod only from 3.13
+    monkeypatch.delattr(os, "fchmod", raising=False)
+    umask = os.umask(0o027)
+    try:
+        target = tmp_path / "x.csv"
+        code, _, _ = run(capsys, ["sample", "--n", "5", "--seed", "1", "--out", str(target)])
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
 def test_json_data_sections_are_reproducible(capsys):
     _, out1, _ = run(capsys, ["audit", "--target", "appendix-a", "--n", "50",
                               "--ensemble", "ginibre", "--seed", "9"])
@@ -747,6 +760,30 @@ def test_audit_data_section_and_worst_cases_are_pinned(
         for path in tmp_path.glob("audit-worst-*.json")
     }
     assert worst == worst_digests
+
+
+# SHA-256 of the data sections of the same two audits written to standard
+# output, where every worst-case state is inline, dumped as the CLI dumps them.
+# Captured while each result record still wrote its own JSON, before the CLI
+# wrote them all from their fields.
+_INLINE_AUDIT_DIGESTS = {
+    ("theorem1-chain", "ginibre", "7"):
+        "6d24c39e09efa646e4431683dbb0f07b4e4bffb9a639c41bbe103ef86f64627f",
+    ("appendix-a", "pure", "3"):
+        "50e324cdc585fa241e44764056dd2d4bd8e0cffad295eb9da14f0173d015088a",
+}
+
+
+@pytest.mark.parametrize("target, ensemble, seed", sorted(_INLINE_AUDIT_DIGESTS))
+def test_audit_data_section_with_inline_worst_cases_is_pinned(
+    capsys, monkeypatch, target, ensemble, seed
+):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    code, stdout, _ = run(capsys, ["audit", "--target", target, "--ensemble", ensemble,
+                                   "--n", "600", "--seed", seed])
+    assert code == 0
+    data = json.dumps(json_data(stdout), indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == _INLINE_AUDIT_DIGESTS[target, ensemble, seed]
 
 
 # SHA-256 of the ``sample`` data section, as for the sweep.  Captured from the

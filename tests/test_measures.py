@@ -34,6 +34,7 @@ from qcohere.states import (
     PureState,
     StateError,
     _haar_vectors,
+    canonical_amplitudes,
     canonical_sample,
     canonical_state,
     ensemble_chunk,
@@ -330,6 +331,67 @@ def test_tangle_residual_matches_closed_form_for_any_phase():
         assert tangle_residual(canonical_state(p)) == pytest.approx(
             tangle_analytic(p), abs=1e-8
         )
+
+
+def test_three_qubit_route_is_local_unitary_invariant_on_dense_states():
+    # U_A (x) U_B (x) U_C mixes the five canonical amplitudes into all eight
+    # and changes neither the concurrences nor the tangle: the closed forms
+    # of the canonical point hold for the rotated state too, at any phase.
+    # C_AB and C_AC are lambda_1 - lambda_2 of a 2 x 2 tau matrix T, read off
+    # the spectrum of T^H T; that squares lambda_2, so its error grows like
+    # eps lambda_1^2 / lambda_2, and 4 lambda_1 lambda_2 is the tangle.  At
+    # tangles near 1e-4 that error reaches 1e-13 (1.1e-13 here, 1.7e-13 at
+    # other unitary seeds); the A|BC concurrence takes no solve
+    rng = np.random.default_rng(1403)
+    u_a, u_b, u_c = (haar_unitaries(rng, 1000, 2) for _ in range(3))
+    worst_cut, worst_tau = 0.0, 0.0
+    for k in range(1000):
+        p = canonical_sample(11, k, "uniform")
+        a = canonical_amplitudes(p).reshape(2, 2, 2)
+        psi = PureState(np.einsum("ai,bj,ck,ijk->abc", u_a[k], u_b[k], u_c[k], a).ravel())
+        assert np.count_nonzero(psi.amplitudes) == 8
+        rho = psi.density()
+        l0, _, l2, l3, l4 = p.lambdas()
+        cut = bipartition_concurrence(psi) - 2.0 * l0 * math.sqrt(l2 * l2 + l3 * l3 + l4 * l4)
+        worst_cut = max(worst_cut, abs(cut))
+        worst_tau = max(
+            worst_tau,
+            abs(concurrence(partial_trace(rho, (2, 2, 2), (0, 1))) - 2.0 * l0 * l3),
+            abs(concurrence(partial_trace(rho, (2, 2, 2), (0, 2))) - 2.0 * l0 * l2),
+            abs(tangle_residual(psi) - 4.0 * l0 * l0 * l4 * l4),
+        )
+    assert worst_cut <= 1e-13
+    assert worst_tau <= 1e-12
+
+
+def hyperdeterminant(psi: np.ndarray) -> np.ndarray:
+    """Cayley's hyperdeterminant of (N, 8) amplitudes a_ijk, basis |q_A q_B q_C>.
+
+    The tangle is 4 |Hdet| (Coffman, Kundu & Wootters, PRA 61, 052306 (2000)).
+    """
+    a = psi.reshape(-1, 2, 2, 2)
+    # the products a_ijk a_(1-i)(1-j)(1-k) of the four antipodal pairs
+    corners = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    d = [a[:, i, j, k] * a[:, 1 - i, 1 - j, 1 - k] for i, j, k in corners]
+    squares = sum(x * x for x in d)
+    cross = sum(d[m] * d[n] for m in range(4) for n in range(m + 1, 4))
+    even = a[:, 0, 0, 0] * a[:, 0, 1, 1] * a[:, 1, 0, 1] * a[:, 1, 1, 0]
+    odd = a[:, 1, 1, 1] * a[:, 1, 0, 0] * a[:, 0, 1, 0] * a[:, 0, 0, 1]
+    return squares - 2.0 * cross + 4.0 * (even + odd)
+
+
+def test_tangle_residual_is_four_times_the_hyperdeterminant_on_haar_states():
+    ghz, w = np.zeros((2, 8))
+    ghz[[0, 7]] = S2
+    w[[1, 2, 4]] = S3
+    assert 4.0 * abs(hyperdeterminant(np.stack([ghz, w]))) == pytest.approx([1.0, 0.0], abs=1e-15)
+    rng = np.random.default_rng(2000)
+    psi = rng.standard_normal((1000, 8)) + 1j * rng.standard_normal((1000, 8))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    oracle = 4.0 * abs(hyperdeterminant(psi))
+    residuals = np.array([tangle_residual(PureState(v)) for v in psi])
+    assert np.count_nonzero(oracle > 0.1) >= 500
+    assert np.abs(residuals - oracle).max() <= 1e-13
 
 
 def test_canonical_measures_routes_agree():
