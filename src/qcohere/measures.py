@@ -8,9 +8,9 @@ The concurrence never forms sqrt(rho).  For a state rho = V V^H with a d x r
 factor V (``DensityMatrix.factor``) the Wootters lambda_i are the singular
 values of the r x r complex-symmetric tau matrix T = V^T (sigma_y x sigma_y) V
 (Wootters, PRL 80, 2245 (1998)).  They come from one solve of T^H T for the
-whole stack: r x r, so 4 x 4 for a Ginibre chunk and 2 x 2 for the reductions
-of a three-qubit pure state.  A pure state needs no solve at all, since
-C = |psi^T (sigma_y x sigma_y) psi| (Hill & Wootters, PRL 78, 5022 (1997)).
+whole stack: r x r for an ensemble state, whose V is the 4 x r reshape of a Haar unit
+vector, and 2 x 2 for the reductions of a three-qubit pure state.  A pure state (r = 1)
+needs no solve: C = |psi^T (sigma_y x sigma_y) psi| (Hill & Wootters, PRL 78, 5022 (1997)).
 
 Two routes exist for the canonical three-qubit family: closed forms in
 the amplitudes (valid on the zero-phase slice, except the tangle which

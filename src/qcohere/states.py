@@ -14,6 +14,8 @@ Conventions fixed here and used everywhere else:
   ``GENERATOR_NAME``.  ``sample_rng`` builds that generator for one
   sample; an ensemble chunk writes each sample's state into one generator
   in turn, and checks its first and last samples against ``sample_rng``.
+* An ensemble state is ``V V^H``, ``V`` the 4 x r reshape of a Haar unit
+  vector: a rank-r Ginibre state, and at r = 1 a Haar pure state.
 """
 
 import ctypes
@@ -158,6 +160,8 @@ class DensityMatrix:
 
     def __getitem__(self, k) -> "DensityMatrix":
         """State ``k`` of a stack, or the sub-stack at an index array or mask."""
+        if self.matrix.ndim == 2:
+            raise StateError(f"a single {self.dim} x {self.dim} state has no states to index")
         rho = DensityMatrix.__new__(DensityMatrix)
         rho.matrix = self.matrix[k]
         rho.dim = self.dim
@@ -175,8 +179,8 @@ class DensityMatrix:
     def factor(self) -> np.ndarray:
         """A d x r matrix ``V`` with ``rho = V V^H``; (N, d, r) for a stack.
 
-        The factor the state was built from, where it has one (the state
-        vector of a pure state, the scaled draw of a Ginibre state, and what
+        The factor the state was built from, where it has one (the state vector
+        of a pure state, the reshaped Haar vector of an ensemble state, and what
         a partial trace carries over); otherwise a pivoted Cholesky of
         ``matrix`` (``linalg.pivoted_cholesky``), d x d with a zero column
         per missing rank.  That is taken only once the spectrum, solved for
@@ -335,10 +339,9 @@ class CanonicalThreeQubit:
 
     def __getitem__(self, k) -> "CanonicalThreeQubit":
         """Point ``k`` of a stack, or the sub-stack at an index array or mask."""
-        values = [v[k] for v in self.lambdas()]
-        if np.ndim(values[0]) == 0:
-            values = [float(v) for v in values]
-        return CanonicalThreeQubit(*values, theta=self.theta)
+        if np.ndim(self.lambda0) == 0:
+            raise StateError("a single canonical point has no points to index")
+        return CanonicalThreeQubit(*(per_state(v[k]) for v in self.lambdas()), theta=self.theta)
 
     def lambdas(self) -> tuple:
         return (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
@@ -542,38 +545,20 @@ def _haar_vectors(seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
     return v
 
 
-def _ginibre_matrices(seed: int, lo: int, hi: int, rank: int) -> tuple:
-    """The (N, 4, 4) Ginibre states of samples lo..hi-1 and their (N, 4, rank) factors.
-
-    ``rank`` is an ``EnsembleSpec`` rank, which the spec has checked.
-    """
-    dim = TWO_QUBIT_DIM
-    g = _gaussian_rows(seed, lo, hi, dim * rank).reshape(-1, dim, rank)
-    m = g @ g.conj().swapaxes(-1, -2)
-    trace = np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-    m /= trace
-    # tr(G G^H) = ||G||_F^2, so G / ||G||_F is a factor of the state
-    return 0.5 * (m + m.conj().swapaxes(-1, -2)), g / np.sqrt(trace)
-
-
 def ensemble_chunk(kind: str, seed: int, lo: int, hi: int, rank: int) -> DensityMatrix:
     """States lo..hi-1 of the named ensemble as one lazily solved (hi - lo, 4, 4) stack.
 
-    Row k - lo is bit for bit the state that sample k draws on its own;
-    both ensembles are PSD by construction, so the stack is checked for
-    Hermiticity and trace now and solved, once for all its states, on first
-    use of the spectrum.  Each state carries its factor: ``psi`` for a Haar
-    state, ``G / ||G||_F`` for a Ginibre draw ``G``.
+    State k is ``V V^H`` for the factor ``V`` it carries, the 4 x r reshape of sample
+    k's Haar unit vector: ``G / ||G||_F`` for a rank-r Ginibre draw G (Zyczkowski &
+    Sommers, J. Phys. A 34, 7111 (2001)), the state vector for ``haar-pure``, r = 1.
+    Row k - lo is bit for bit sample k's own state.  PSD by construction, the stack is
+    checked for Hermiticity and trace now and solved on first use of the spectrum.
+    An ``EnsembleSpec`` checks ``kind`` and ``rank``.
     """
-    if kind == "haar-pure":
-        v = _haar_vectors(seed, lo, hi, TWO_QUBIT_DIM)
-        m = v[:, :, None] * v.conj()[:, None, :]
-        factor = v[:, :, None]
-    elif kind == "ginibre":
-        m, factor = _ginibre_matrices(seed, lo, hi, rank)
-    else:
-        raise StateError(f"unknown ensemble kind {kind!r}")
-    return DensityMatrix._lazy(m, np.arange(lo, hi), factor)
+    r = 1 if kind == "haar-pure" else rank
+    v = _haar_vectors(seed, lo, hi, TWO_QUBIT_DIM * r).reshape(-1, TWO_QUBIT_DIM, r)
+    m = (v[:, :, None, :] * v.conj()[:, None, :, :]).sum(axis=-1)
+    return DensityMatrix._lazy(m, np.arange(lo, hi), v)
 
 
 def canonical_sample(seed: int, index: int, theta_mode: str = "zero") -> CanonicalThreeQubit:

@@ -449,7 +449,7 @@ def test_one_norm_audit_solves_only_the_violating_states(tmp_path, capsys, monke
     violating = 0
     for k in range(300):
         _, _, margin_a, margin_b = classify.one_norm_margins(
-            classify.ensemble_state("haar-pure", 3, k, 4)
+            classify.ensemble_state("haar-pure", 3, k, None)
         )
         violating += max(margin_a, margin_b) > classify.AUDIT_TOL
     assert 0 < violating < 300
@@ -720,21 +720,23 @@ def test_sweep_data_section_is_pinned(capsys, resolution, fix):
 
 # SHA-256 of the data sections of two ensemble audits written with --out,
 # dumped as the CLI dumps them, and of every worst-case file written beside
-# them, by the tag in its name.  Captured while the audit records were dataclasses.
+# them, by the tag in its name.  Captured while the audit records were dataclasses;
+# the chain audit's again when each Ginibre state became the outer product of its
+# reshaped Haar vector, which moved its entries in the last bits.
 _AUDIT_DIGESTS = {
     ("theorem1-chain", "ginibre", "7"): (
-        "2af1e5950536e727ae3ae0f4dd4e7f78065b9724926568c8f51fe372526cc070",
+        "e3a817850e357769cbcb7c9f55ef8b1004831925c17e213bf6ba17acdd9adf10",
         {
             "concurrence_le_trace_sq_product":
-                "ac4cbb71de988e23965535d7fb8ac266ee029a527994182501fb9beae8bee3c9",
+                "1f0e0c66c95d1bfbbac25156ddae82296ad653fc58726f659f7f4c2590a88b5a",
             "induced_one_le_l1_coherence":
-                "8734e91539935804f03e83ada663289d06c056e9b2bfaaca50860e4f337cc914",
+                "42947011c5a292556182ac53af4114b769e9890933207381733e061646ca4701",
             "smax_le_trace_of_square":
-                "d0652d0bd8c1798ba1ae3152de6a2fb589cc908415f97ec8c5937a7c6d685b7a",
+                "0c989d8b744675f2503740e669620a9bc288bf6006699aeb9341053e000474c1",
             "sqrt_lambda_max_le_smax_product":
-                "5933a100fa942e812d0a768b48e234a186e4179ed58f2f25b28c99421fc628bb",
+                "42e8489c0d1087e7d830b05047d37ee353305ca8d3b4b58e19c057a8587485d8",
             "trace_norm_le_l1_coherence":
-                "8734e91539935804f03e83ada663289d06c056e9b2bfaaca50860e4f337cc914",
+                "42947011c5a292556182ac53af4114b769e9890933207381733e061646ca4701",
         },
     ),
     ("appendix-a", "pure", "3"): (
@@ -765,10 +767,11 @@ def test_audit_data_section_and_worst_cases_are_pinned(
 # SHA-256 of the data sections of the same two audits written to standard
 # output, where every worst-case state is inline, dumped as the CLI dumps them.
 # Captured while each result record still wrote its own JSON, before the CLI
-# wrote them all from their fields.
+# wrote them all from their fields; the chain audit's again when the Ginibre
+# states became outer products of reshaped Haar vectors.
 _INLINE_AUDIT_DIGESTS = {
     ("theorem1-chain", "ginibre", "7"):
-        "6d24c39e09efa646e4431683dbb0f07b4e4bffb9a639c41bbe103ef86f64627f",
+        "2065ff5d6de6fd917002ca34489153744c3438a8839e77cf38ff61bf370b49e9",
     ("appendix-a", "pure", "3"):
         "50e324cdc585fa241e44764056dd2d4bd8e0cffad295eb9da14f0173d015088a",
 }
@@ -787,14 +790,16 @@ def test_audit_data_section_with_inline_worst_cases_is_pinned(
 
 
 # SHA-256 of the ``sample`` data section, as for the sweep.  Captured from the
-# per-row formatting that the chunk formatter of the sweep replaced.
+# per-row formatting that the chunk formatter of the sweep replaced; the two
+# Ginibre ones again when the Ginibre states became outer products of reshaped
+# Haar vectors, which moved their cells in the last bits.
 _SAMPLE_DIGESTS = {
     ("ginibre", "600", "1", None):
-        "6c809f807418a3143cbde480af69a862d2f2b04c64d8e8fe6add6d2c1716ee37",
+        "9d3c59ced1632dd815ee7b50d5d2f37dc2363d71cf44b1a6f872e464c98f9687",
     ("pure", "600", "42", None):
         "e2d5b947c57463d22e57c66db17387eae078ca379cf71e9b7a620ee8b7c26c43",
     ("ginibre", "300", "5", "3"):
-        "60e3bbb4f09c3c61e113ad99b6b03129f3c6d46257a8c4d34d95cb9bbb2c26e8",
+        "3ea6b596df77978aae750d75dbd5c225065ac62bfb5a1dad817cbf29d56aa8bd",
 }
 
 
@@ -807,6 +812,18 @@ def test_sample_data_section_is_pinned(capsys, monkeypatch, ensemble, n, seed, r
     assert code == 0
     data = "".join(f"{line}\n" for line in data_lines(stdout))
     assert hashlib.sha256(data.encode()).hexdigest() == _SAMPLE_DIGESTS[ensemble, n, seed, rank]
+
+
+def test_rank_one_ginibre_sample_is_the_pure_sample(capsys, monkeypatch):
+    # a rank-1 Ginibre state is a Haar pure state, bit for bit
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    sections = []
+    for flags in (["--ensemble", "ginibre", "--rank", "1"], ["--ensemble", "pure"]):
+        code, stdout, _ = run(capsys, ["sample", *flags, "--n", "600", "--seed", "42"])
+        assert code == 0
+        sections.append(data_lines(stdout))
+    assert len(sections[0]) == 601
+    assert sections[0] == sections[1]
 
 
 # SHA-256 of the data sections of the README's canonical and classify

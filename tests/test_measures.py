@@ -128,7 +128,7 @@ def test_concurrence_agrees_with_pure_closed_form():
         closed = oracle_pure_concurrence(psi.amplitudes)
         assert abs(concurrence(psi.density()) - closed) <= 1e-14
         assert abs(concurrence(DensityMatrix(psi.density().matrix)) - closed) <= 1e-14
-    chunk = ensemble_chunk("haar-pure", 23, 0, 300, 4)
+    chunk = ensemble_chunk("haar-pure", 23, 0, 300, None)
     closed = [oracle_pure_concurrence(v) for v in chunk.factor[:, :, 0]]
     assert np.abs(concurrence(chunk) - closed).max() <= 1e-14
 
@@ -246,7 +246,7 @@ def test_chain_maximally_mixed():
 
 def test_chain_end_to_end_on_samples():
     assert inequality_chain(ensemble_chunk("ginibre", 29, 0, 1000, 4)).end_to_end.holds.all()
-    assert inequality_chain(ensemble_chunk("haar-pure", 31, 0, 1000, 4)).end_to_end.holds.all()
+    assert inequality_chain(ensemble_chunk("haar-pure", 31, 0, 1000, None)).end_to_end.holds.all()
 
 
 def test_partial_concurrences_examples():
@@ -432,7 +432,7 @@ def test_pure_one_norm_margins_take_no_solve(solves):
     checked = 0
     for k in range(20):
         solves.clear()
-        rho = classify.ensemble_state("haar-pure", 3, k, 4)
+        rho = classify.ensemble_state("haar-pure", 3, k, None)
         _, _, margin_a, _ = classify.one_norm_margins(rho)
         if margin_a <= classify.AUDIT_TOL:
             assert solves == []

@@ -105,7 +105,7 @@ def test_factors_reproduce_their_states():
         assert v.shape == shape
         assert np.abs(v @ v.conj().swapaxes(-1, -2) - rho.matrix).max() <= 1e-15
 
-    for kind, rank in (("haar-pure", 4), ("ginibre", 1), ("ginibre", 3), ("ginibre", 4)):
+    for kind, rank in (("haar-pure", None), ("ginibre", 1), ("ginibre", 3), ("ginibre", 4)):
         chunk = ensemble_chunk(kind, 19, 0, 50, rank)
         cols = 1 if kind == "haar-pure" else rank
         assert_factor(chunk, (50, 4, cols))
@@ -206,7 +206,7 @@ def test_sampling_is_deterministic_per_index():
 
 
 def test_chunk_rows_are_the_states_drawn_one_by_one():
-    for kind, rank in (("ginibre", 4), ("ginibre", 2), ("haar-pure", 4)):
+    for kind, rank in (("ginibre", 4), ("ginibre", 2), ("haar-pure", None)):
         chunk = ensemble_chunk(kind, 11, 5, 25, rank)
         assert chunk.matrix.shape == (20, 4, 4)
         assert list(chunk.indices) == list(range(5, 25))
@@ -221,15 +221,24 @@ def test_one_normal_call_per_state_draws_the_two_call_bits():
     for k in range(20):
         rng = sample_rng(11, k)
         g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        m = g @ g.conj().T
-        m /= np.trace(m).real
-        assert (0.5 * (m + m.conj().T)).tobytes() == (
-            ensemble_state("ginibre", 11, k, 2).matrix.tobytes()
-        )
+        g /= math.sqrt(float((g.real * g.real + g.imag * g.imag).sum()))
+        rho = ensemble_state("ginibre", 11, k, 2)
+        assert g.tobytes() == rho.factor.tobytes()
+        assert np.abs(g @ g.conj().T - rho.matrix).max() <= 1e-15
         rng = sample_rng(11, k)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= math.sqrt(float((v.real * v.real + v.imag * v.imag).sum()))
         assert v.tobytes() == _haar_vectors(11, k, k + 1, 4)[0].tobytes()
+
+
+def test_a_rank_one_ginibre_state_is_the_haar_pure_state_bit_for_bit():
+    # G G^H / Tr(G G^H) for a 4 x 1 Gaussian G is the Haar projector of G / ||G||
+    for seed in (0, 42, 2**64 - 1):
+        for lo, hi in ((0, 600), (2**32 - 2, 2**32 + 2)):
+            ginibre = ensemble_chunk("ginibre", seed, lo, hi, 1)
+            haar = ensemble_chunk("haar-pure", seed, lo, hi, None)
+            assert ginibre.matrix.tobytes() == haar.matrix.tobytes(), (seed, lo)
+            assert ginibre.factor.tobytes() == haar.factor.tobytes(), (seed, lo)
 
 
 def _rows_one_generator_each(seed, lo, hi, size):
@@ -253,7 +262,7 @@ CORPUS_CHUNKS = (
     (2**32 - 1, 2**32),
     (2**32, 2**32 + 1),
 )
-CORPUS_KINDS = (("haar-pure", 4), ("ginibre", 2), ("ginibre", 4))  # rows of 4, 8 and 16
+CORPUS_KINDS = (("haar-pure", None), ("ginibre", 2), ("ginibre", 4))  # rows of 4, 8 and 16
 
 
 def test_chunk_rows_match_one_generator_per_sample_byte_for_byte(monkeypatch):
@@ -293,7 +302,7 @@ def test_chunk_checks_seed_and_index_before_hashing(monkeypatch):
         raise AssertionError("hashed before the argument checks")
 
     monkeypatch.setattr(states, "_pcg64_states", no_hashing)
-    for kind, rank in (("haar-pure", 4), ("ginibre", 4)):
+    for kind, rank in (("haar-pure", None), ("ginibre", 4)):
         with pytest.raises(StateError, match="sample index must be non-negative, got -1"):
             ensemble_chunk(kind, 3, -1, 2, rank)
         with pytest.raises(StateError, match="seed must be a 64-bit unsigned integer"):
@@ -313,7 +322,7 @@ def test_chunk_seeding_that_disagrees_with_the_frozen_generator_fails(monkeypatc
         return rows
 
     monkeypatch.setattr(states, "_pcg64_states", one_bit_off)
-    for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
+    for kind, rank in (("haar-pure", None), ("ginibre", 2)):
         with pytest.raises(SeedingError, match="sample 5 .seed 11"):
             ensemble_chunk(kind, 11, 5, 25, rank)
 
@@ -328,7 +337,7 @@ def test_chunk_seeding_that_spares_the_first_row_fails_at_the_last(monkeypatch):
 
     monkeypatch.setattr(states, "_pcg64_states", last_bit_off)
     for lo, hi in ((5, 25), (2**32 - 2, 2**32 + 2)):
-        for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
+        for kind, rank in (("haar-pure", None), ("ginibre", 2)):
             with pytest.raises(SeedingError, match=f"sample {hi - 1} .seed 11.*own draw"):
                 ensemble_chunk(kind, 11, lo, hi, rank)
 
@@ -339,7 +348,7 @@ def test_a_generator_holding_the_high_limbs_first_is_written_in_its_order(monkey
     replica = states._pcg64_states
     monkeypatch.setattr(states, "_pcg64_states", lambda *a: replica(*a)[:, [1, 0, 3, 2]])
     for lo, hi in ((5, 25), (2**32 - 2, 2**32 + 2)):
-        for kind, rank in (("haar-pure", 4), ("ginibre", 2)):
+        for kind, rank in (("haar-pure", None), ("ginibre", 2)):
             chunk = ensemble_chunk(kind, 11, lo, hi, rank).matrix
             with monkeypatch.context() as m:
                 m.setattr(states, "_gaussian_rows", _rows_one_generator_each)
@@ -359,7 +368,7 @@ def test_layout_guard_refuses_before_any_write_or_draw(monkeypatch, order):
     monkeypatch.setattr(states, "sample_rng", recorded_rng)
     monkeypatch.setattr(states, "_pcg64_states", lambda *a: replica(*a)[:, order])
     with pytest.raises(SeedingError, match="sample 5 .seed 11.*not the chunk's first row"):
-        ensemble_chunk("haar-pure", 11, 5, 25, 4)
+        ensemble_chunk("haar-pure", 11, 5, 25, None)
     # the one generator built was neither written nor drawn from
     assert len(built) == 1
     assert built[0].bit_generator.state == sample_rng(11, 5).bit_generator.state
@@ -375,7 +384,7 @@ def test_writes_that_miss_the_live_generator_fail_at_the_first_row(monkeypatch):
     monkeypatch.setattr(states, "_generator_words", detached)
     for lo, hi in ((5, 6), (5, 25)):
         with pytest.raises(SeedingError, match="sample 5 .seed 11.*own draw"):
-            ensemble_chunk("haar-pure", 11, lo, hi, 4)
+            ensemble_chunk("haar-pure", 11, lo, hi, None)
 
 
 def test_pointer_guard_refuses_a_bit_generator_without_the_pcg64_pointer():
@@ -464,7 +473,7 @@ def test_haar_reduced_purity_matches_oracle_band():
     # Monte Carlo oracle at 10^6 samples gives 0.7999 (analytic 4/5) for the
     # single-qubit reduction of a Haar two-qubit pure state
     n = 100_000
-    rho = ensemble_chunk("haar-pure", 42, 0, n, 4).matrix.reshape(n, 2, 2, 2, 2)
+    rho = ensemble_chunk("haar-pure", 42, 0, n, None).matrix.reshape(n, 2, 2, 2, 2)
     ra = np.einsum("kajbj->kab", rho)
     total = float(np.trace(ra @ ra, axis1=-2, axis2=-1).real.sum())
     assert 0.79 <= total / n <= 0.81
@@ -548,6 +557,25 @@ def test_a_stack_has_no_file_format():
         chunk.to_json_dict()
     back = density_matrix_from_json_dict(chunk[1].to_json_dict())
     assert np.array_equal(back.matrix, chunk.matrix[1])
+
+
+def test_a_single_state_refuses_indexing():
+    with pytest.raises(StateError, match="^a single 4 x 4 state has no states to index$"):
+        werner_state(0.5)[0]
+    with pytest.raises(StateError, match="^a single 4 x 4 state has no states to index$"):
+        ensemble_chunk("ginibre", 1, 0, 3, 4)[1][0]
+    assert ensemble_chunk("ginibre", 1, 0, 3, 4)[1].indices == 1
+
+
+def test_a_single_canonical_point_refuses_indexing():
+    with pytest.raises(StateError, match="^a single canonical point has no points to index$"):
+        CanonicalThreeQubit(1.0, 0.0, 0.0, 0.0, 0.0)[0]
+    stack = CanonicalThreeQubit(*np.full((5, 3), math.sqrt(0.2)))
+    point = stack[2]
+    assert all(type(x) is float for x in point.lambdas())
+    with pytest.raises(StateError, match="^a single canonical point has no points to index$"):
+        point[0]
+    assert stack[np.arange(1, 3)].lambda0.shape == (2,)
 
 
 def test_density_matrix_reader_reports_residuals(tmp_path):
