@@ -87,10 +87,6 @@ def _run_header(command, seed=None, ensemble=None, count=None, workers=None) -> 
     }
 
 
-def _header_comments(header: dict) -> list:
-    return [f"# {key}: {'none' if value is None else value}" for key, value in header.items()]
-
-
 def _json_document(header: dict, data: dict) -> str:
     return json.dumps({"run_header": header, "data": data}, indent=2, sort_keys=True) + "\n"
 
@@ -125,59 +121,56 @@ def _output(path):
 _BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 
 
-class _CsvLines:
-    """Formats chunks of CSV rows, each chunk as one text with a line per point.
+def _csv_chunk(columns: dict, applies: dict, carried) -> tuple:
+    """(text, carried): one chunk of CSV rows as one text with a line per point.
 
-    Called with ``columns``, which maps each column name, in order, to an
-    (N,) array, and ``applies``.  A float is written as its ``repr``, the
-    shortest decimal that round-trips the double; a bool as ``true`` or
-    ``false``; a string as it is.  A cell is empty where the column's mask
-    in ``applies`` is false.
+    ``columns`` maps each column name, in order, to an (N,) array.  A float
+    is written as its ``repr``, the shortest decimal that round-trips the
+    double; a bool as ``true`` or ``false``; a string as it is.  A cell is
+    empty where the column's mask in ``applies`` is false.
 
     ``repr`` of a double depends only on its 64 bits, so each distinct bit
     pattern of a chunk is formatted once.  The key is the bits, not the
     value, which would merge -0.0 with 0.0, and one 1-D array of them, whose
-    inverse has the same shape in every numpy.  The previous chunk's sorted
-    patterns and their texts are kept, and a pattern found among them is not
-    formatted again; so memory stays at two chunks.  Make one per output.
+    inverse has the same shape in every numpy.  ``carried`` holds the
+    previous chunk's sorted patterns and their texts, and a pattern found
+    among them is not formatted again; this chunk's pair is returned in its
+    place, so memory stays at two chunks.
     """
-
-    def __init__(self):
-        self._bits = np.empty(0, dtype=np.int64)
-        self._texts = np.empty(0, dtype=object)
-
-    def __call__(self, columns: dict, applies: dict) -> str:
-        floats = [name for name, column in columns.items() if column.dtype.kind == "f"]
-        values = np.stack([columns[name] for name in floats]).ravel()
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        texts = np.empty(len(bits), dtype=object)
-        known = np.zeros(len(bits), dtype=bool)
-        if len(self._bits):
-            at = np.minimum(np.searchsorted(self._bits, bits), len(self._bits) - 1)
-            known = self._bits[at] == bits
-            texts[known] = self._texts[at[known]]
-        fresh = ~known
-        texts[fresh] = list(map(repr, bits[fresh].view(np.float64).tolist()))
-        self._bits, self._texts = bits, texts
-        formatted = dict(zip(floats, texts[inverse].reshape(len(floats), -1)))
-        cells = []
-        for name, column in columns.items():
-            if name in formatted:
-                column = formatted[name]
-            elif column.dtype == bool:
-                column = _BOOL_TEXTS[column.view(np.uint8)]
-            if name in applies:
-                column = np.where(applies[name], column, "")
-            cells.append(column.tolist())
-        return "\n".join(map(",".join, zip(*cells)))
+    floats = [name for name, column in columns.items() if column.dtype.kind == "f"]
+    values = np.stack([columns[name] for name in floats]).ravel()
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.empty(len(bits), dtype=object)
+    known = np.zeros(len(bits), dtype=bool)
+    kept_bits, kept_texts = carried
+    if len(kept_bits):
+        at = np.minimum(np.searchsorted(kept_bits, bits), len(kept_bits) - 1)
+        known = kept_bits[at] == bits
+        texts[known] = kept_texts[at[known]]
+    fresh = ~known
+    texts[fresh] = list(map(repr, bits[fresh].view(np.float64).tolist()))
+    formatted = dict(zip(floats, texts[inverse].reshape(len(floats), -1)))
+    cells = []
+    for name, column in columns.items():
+        if name in formatted:
+            column = formatted[name]
+        elif column.dtype == bool:
+            column = _BOOL_TEXTS[column.view(np.uint8)]
+        if name in applies:
+            column = np.where(applies[name], column, "")
+        cells.append(column.tolist())
+    return "\n".join(map(",".join, zip(*cells))), (bits, texts)
 
 
-def _write_csv(path, header: dict, columns, chunks):
-    """Header comments, the column line, then each chunk's text of rows."""
+def _write_csv(path, header: dict, names, chunks):
+    """Header comments, the column line, then each ``(columns, applies)`` chunk's rows."""
+    carried = (np.empty(0, dtype=np.int64), None)  # the chunk before's texts, for this output only
     with _output(path) as out:
-        out.writelines(f"{line}\n" for line in _header_comments(header))
-        out.write(",".join(columns) + "\n")
-        out.writelines(f"{chunk}\n" for chunk in chunks)
+        out.writelines(f"# {key}: {'none' if v is None else v}\n" for key, v in header.items())
+        out.write(",".join(names) + "\n")
+        for columns, applies in chunks:
+            text, carried = _csv_chunk(columns, applies, carried)
+            out.write(text + "\n")
 
 
 def _write_json(path, header: dict, data: dict):
@@ -229,22 +222,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_ensemble_flags(sub):
-    sub.add_argument("--n", type=int, default=100_000, help="number of sampled states")
+    # each defaults to None, so that a flag given where no ensemble is drawn can be refused
+    sub.add_argument("--n", type=int, help="number of sampled states (default: 100000)")
     sub.add_argument(
         "--ensemble",
         choices=("pure", "ginibre"),
-        default="ginibre",
-        help="state ensemble: Haar-uniform pure states or Ginibre mixed states",
+        help="Haar-uniform pure states or Ginibre mixed states (default: ginibre)",
     )
-    sub.add_argument("--rank", type=int, default=None, help="Ginibre rank (default: dimension)")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
+    sub.add_argument("--rank", type=int, help="Ginibre rank (default: dimension)")
+    sub.add_argument("--seed", type=int, help="64-bit unsigned master seed (default: 0)")
 
 
 def _resolve_ensemble(args) -> states.EnsembleSpec:
     """The ensemble the flags name; the spec checks them, and a refusal is a usage error."""
     kind = "haar-pure" if args.ensemble == "pure" else "ginibre"
+    count = 100_000 if args.n is None else args.n
+    seed = 0 if args.seed is None else args.seed
     try:
-        return states.EnsembleSpec(kind=kind, seed=args.seed, count=args.n, rank=args.rank)
+        return states.EnsembleSpec(kind=kind, seed=seed, count=count, rank=args.rank)
     except states.StateError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -268,10 +263,8 @@ def _cmd_sample(args) -> int:
     header = _run_header(
         "sample", seed=spec.seed, ensemble=spec.describe(), count=spec.count, workers=workers
     )
-    columns = ("concurrence", "l1_coherence")
-    csv_lines = _CsvLines()
-    rows = (csv_lines(dict(zip(columns, chunk)), {}) for chunk in chunks)
-    _write_csv(args.out, header, columns, rows)
+    names = ("concurrence", "l1_coherence")
+    _write_csv(args.out, header, names, ((dict(zip(names, chunk)), {}) for chunk in chunks))
     summary = _json_document(
         header,
         {
@@ -292,13 +285,13 @@ def _cmd_sample(args) -> int:
 
 
 def _canonical_row(data: dict) -> tuple:
-    """(columns, row text) of the flat CSV form; a value the report lacks is an empty cell."""
+    """(columns, applies) of the flat CSV form; a value the report lacks is an empty cell."""
     values = dict(zip(LAMBDA_NAMES, data["params"]["lambdas"]), theta=data["params"]["theta"])
     for block in ("matrix", "analytic", "residuals"):
         values.update((f"{block}_{key}", value) for key, value in data[block].items())
     columns = {name: np.array([0.0 if v is None else v], dtype=float) for name, v in values.items()}
     missing = {name: np.array([False]) for name, v in values.items() if v is None}
-    return tuple(columns), _CsvLines()(columns, missing)
+    return columns, missing
 
 
 def _cmd_canonical(args) -> int:
@@ -306,8 +299,8 @@ def _cmd_canonical(args) -> int:
     data = measures.canonical_report(p)
     header = _run_header("canonical")
     if args.format == "csv":
-        columns, row = _canonical_row(data)
-        _write_csv(args.out, header, columns, [row])
+        columns, missing = _canonical_row(data)
+        _write_csv(args.out, header, columns, [(columns, missing)])
     else:
         _write_json(args.out, header, data)
     return EXIT_OK
@@ -326,6 +319,10 @@ def _cmd_classify(args) -> int:
 
 
 def _audit_state_file(args) -> int:
+    flags = ("n", "ensemble", "rank", "seed")
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise _UsageError(f"--state-file takes no ensemble flags, got {', '.join(given)}")
     rho = states.read_density_matrix(args.state_file)
     header = _run_header("audit")
     data = {"target": args.target, "state_file": args.state_file}
@@ -409,10 +406,9 @@ def _cmd_sweep(args) -> int:
     if r < 2:
         raise _UsageError(f"--resolution must be at least 2, got {r}")
     grid = classify.sweep_grid(r, _parse_fix(args.fix))
-    # one text per chunk of points: the rows stream a chunk at a time
-    csv_lines = _CsvLines()
-    rows = (csv_lines(*columns) for columns in classify.sweep(grid, r))
-    _write_csv(args.out, _run_header("sweep", count=len(grid)), classify.SWEEP_COLUMNS, rows)
+    # the rows stream a chunk of points at a time
+    header = _run_header("sweep", count=len(grid))
+    _write_csv(args.out, header, classify.SWEEP_COLUMNS, classify.sweep(grid, r))
     return EXIT_OK
 
 
@@ -492,6 +488,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None) == "":  # its temporary file would go to the parent directory
+            parser.error("argument --out: must name a file, got ''")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

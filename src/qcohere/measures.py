@@ -143,9 +143,10 @@ class ChainReport(NamedTuple):
 def inequality_chain(rho: DensityMatrix) -> ChainReport:
     """Evaluate the full chain of bounds linking concurrence to l1-coherence.
 
-    Only the tau product T^H T needs a solve of its own; every norm is read
-    off the spectrum ``w`` that ``rho`` already caches.  For a stack every
-    value and margin is an array over its states.  For PSD ``rho`` the
+    Only the tau product T^H T needs a solve of its own; the spectral norms
+    are read off the spectrum ``w`` that ``rho`` already caches, and Tr(rho^2),
+    the induced one-norm and the l1-coherence off the entries.  For a stack
+    every value and margin is an array over its states.  For PSD ``rho`` the
     singular values are the eigenvalues, so ``smax = lambda_max``,
     ``trace_norm = sum(w)`` and ``frobenius = sqrt(sum(w^2))``.  The spin
     flip ``(sigma_y x sigma_y) rho* (sigma_y x sigma_y)`` is a unitary

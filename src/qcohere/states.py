@@ -64,7 +64,8 @@ class DensityMatrix:
     ``matrix`` is one d x d operator or an (N, d, d) stack of them, such as a
     chunk of an ensemble; every check and the spectrum then run once over
     the whole stack, and an error names the sample that failed.  Indexing a
-    stack gives one state, or a sub-stack for an index array.
+    stack gives one state, or a sub-stack for an index array, through
+    ``_lazy``: its checks run again, and its spectrum waits for first use.
 
     The public constructor validates eagerly: the finite, Hermiticity and
     trace checks, then, once every state is finite and Hermitian, one Jacobi
@@ -162,13 +163,8 @@ class DensityMatrix:
         """State ``k`` of a stack, or the sub-stack at an index array or mask."""
         if self.matrix.ndim == 2:
             raise StateError(f"a single {self.dim} x {self.dim} state has no states to index")
-        rho = DensityMatrix.__new__(DensityMatrix)
-        rho.matrix = self.matrix[k]
-        rho.dim = self.dim
-        rho.indices = self.indices[k]
-        rho._factor = None if self._factor is None else self._factor[k]
-        rho._eigenvalues = None if self._eigenvalues is None else self._eigenvalues[k]
-        return rho
+        factor = None if self._factor is None else self._factor[k]
+        return DensityMatrix._lazy(self.matrix[k], self.indices[k], factor)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -192,8 +188,9 @@ class DensityMatrix:
         return linalg.pivoted_cholesky(self.matrix)
 
     def purity(self):
-        """Tr(rho^2): a float, or one per state of a stack."""
-        return per_state(np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1).real)
+        """Tr(rho^2) = sum of |rho_ij|^2 for Hermitian rho: a float, or one per state of a stack."""
+        m = self.matrix
+        return per_state((m.real * m.real + m.imag * m.imag).sum(axis=(-2, -1)))
 
     def to_json_dict(self) -> dict:
         """The file format of ``read_density_matrix``; a stack has none and is refused."""

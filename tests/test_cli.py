@@ -279,6 +279,25 @@ def test_audit_state_file_paths(tmp_path, capsys):
     assert chain["links"]["concurrence_le_l1_coherence"]["holds"]
 
 
+def test_audit_state_file_refuses_the_ensemble_flags(tmp_path, capsys):
+    # one state is audited, so a flag that shapes an ensemble has nothing to act
+    # on; given at its default value too, it is refused and named
+    path = tmp_path / "werner.json"
+    path.write_text(json.dumps(werner_state(0.9).to_json_dict()))
+    for target in ("appendix-a", "theorem1-chain"):
+        for flags in (["--ensemble", "pure", "--rank", "2"], ["--n", "0"], ["--seed", "0"],
+                      ["--ensemble", "ginibre"], ["--n", "100000", "--seed", "7"]):
+            argv = ["audit", "--target", target, "--state-file", str(path), *flags]
+            code, stdout, err = run(capsys, argv)
+            assert (code, stdout) == (64, ""), argv
+            assert all(flag in err for flag in flags[::2]), err
+    # without a state file, the flags not given still take their defaults
+    args = cli.build_parser().parse_args(["audit", "--target", "appendix-a"])
+    assert cli._resolve_ensemble(args) == states.EnsembleSpec("ginibre", 0, 100_000)
+    args = cli.build_parser().parse_args(["sample", "--ensemble", "pure"])
+    assert cli._resolve_ensemble(args) == states.EnsembleSpec("haar-pure", 0, 100_000)
+
+
 # SHA-256 of the data section of ``audit --target theorem1-chain --state-file``
 # on ``werner_state(0.7)``, dumped as the CLI dumps it, without its
 # ``state_file`` path.  Captured before the chain report was serialized from
@@ -392,6 +411,28 @@ def test_usage_errors_exit_64(capsys):
     for flags in (["--n", "0"], ["--seed", "-1"], ["--seed", "18446744073709551616"],
                   ["--rank", "0"], ["--rank", "5"]):
         assert run(capsys, ["sample", "--n", "5", *flags])[0] == 64, flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "5"],
+    ["canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--format", "csv"],
+    ["audit", "--target", "appendix-a", "--ensemble", "pure", "--n", "5"],
+    ["sweep", "--resolution", "4"],
+], ids=lambda argv: argv[0])
+def test_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # an empty path's temporary file would go to the parent of the working
+    # directory, and the rename would fail only after the whole run
+    handler = f"_cmd_{argv[0]}"
+    ran = []
+    command = getattr(cli, handler)
+    monkeypatch.setattr(cli, handler, lambda args: ran.append(args) or command(args))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, stdout, err = run(capsys, [*argv, "--out", ""])
+    assert (code, stdout, ran) == (64, "", [])
+    assert "--out" in err
+    assert not list(tmp_path.rglob(".qcohere-*.tmp"))
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -831,12 +872,14 @@ def test_rank_one_ginibre_sample_is_the_pure_sample(capsys, monkeypatch):
 # dumped as the CLI dumps it.  Captured before the amplitude-list parsing and
 # the canonical report moved out of the CLI; the canonical ones again when the
 # concurrence moved to the tau matrix, which moved c_ab, c_ac, the tangle and
-# their residuals by at most 2.9e-14 (toward the closed forms).
+# their residuals by at most 2.9e-14 (toward the closed forms); the zero-phase
+# ones again when the purity became a sum of squared entries, which moved
+# purity_ab by one unit in the last place.
 _POINT_DIGESTS = {
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5"):
-        "f62e9dbab426b1259cff6a83c796227a079ce0f5e285a9ac6dde551742e3e41b",
+        "0e919544f3f345468ef54c5cd8c8d7d84ec3dbb15e473f0464d02b678a64886c",
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--format", "csv"):
-        "565479309c503efb08d701c7705e083a917d10305ba9547c394d815953564817",
+        "42c77c646fdd91a8305da6629b2cd2bb1cb4025349b27c8ad9f8aec14b562f25",
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--theta", "1.0471976"):
         "dd044ad38b63722c3de979fc5d635e04145973b1606dcaf63e1f1286cb09a4a7",
     ("canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--theta", "1.0471976", "--format", "csv"):
@@ -920,7 +963,7 @@ def test_sweep_rows_match_the_per_point_api(capsys):
 
 
 def _per_cell_lines(columns, applies):
-    """The CSV rows as the per-cell loop made them: the reference of ``cli._CsvLines``."""
+    """The CSV rows as the per-cell loop made them: the reference of ``cli._csv_chunk``."""
     flag = {True: "true", False: "false"}
     cells = []
     for name, column in columns.items():
@@ -955,10 +998,11 @@ def test_sweep_table_matches_the_per_cell_formatting():
         applies = {"masked_x": np.arange(n) % 2 == 0, "masked_flag": np.arange(n) % 3 != 2}
         return columns, applies
 
-    assert cli._CsvLines()(*chunk(awkward)) == _per_cell_lines(*chunk(awkward))
+    nothing = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
+    assert cli._csv_chunk(*chunk(awkward), nothing)[0] == _per_cell_lines(*chunk(awkward))
 
-    # one formatter over a sequence of chunks: each chunk's text is its own
-    # per-cell text, whatever the formatter kept from the chunk before
+    # a sequence of chunks, each handed the one before's carry: each chunk's
+    # text is its own per-cell text, whatever was carried from the chunk before
     zeros = np.zeros(n)
     fresh = np.linspace(2.0, 3.0, n)
     sequence = [
@@ -970,19 +1014,20 @@ def test_sweep_table_matches_the_per_cell_formatting():
         fresh,                                                 # nothing shared
         np.concatenate([fresh[: n // 2], awkward[n // 2:]]),   # some of each
     ]
-    csv_lines = cli._CsvLines()
+    carried = nothing
     reused = 0
     for values in sequence:
-        before = dict(zip(csv_lines._bits.tolist(), csv_lines._texts.tolist()))
+        before = dict(zip(carried[0].tolist(), carried[1].tolist()))
         columns, applies = chunk(values)
-        assert csv_lines(columns, applies) == _per_cell_lines(columns, applies), values
-        # only this chunk's patterns are kept, sorted, each beside its text
+        lines, carried = cli._csv_chunk(columns, applies, carried)
+        assert lines == _per_cell_lines(columns, applies), values
+        # only this chunk's patterns are carried, sorted, each beside its text
         floats = np.concatenate([columns[name] for name in ("x", "y", "masked_x")])
         kept = np.unique(floats.view(np.int64))
-        assert np.array_equal(csv_lines._bits, kept)
-        assert csv_lines._texts.tolist() == [repr(v) for v in kept.view(np.float64).tolist()]
+        assert np.array_equal(carried[0], kept)
+        assert carried[1].tolist() == [repr(v) for v in kept.view(np.float64).tolist()]
         # a pattern of the chunk before keeps the text formatted then
-        for key, text in zip(kept.tolist(), csv_lines._texts.tolist()):
+        for key, text in zip(kept.tolist(), carried[1].tolist()):
             if key in before:
                 assert text is before[key]
                 reused += 1
@@ -990,10 +1035,11 @@ def test_sweep_table_matches_the_per_cell_formatting():
 
     # and chunks of the sweep itself
     grid = classify.sweep_grid(6)
-    csv_lines = cli._CsvLines()
+    carried = nothing
     for lo in range(0, len(grid), 50):
         ks = grid[lo:lo + 50]
         columns, applies = classify.sweep_columns(
             CanonicalThreeQubit(*np.sqrt(ks.T / 6), theta=0.0)
         )
-        assert csv_lines(columns, applies) == _per_cell_lines(columns, applies)
+        lines, carried = cli._csv_chunk(columns, applies, carried)
+        assert lines == _per_cell_lines(columns, applies)

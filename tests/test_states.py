@@ -484,6 +484,10 @@ def test_ginibre_invariants_and_rank_one_purity():
     assert rho.dim == 4
     assert np.abs(np.trace(rho.matrix, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
     assert np.abs(ensemble_chunk("ginibre", 5, 0, 200, 1).purity() - 1.0).max() <= 1e-10
+    # the sum of squared entries against the dense product it replaced: 16
+    # terms below 1, each rounded once, so a few units of 1e-16 apart at most
+    m = rho.matrix
+    assert np.abs(rho.purity() - np.trace(m @ m, axis1=-2, axis2=-1).real).max() <= 1e-15
 
 
 def test_ensemble_spec_resolves_and_checks_the_rank():
@@ -565,6 +569,30 @@ def test_a_single_state_refuses_indexing():
     with pytest.raises(StateError, match="^a single 4 x 4 state has no states to index$"):
         ensemble_chunk("ginibre", 1, 0, 3, 4)[1][0]
     assert ensemble_chunk("ginibre", 1, 0, 3, 4)[1].indices == 1
+
+
+def test_indexing_checks_the_state_and_solves_it_to_the_stacks_bits():
+    # a state or sub-stack of a stack comes through ``_lazy``: its spectrum,
+    # solved on its own, has the bits of the stack's, and its checks run again
+    chunk = ensemble_chunk("ginibre", 1, 100, 164, 3)
+    w = chunk.eigenvalues
+    for k in (0, 17, 63):
+        assert chunk[k].eigenvalues.tobytes() == w[k].tobytes()
+        assert np.array_equal(chunk[k].factor, chunk.factor[k])
+    mask = np.arange(64) % 5 == 2
+    assert chunk[mask].eigenvalues.tobytes() == w[mask].tobytes()
+    assert chunk[mask].indices.tolist() == list(range(102, 164, 5))
+    good = np.eye(4, dtype=complex) / 4
+    rho = DensityMatrix._lazy(np.stack([good] * 4), np.arange(10, 14))
+    rho.matrix[2, 0, 1] = 0.3
+    with pytest.raises(StateError, match="^sample 12: not Hermitian"):
+        rho[2]
+    with pytest.raises(StateError, match="^sample 12: not Hermitian"):
+        rho[[1, 2]]
+    rho.matrix[3] *= 2.0
+    with pytest.raises(StateError, match="^sample 13: trace deviates from 1 by 1.000e"):
+        rho[3]
+    assert rho[1].indices == 11
 
 
 def test_a_single_canonical_point_refuses_indexing():
