@@ -173,9 +173,19 @@ def _write_csv(path, header: dict, names, chunks):
             out.write(text + "\n")
 
 
-def _write_json(path, header: dict, data: dict):
-    with _output(path) as out:
-        out.write(_json_document(header, data))
+def _write_json(path, header: dict, data: dict, records=None):
+    """The document; with ``path``, each worst-case state in ``records`` ({tag: record})
+    moves to <out-stem>-worst-<tag>.json, which ``state_file`` names in its place.
+    Staged last, the document is renamed first: a failure before that deletes every staged file.
+    """
+    with contextlib.ExitStack() as stack:
+        for tag, record in (records or {}).items():
+            worst = record.get("worst_case")
+            if path is not None and worst is not None:
+                name = f"{os.path.splitext(path)[0]}-worst-{tag}.json"
+                stack.enter_context(_output(name)).write(json.dumps(worst.pop("state")) + "\n")
+                worst["state_file"] = os.path.basename(name)
+        stack.enter_context(_output(path)).write(_json_document(header, data))
 
 
 def _json(record):
@@ -186,17 +196,6 @@ def _json(record):
         record = record._asdict()
     if isinstance(record, dict):
         return {key: _json(value) for key, value in record.items()}
-    return record
-
-
-def _state_file(out_path, tag: str, record: dict) -> dict:
-    """``record``; with ``out_path``, its worst-case state moves to <out-stem>-worst-<tag>.json."""
-    worst = record.get("worst_case")
-    if out_path is not None and worst is not None:
-        path = f"{os.path.splitext(out_path)[0]}-worst-{tag}.json"
-        with _output(path) as out:
-            out.write(json.dumps(worst.pop("state")) + "\n")
-        worst["state_file"] = os.path.basename(path)
     return record
 
 
@@ -348,20 +347,16 @@ def _cmd_audit(args) -> int:
     code = EXIT_OK
     if args.target == "theorem1-chain":
         links = classify.chain_audit(spec, workers=workers)
-        data["links"] = {}
-        for name, link in links.items():
-            record = data["links"][name] = _state_file(args.out, name, _json(link))
-            if link.worst_case is None:  # a link that held has no worst_case key
+        records = data["links"] = {name: _json(link) for name, link in links.items()}
+        for record in records.values():
+            if record["worst_case"] is None:  # a link that held has no worst_case key
                 del record["worst_case"]
         data["end_to_end_violations"] = links[measures.END_TO_END_LINK].violations
         if data["end_to_end_violations"]:
             code = EXIT_VIOLATION
     else:
-        records = classify.one_norm_bound_audit(spec, workers=workers)
-        data["readings"] = {
-            record.reading: _state_file(args.out, record.reading, _json(record))
-            for record in records
-        }
+        audits = classify.one_norm_bound_audit(spec, workers=workers)
+        records = data["readings"] = {record.reading: _json(record) for record in audits}
         # deterministic regression point: the bound under reading A fails here
         # while the state stays entangled, so the audit always has a witness
         werner = classify.one_norm_report(states.werner_state(0.9))
@@ -369,7 +364,7 @@ def _cmd_audit(args) -> int:
     header = _run_header(
         "audit", seed=spec.seed, ensemble=spec.describe(), count=spec.count, workers=workers
     )
-    _write_json(args.out, header, data)
+    _write_json(args.out, header, data, records)
     return code
 
 
@@ -488,11 +483,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "out", None) == "":  # its temporary file would go to the parent directory
+        out = getattr(args, "out", None)
+        if out == "":  # its temporary file would go to the parent directory
             parser.error("argument --out: must name a file, got ''")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # no file can be renamed onto a directory or into a missing one: fail before any work
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+            raise OSError(f"--out must name a file in an existing directory, got {out!r}")
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"qcohere: error: {exc}\n")

@@ -63,6 +63,14 @@ def pytest_configure(config):
     config.stash[_TERMINAL_STDERR] = os.dup(2)
 
 
+def pytest_collection_modifyitems(items):
+    # criterion 9 forks four workers; the acceptance suite stays as its
+    # criteria were stated, so its deadline is added here
+    for item in items:
+        if item.nodeid.endswith("test_acceptance.py::test_criterion_9_determinism"):
+            item.fixturenames.append("deadline")
+
+
 @pytest.fixture
 def deadline(request):
     """End the run, with every thread's traceback, if the test is still running after 60 s.

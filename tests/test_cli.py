@@ -435,10 +435,25 @@ def test_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, arg
     assert not list(tmp_path.rglob(".qcohere-*.tmp"))
 
 
-def test_unwritable_output_exits_2(tmp_path, capsys):
-    target = tmp_path / "missing-dir" / "x.csv"
-    code, _, _ = run(capsys, ["sample", "--n", "5", "--seed", "1", "--out", str(target)])
-    assert code == 2
+@pytest.mark.parametrize("target", ["directory", "missing/x.out"], ids=["directory", "missing"])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "5"],
+    ["canonical", "--lambdas", "0.6,0.2,0.3,0.5", "--format", "csv"],
+    ["audit", "--target", "appendix-a", "--ensemble", "pure", "--n", "5"],
+    ["sweep", "--resolution", "4"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, target):
+    # no file can be renamed onto a directory or into a missing one, so the
+    # run fails as an i/o error before its work, not after it
+    handler = f"_cmd_{argv[0]}"
+    ran = []
+    command = getattr(cli, handler)
+    monkeypatch.setattr(cli, handler, lambda args: ran.append(args) or command(args))
+    (tmp_path / "directory").mkdir()
+    code, stdout, err = run(capsys, [*argv, "--out", str(tmp_path / target)])
+    assert (code, stdout, ran) == (2, "", [])
+    assert err.startswith("qcohere: i/o error: --out")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory"]
 
 
 def test_out_file_gets_the_umask_mode_without_fchmod(tmp_path, capsys, monkeypatch):
@@ -624,6 +639,34 @@ def test_failed_run_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch)
     assert "Traceback (most recent call last)" in err
     assert out.read_text() == "previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
+
+
+@pytest.mark.parametrize("target, ensemble, seeds", [
+    ("theorem1-chain", "ginibre", ("7", "8")),
+    ("appendix-a", "pure", ("3", "4")),
+], ids=["theorem1-chain", "appendix-a"])
+def test_a_failed_document_write_leaves_every_earlier_file(
+    tmp_path, capsys, monkeypatch, target, ensemble, seeds
+):
+    # the document and its worst-case state files replace their targets
+    # together: a failure before the document is renamed leaves the last run's
+    out = tmp_path / "audit.json"
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    argv = ["audit", "--target", target, "--ensemble", ensemble, "--n", "300", "--out", str(out)]
+    assert run(capsys, [*argv, "--seed", seeds[0]])[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(before) > 1  # worst-case states were written beside the document
+    staged = []
+
+    def fail(header, data):
+        staged.extend(tmp_path.glob(".qcohere-*.tmp"))
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr(cli, "_json_document", fail)
+    code, _, err = run(capsys, [*argv, "--seed", seeds[1]])
+    assert (code, err) == (2, "qcohere: i/o error: injected write failure\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert len(staged) > 1  # the state files were staged before the document was written
 
 
 def _ensemble_failure(tmp_path, capsys, monkeypatch, workers):
