@@ -16,7 +16,7 @@ beside the ``--out`` path that replaces it only when the command succeeds.
 Exit codes: 0 success (and no violations where a violation count is the
 tested claim); 1 claim violation found (``sample`` and the
 ``theorem1-chain`` audit target); 2 I/O failure; 64 usage error;
-65 invalid state input; 70 internal failure (the eigensolver did not
+65 invalid state input; 70 internal failure (the singular-value solver did not
 converge, chunk seeding disagrees with the frozen generator, or any other
 unexpected exception).
 """

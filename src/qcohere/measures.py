@@ -7,10 +7,13 @@ value per state, computed once over the whole stack.
 The concurrence never forms sqrt(rho).  For a state rho = V V^H with a d x r
 factor V (``DensityMatrix.factor``) the Wootters lambda_i are the singular
 values of the r x r complex-symmetric tau matrix T = V^T (sigma_y x sigma_y) V
-(Wootters, PRL 80, 2245 (1998)).  They come from one solve of T^H T for the
-whole stack: r x r for an ensemble state, whose V is the 4 x r reshape of a Haar unit
-vector, and 2 x 2 for the reductions of a three-qubit pure state.  A pure state (r = 1)
-needs no solve: C = |psi^T (sigma_y x sigma_y) psi| (Hill & Wootters, PRL 78, 5022 (1997)).
+(Wootters, PRL 80, 2245 (1998)).  T is formed in real arithmetic, and its
+singular values come from one one-sided Jacobi solve of T itself for the
+whole stack, so each lambda_i keeps an error near u ||T|| (u = 2^-53): r x r
+for an ensemble state, whose V is the 4 x r reshape of a Haar unit vector,
+and 2 x 2 for the reductions of a three-qubit pure state.  A pure state
+(r = 1) needs no solve: C = |psi^T (sigma_y x sigma_y) psi| (Hill & Wootters,
+PRL 78, 5022 (1997)).
 
 Two routes exist for the canonical three-qubit family: closed forms in
 the amplitudes (valid on the zero-phase slice, except the tangle which
@@ -66,10 +69,22 @@ def l1_coherence(rho: DensityMatrix):
 def _tau(v: np.ndarray) -> np.ndarray:
     """T = V^T (sigma_y x sigma_y) V for a 4 x r factor V, or an (N, 4, r) stack.
 
-    sigma_y x sigma_y is the anti-diagonal -1, 1, 1, -1: V^T's columns reversed
-    and signed.  The + 0.0 turns -0.0 into +0.0, so T has the dense product's bits.
+    sigma_y x sigma_y is the anti-diagonal -1, 1, 1, -1, so T = A + A^T with
+    A = v_1 v_2^T - v_0 v_3^T for the rows v_k of V.  A's outer products are
+    taken from the real and imaginary parts of V with elementwise real
+    arithmetic, so T's bits do not depend on a BLAS kernel or on the stack,
+    and T is exactly symmetric.
     """
-    return (v.swapaxes(-1, -2)[..., ::-1] * np.array([-1.0, 1.0, 1.0, -1.0]) + 0.0) @ v
+    def outer(a, b, i, j):
+        return a[..., i, :, None] * b[..., j, None, :]
+
+    re, im = v.real, v.imag
+    a_re = outer(re, re, 1, 2) - outer(im, im, 1, 2) - (outer(re, re, 0, 3) - outer(im, im, 0, 3))
+    a_im = outer(re, im, 1, 2) + outer(im, re, 1, 2) - (outer(re, im, 0, 3) + outer(im, re, 0, 3))
+    t = np.empty(a_re.shape, dtype=np.complex128)
+    np.add(a_re, a_re.swapaxes(-1, -2), out=t.real)
+    np.add(a_im, a_im.swapaxes(-1, -2), out=t.imag)
+    return t
 
 
 def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
@@ -78,19 +93,13 @@ def _spin_flip_roots(rho: DensityMatrix) -> np.ndarray:
     For ``rho = V V^H`` with V d x r (``rho.factor``) they are the singular
     values of the r x r complex-symmetric matrix T = V^T (sigma_y x sigma_y) V,
     the tau matrix of Wootters, PRL 80, 2245 (1998), padded with zeros
-    when r < 4.  They come from the Hermitian spectrum of T^H T; a rank-1
-    T is its own singular value, |psi^T (sigma_y x sigma_y) psi| for a pure
-    state (Hill & Wootters, PRL 78, 5022 (1997)), and needs no solve.
+    when r < 4.  They come from one-sided Jacobi on T itself, so a small
+    root keeps an error near u ||T||; a rank-1 T is its own singular value,
+    |psi^T (sigma_y x sigma_y) psi| for a pure state (Hill & Wootters, PRL 78,
+    5022 (1997)), and needs no solve.
     """
     t = _tau(rho.factor)
-    if t.shape[-1] == 1:
-        roots = np.abs(t[..., 0])
-    else:
-        m = t.conj().swapaxes(-1, -2) @ t
-        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-        w = linalg.hermitian_eigen(m)
-        w = linalg.clamp_psd_eigenvalues(w, context="spin-flip product spectrum")
-        roots = np.sqrt(linalg.spectral_floor(w))[..., ::-1]
+    roots = np.abs(t[..., 0]) if t.shape[-1] == 1 else linalg.singular_values(t)
     pad = np.zeros(roots.shape[:-1] + (4 - roots.shape[-1],))
     return np.concatenate([roots, pad], axis=-1)
 
@@ -143,7 +152,7 @@ class ChainReport(NamedTuple):
 def inequality_chain(rho: DensityMatrix) -> ChainReport:
     """Evaluate the full chain of bounds linking concurrence to l1-coherence.
 
-    Only the tau product T^H T needs a solve of its own; the spectral norms
+    Only the tau matrix T needs a solve of its own; the spectral norms
     are read off the spectrum ``w`` that ``rho`` already caches, and Tr(rho^2),
     the induced one-norm and the l1-coherence off the entries.  For a stack
     every value and margin is an array over its states.  For PSD ``rho`` the

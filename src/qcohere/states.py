@@ -68,8 +68,8 @@ class DensityMatrix:
     ``_lazy``: its checks run again, and its spectrum waits for first use.
 
     The public constructor validates eagerly: the finite, Hermiticity and
-    trace checks, then, once every state is finite and Hermitian, one Jacobi
-    solve whose eigenvalues are checked for positivity and kept, so
+    trace checks, then, once every state is finite and Hermitian, one
+    spectrum solve whose eigenvalues are checked for positivity and kept, so
     consumers (the chain norms, the factor) never repeat it.  A refused
     state's ``StateError`` names every residual of the first failing state,
     joined by "; ".  States that are PSD by construction (pure-state
@@ -151,8 +151,24 @@ class DensityMatrix:
         return f"sample {index}: "
 
     def _spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues: the squared singular values of a factor, solved once and kept.
+
+        A state with a factor V takes V's, padded with zeros.  One without
+        takes the pivoted Cholesky factor of rho + s I, s = ||rho||_F, which
+        is positive semidefinite for any Hermitian rho, and subtracts s again;
+        so an eigenvalue keeps an absolute error near u s, and a refused
+        state can name its negative eigenvalue.
+        """
         if self._eigenvalues is None:
-            w = linalg.hermitian_eigen(self.matrix)
+            if self._factor is not None:
+                s = linalg.singular_values(self._factor)
+                pad = np.zeros(s.shape[:-1] + (self.dim - s.shape[-1],))
+                w = np.concatenate([pad, (s * s)[..., ::-1]], axis=-1)
+            else:
+                shift = np.sqrt(np.asarray(self.purity()))[..., None]
+                shifted = self.matrix + shift[..., None] * np.eye(self.dim)
+                s = linalg.singular_values(linalg.pivoted_cholesky(shifted))
+                w = (s * s)[..., ::-1] - shift
             try:
                 self._eigenvalues = linalg.clamp_psd_eigenvalues(w, context="density matrix")
             except linalg.NotPsdError as exc:

@@ -458,6 +458,24 @@ def test_closing_the_scatter_early_leaves_no_worker(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("deadline", [1], indirect=True)
+def test_a_hung_worker_fails_the_test_at_the_deadline_and_is_killed(deadline, monkeypatch):
+    # the deadline fails the test in its main thread, which is blocked on the
+    # hung worker's pipe, so the engine's cleanup still kills and reaps it
+    parent = os.getpid()
+
+    def evaluate(chunk):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return chunk
+
+    monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+    with pytest.raises(pytest.fail.Exception, match="still running after 1 s"):
+        list(classify._map_chunks(2 * classify.CHUNK_SIZE, lambda lo, hi: lo, evaluate, workers=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_tally_keeps_the_earliest_extreme():
     # ties inside a chunk and across chunks both go to the earliest index
     margins = np.array([0.5, -1.0, 2.0, -1.0, 2.0])

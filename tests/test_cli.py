@@ -301,8 +301,10 @@ def test_audit_state_file_refuses_the_ensemble_flags(tmp_path, capsys):
 # SHA-256 of the data section of ``audit --target theorem1-chain --state-file``
 # on ``werner_state(0.7)``, dumped as the CLI dumps it, without its
 # ``state_file`` path.  Captured before the chain report was serialized from
-# its own fields.
-_CHAIN_STATE_FILE_DIGEST = "6693692b2e1f812bba5de6b31a07c2797ddf9cb4d0a4fe56f287cae2713ac55f"
+# its own fields, and again when the spectrum of a state without a factor
+# became the shifted Cholesky route of the one-sided Jacobi solver, which
+# moved its values by at most 6 ulps.
+_CHAIN_STATE_FILE_DIGEST = "47bc87518be690484c6ed162fd217d918a7393d4825455ef02449c9acd05f90f"
 
 
 def test_chain_state_file_data_section_is_pinned(tmp_path, capsys):
@@ -487,8 +489,8 @@ def test_json_data_sections_are_reproducible(capsys):
     ids=["sample-ginibre", "sample-pure", "chain-ginibre"],
 )
 def test_commands_take_two_solves_per_state(tmp_path, capsys, monkeypatch, solves, argv, per_state):
-    # a Ginibre concurrence solves its 4x4 tau product, a pure one solves
-    # nothing, and the chain also solves the state's own spectrum; worst-case
+    # a Ginibre concurrence solves its 4x4 tau matrix, a pure one solves
+    # nothing, and the chain also solves the state's own factor; worst-case
     # states redrawn for the chain report cost no solve
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     code, _, _ = run(capsys, [*argv, "--n", "30", "--seed", "7",
@@ -510,13 +512,14 @@ def test_one_norm_audit_solves_only_the_violating_states(tmp_path, capsys, monke
         violating += max(margin_a, margin_b) > classify.AUDIT_TOL
     assert 0 < violating < 300
     # a violating pure state's concurrence takes no solve; the Werner
-    # regression block takes two (its eager validation and its tau product)
+    # regression block takes two (its eager validation and its tau matrix)
     assert solves == [(4, 4)] * 2
 
 
 def test_kernels_get_only_checked_matrices(tmp_path, capsys, monkeypatch, kernel_inputs):
     # the linalg kernels check nothing: every matrix a command hands them must
-    # already be finite, square and Hermitian within DensityMatrix's tolerance
+    # already be finite, and square and Hermitian within DensityMatrix's
+    # tolerance, except the factors and tau matrices whose singular values are taken
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     state = tmp_path / "werner.json"
     state.write_text(json.dumps(werner_state(0.7).to_json_dict()))
@@ -538,12 +541,15 @@ def test_kernels_get_only_checked_matrices(tmp_path, capsys, monkeypatch, kernel
         code, _, err = run(capsys, argv)
         assert code == 0, (argv, err)
         for name, a in kernel_inputs:
-            assert a.ndim in (2, 3) and a.shape[-1] == a.shape[-2], (argv, name, a.shape)
+            assert a.ndim in (2, 3), (argv, name, a.shape)
             assert np.isfinite(a).all(), (argv, name)
+            seen.add(name)
+            if name == "singular_values":
+                continue
+            assert a.shape[-1] == a.shape[-2], (argv, name, a.shape)
             residual = np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0)
             assert residual <= states.DensityMatrix.HERMITIAN_TOL, (argv, name, residual)
-            seen.add(name)
-    assert seen == {"hermitian_eigen", "pivoted_cholesky", "induced_one_norm"}
+    assert seen == {"singular_values", "pivoted_cholesky", "induced_one_norm"}
 
 
 def test_non_hermitian_state_file_is_refused_before_any_kernel(tmp_path, capsys, kernel_inputs):
@@ -730,14 +736,10 @@ def _seeding_one_bit_off(monkeypatch):
 
 def _spin_flip_not_psd(monkeypatch):
     # an error no handler of main() names: it must not exit 1, the violation code
-    clamp = linalg.clamp_psd_eigenvalues
+    def reject_spin_flip(rho):
+        raise linalg.NotPsdError("spin-flip roots are not positive semidefinite: injected")
 
-    def reject_spin_flip(w, context="matrix"):
-        if context.startswith("spin-flip"):
-            raise linalg.NotPsdError(f"{context} is not positive semidefinite: injected")
-        return clamp(w, context)
-
-    monkeypatch.setattr(linalg, "clamp_psd_eigenvalues", reject_spin_flip)
+    monkeypatch.setattr(measures, "_spin_flip_roots", reject_spin_flip)
 
 
 @pytest.mark.parametrize(
@@ -746,7 +748,7 @@ def _spin_flip_not_psd(monkeypatch):
         (_seeding_one_bit_off, ["sample", "--ensemble", "ginibre"],
          "qcohere: internal error: SeedingError: chunk seeding disagrees"),
         (_spin_flip_not_psd, ["audit", "--target", "theorem1-chain", "--ensemble", "ginibre"],
-         "qcohere: internal error: NotPsdError: spin-flip product spectrum is not positive"),
+         "qcohere: internal error: NotPsdError: spin-flip roots are not positive"),
     ],
     ids=["seeding", "not-psd"],
 )
@@ -806,10 +808,12 @@ def test_sweep_data_section_is_pinned(capsys, resolution, fix):
 # dumped as the CLI dumps them, and of every worst-case file written beside
 # them, by the tag in its name.  Captured while the audit records were dataclasses;
 # the chain audit's again when each Ginibre state became the outer product of its
-# reshaped Haar vector, which moved its entries in the last bits.
+# reshaped Haar vector, which moved its entries in the last bits, and when the
+# one-sided Jacobi solver replaced the Hermitian one, which moved its margins
+# by at most 1.7e-15 (its worst-case states are unchanged).
 _AUDIT_DIGESTS = {
     ("theorem1-chain", "ginibre", "7"): (
-        "e3a817850e357769cbcb7c9f55ef8b1004831925c17e213bf6ba17acdd9adf10",
+        "7ef75ccb82f7e11c05a343c1b4fd216ecec10e702dae5a8cd184a35b5c8f7c66",
         {
             "concurrence_le_trace_sq_product":
                 "1f0e0c66c95d1bfbbac25156ddae82296ad653fc58726f659f7f4c2590a88b5a",
@@ -852,10 +856,11 @@ def test_audit_data_section_and_worst_cases_are_pinned(
 # output, where every worst-case state is inline, dumped as the CLI dumps them.
 # Captured while each result record still wrote its own JSON, before the CLI
 # wrote them all from their fields; the chain audit's again when the Ginibre
-# states became outer products of reshaped Haar vectors.
+# states became outer products of reshaped Haar vectors, and when the
+# one-sided Jacobi solver replaced the Hermitian one.
 _INLINE_AUDIT_DIGESTS = {
     ("theorem1-chain", "ginibre", "7"):
-        "2065ff5d6de6fd917002ca34489153744c3438a8839e77cf38ff61bf370b49e9",
+        "7274369e0fafd0f63b1d1287f396e1f46888b19b1e7700ccb5e93df3b90098b6",
     ("appendix-a", "pure", "3"):
         "50e324cdc585fa241e44764056dd2d4bd8e0cffad295eb9da14f0173d015088a",
 }
@@ -876,14 +881,18 @@ def test_audit_data_section_with_inline_worst_cases_is_pinned(
 # SHA-256 of the ``sample`` data section, as for the sweep.  Captured from the
 # per-row formatting that the chunk formatter of the sweep replaced; the two
 # Ginibre ones again when the Ginibre states became outer products of reshaped
-# Haar vectors, which moved their cells in the last bits.
+# Haar vectors, which moved their cells in the last bits.  All three again when
+# the tau matrix came from real arithmetic instead of a BLAS product and its
+# singular values from the one-sided Jacobi solver: the Ginibre concurrences
+# moved by at most 1.8e-14, to within 6.7e-16 of numpy's svd, and the pure ones
+# by at most 2.2e-16.
 _SAMPLE_DIGESTS = {
     ("ginibre", "600", "1", None):
-        "9d3c59ced1632dd815ee7b50d5d2f37dc2363d71cf44b1a6f872e464c98f9687",
+        "6cb7981877e3b741e66e71f8bb0a7d8f4f662ff803ed86f6c406a394621bf43d",
     ("pure", "600", "42", None):
-        "e2d5b947c57463d22e57c66db17387eae078ca379cf71e9b7a620ee8b7c26c43",
+        "d0d5bbee280c324c8ade3d8988df89bd92e4f67ed2c483fca245d0a796b87e83",
     ("ginibre", "300", "5", "3"):
-        "3ea6b596df77978aae750d75dbd5c225065ac62bfb5a1dad817cbf29d56aa8bd",
+        "61bde24a48413afc2e8dea7ea9682f65cf4aea154ad629ae89bc3cfcea40f775",
 }
 
 

@@ -1,8 +1,8 @@
 """Kernel tests: examples with hand-derived values plus randomized properties.
 
-numpy.linalg only ever appears on the oracle side, so the Jacobi solver
-and the kernels built on it (the spectrum that ``DensityMatrix`` caches,
-the norms the inequality chain reads off that spectrum) are checked
+numpy.linalg only ever appears on the oracle side, so the one-sided Jacobi
+solver and the kernels built on it (the spectrum that ``DensityMatrix``
+caches, the norms the inequality chain reads off that spectrum) are checked
 against an independent route.
 """
 
@@ -18,9 +18,9 @@ from qcohere.linalg import (
     SIGMA_Z,
     ConvergenceError,
     NotPsdError,
-    hermitian_eigen,
     induced_one_norm,
     pivoted_cholesky,
+    singular_values,
 )
 from qcohere.measures import concurrence, inequality_chain
 from qcohere.states import DensityMatrix, StateError
@@ -61,23 +61,28 @@ def test_kron_sigma_y_pair():
     expected[0, 3] = expected[3, 0] = -1
     expected[1, 2] = expected[2, 1] = 1
     assert np.array_equal(YY, expected)
-    # the tau product applies it as a signed reversal of the columns of V^T,
-    # so with V = I it gives the operator itself
+    # the tau matrix applies its anti-diagonal signs to the rows of V, so with
+    # V = I it gives the operator itself
     assert np.array_equal(measures._tau(np.eye(4, dtype=complex)), YY)
 
 
+def _moduli(h: np.ndarray) -> np.ndarray:
+    """Descending |eigenvalues| of Hermitian h from numpy: its singular values."""
+    return np.sort(np.abs(np.linalg.eigvalsh(h)), axis=-1)[..., ::-1]
+
+
 def test_eigen_diagonal():
-    w = hermitian_eigen(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
-    assert np.allclose(w, [0.1, 0.2, 0.3, 0.4], atol=1e-14)
+    m = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    assert np.allclose(singular_values(m), [0.4, 0.3, 0.2, 0.1], atol=1e-14)
+    assert np.allclose(DensityMatrix(m).eigenvalues, [0.1, 0.2, 0.3, 0.4], atol=1e-14)
 
 
 def test_eigen_sigma_x():
-    w = hermitian_eigen(SIGMA_X)
-    assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
+    assert np.allclose(singular_values(SIGMA_X), [1.0, 1.0], atol=1e-12)
 
 
 def test_eigen_bell_projector():
-    w = hermitian_eigen(werner_matrix(1.0))
+    w = DensityMatrix(werner_matrix(1.0)).eigenvalues
     assert np.allclose(w, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
 
 
@@ -86,28 +91,28 @@ def test_eigen_properties_on_random_stacks():
     # stack per dimension; every bound holds for every matrix of the stack
     for dim, count in ((2, 5000), (4, 4000), (8, 1000)):
         h = np.stack([random_hermitian(dim) for _ in range(count)])
-        w = hermitian_eigen(h)
-        assert w.shape == (count, dim)
-        assert np.all(np.diff(w, axis=-1) >= 0.0)
-        # independent oracle for the spectrum
-        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-10
+        s = singular_values(h)
+        assert s.shape == (count, dim)
+        assert np.all(np.diff(s, axis=-1) <= 0.0)
+        # independent oracle for the singular values
+        assert np.abs(s - _moduli(h)).max() <= 1e-10
 
 
 def test_eigen_raises_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError, match="1 sweeps"):
-        hermitian_eigen(random_hermitian(4))
+        singular_values(random_hermitian(4))
 
 
 def test_eigen_raises_when_one_matrix_of_a_stack_runs_out(monkeypatch):
-    # six diagonal matrices converge before the first sweep; the seventh cannot
+    # six diagonal matrices have orthogonal columns and rotate nothing; the seventh cannot
     stack = np.stack([np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)] * 6 + [random_hermitian(4)])
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError, match="1 sweeps: 1 of 7 matrices unconverged"):
-        hermitian_eigen(stack)
+        singular_values(stack)
     with pytest.raises(ConvergenceError, match="1 of 1 matrices"):
-        hermitian_eigen(stack[6:])
-    hermitian_eigen(stack[:6])
+        singular_values(stack[6:])
+    singular_values(stack[:6])
 
 
 def _rotated_sizes(monkeypatch) -> list:
@@ -118,9 +123,10 @@ def _rotated_sizes(monkeypatch) -> list:
 
 
 def test_stragglers_are_swept_alone_with_the_same_bits(monkeypatch):
-    # fifteen diagonal matrices have converged before the first sweep, so the
-    # sixteenth is split off at once; sixty 2x2 blocks converge in the first
-    # sweep, after which four random matrices are split off
+    # fifteen diagonal matrices rotate nothing in the first sweep, so the
+    # sixteenth is swept alone from the second; sixty 2x2 blocks are done
+    # once their one pair has rotated and the other pairs are found
+    # orthogonal, so from the third sweep the four random matrices are alone
     rng = np.random.default_rng(1611)
     diagonal = [np.diag(rng.standard_normal(4)).astype(complex) for _ in range(15)]
     one = np.stack(diagonal + [random_hermitian(4, rng)])[rng.permutation(16)]
@@ -128,18 +134,18 @@ def test_stragglers_are_swept_alone_with_the_same_bits(monkeypatch):
     blocks[:, 0, 1] = rng.standard_normal(60) + 1j * rng.standard_normal(60)
     blocks[:, 1, 0] = blocks[:, 0, 1].conj()
     four = np.concatenate([blocks, [random_hermitian(4, rng) for _ in range(4)]])[rng.permutation(64)]
-    for stack, first, last in ((one, 1, 1), (four, 64, 4)):
+    for stack, first, later in ((one, 16, 1), (four, 64, 4)):
         sizes = _rotated_sizes(monkeypatch)
-        whole = hermitian_eigen(stack)
-        assert (sizes[0], sizes[-1]) == (first, last), sizes
+        whole = singular_values(stack)
+        # a sweep of a 4x4 stack is three rounds
+        assert sizes[:3] == [first] * 3 and max(sizes[6:]) <= later, sizes
         monkeypatch.undo()
         for k, m in enumerate(stack):
-            assert _bits(hermitian_eigen(m)) == _bits(whole[k]), k
-    # the straggler runs out of sweeps inside the split-off stack; the error
-    # still counts over the whole stack
+            assert _bits(singular_values(m)) == _bits(whole[k]), k
+    # the straggler runs out of sweeps; the error counts over the whole stack
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError, match="1 sweeps: 1 of 16 matrices unconverged"):
-        hermitian_eigen(one)
+        singular_values(one)
 
 
 def test_eigen_stack_errors_name_the_matrix():
@@ -214,16 +220,19 @@ def test_induced_one_norm():
     assert induced_one_norm(werner_matrix(0.9)) == pytest.approx(0.925, abs=1e-12)
 
 
-def test_spectral_floor_zeroes_entries_below_1e_13_of_the_largest():
-    # the floor's value is written out here, not read from linalg, so a change
-    # to RESOLUTION_FLOOR fails this test
-    w = np.array([[2.0, 0.5e-13 * 2.0, 2e-13 * 2.0, 0.0], [3.0, 2e-13 * 3.0, 0.5e-13 * 3.0, -1e-12]])
-    expected = w.copy()
-    expected[[0, 1, 1], [1, 2, 3]] = 0.0
-    assert np.array_equal(linalg.spectral_floor(w), expected)
-    assert np.array_equal(linalg.spectral_floor(w[0]), expected[0])
-    # a spectrum with no positive entry floors to zeros
-    assert np.array_equal(linalg.spectral_floor(np.array([0.0, -1e-12])), np.zeros(2))
+def test_spectrum_without_a_factor_comes_from_the_shifted_cholesky():
+    # rho + ||rho||_F I is PSD for any Hermitian rho, so its factor's squared
+    # singular values, shifted back, give every eigenvalue, negative ones too,
+    # to an absolute error near u ||rho||_F
+    w = DensityMatrix(werner_matrix(0.3)).eigenvalues
+    assert np.abs(w - np.linalg.eigvalsh(werner_matrix(0.3))).max() <= 1e-15
+    refused = {"-1.000e-09": [0.5, 0.5 + 1e-9, 0.0, -1e-9], "-5.000e-01": [1.5, 0.0, 0.0, -0.5]}
+    for named, diagonal in refused.items():
+        with pytest.raises(StateError, match=f"eigenvalue {named} is below -1.0e-10"):
+            DensityMatrix(np.diag(diagonal).astype(complex))
+    # an eigenvalue within the PSD clamp is accepted as zero
+    w = DensityMatrix(np.diag([0.5, 0.5 + 1e-11, 0.0, -1e-11]).astype(complex)).eigenvalues
+    assert np.abs(w - [0.0, 0.0, 0.5, 0.5 + 1e-11]).max() <= 1e-15
 
 
 def test_pivoted_cholesky_stops_at_1e_13_of_the_trace():
@@ -375,13 +384,14 @@ def _corpus(dim):
 
 @pytest.mark.parametrize("dim", (2, 4, 8))
 def test_solver_matches_eigvalsh_on_hard_stacks(dim):
-    # absolute bounds below scale 1; test_solver_is_accurate_relative_to_a_small_scale
+    # a Hermitian matrix's singular values are its |eigenvalues|; absolute
+    # bounds below scale 1; test_solver_is_accurate_relative_to_a_small_scale
     # holds the 1e-8 stacks to their scale
     for name, (m, scale) in _corpus(dim).items():
-        w = hermitian_eigen(m)
+        s = singular_values(m)
         bound = 1e-13 * max(1.0, scale)
-        assert np.abs(w - np.linalg.eigvalsh(m)).max() <= bound, name
-        assert np.all(np.diff(w, axis=-1) >= 0.0), name
+        assert np.abs(s - _moduli(m)).max() <= bound, name
+        assert np.all(np.diff(s, axis=-1) <= 0.0), name
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -392,8 +402,8 @@ def _bits(a: np.ndarray) -> bytes:
 def _signed_zeros(rng, count):
     """Diagonal and block-diagonal 4x4 matrices whose zeros are -0.0, imaginary parts included.
 
-    A diagonal one has converged before the first sweep, so alone it gets no
-    rotation, while beside a slower matrix it gets identity rotations.
+    A diagonal one rotates no pair, and beside a slower matrix it gets
+    identity rotations in the first sweep.
     """
     m = np.full((count, 4, 4), complex(-0.0, -0.0))
     diagonal = np.arange(4)
@@ -411,7 +421,8 @@ def _signed_zeros(rng, count):
 def test_results_are_bit_identical_for_any_batch_size():
     # random matrices interleaved with degenerate, rank-deficient, diagonal and
     # signed-zero ones, so converged matrices sit beside active ones; the
-    # Cholesky factor takes the PSD part of the same corpus
+    # Cholesky factor takes the PSD part of the same corpus, and the spectrum
+    # of a state without a factor takes it with unit trace
     rng = np.random.default_rng(4096)
     corpus = _corpus(4)
     hard = np.concatenate([m for m, _ in corpus.values()] + [_signed_zeros(rng, 300)])
@@ -422,7 +433,13 @@ def test_results_are_bit_identical_for_any_batch_size():
         + [a for name, (a, _) in corpus.items() if name.startswith(("rank-", "identity", "zero"))]
     )
     psd = psd[rng.permutation(len(psd))]
-    for solve, stack in ((hermitian_eigen, m), (pivoted_cholesky, psd)):
+    trace = np.trace(psd, axis1=-2, axis2=-1).real
+    unit = psd[trace > 0.0] / trace[trace > 0.0, None, None]
+
+    def spectrum(a):
+        return DensityMatrix(a).eigenvalues
+
+    for solve, stack in ((singular_values, m), (pivoted_cholesky, psd), (spectrum, unit)):
         whole = solve(stack)
         for lo in range(0, len(stack), 7):
             assert _bits(solve(stack[lo : lo + 7])) == _bits(whole[lo : lo + 7]), (solve, lo)
@@ -432,12 +449,11 @@ def test_results_are_bit_identical_for_any_batch_size():
 
 @pytest.mark.parametrize("dim", (4, 8))
 def test_solver_is_accurate_relative_to_a_small_scale(dim):
-    # the convergence target is relative to each matrix's Frobenius norm, so
-    # a matrix whose norm is 1e-8 is solved to the same relative accuracy
+    # the convergence test is relative to each column pair's norms, so a
+    # matrix whose norm is 1e-8 is solved to the same relative accuracy
     scale = 1e-8
     rng = np.random.default_rng(7100 + dim)
     g = rng.standard_normal((200, dim, dim)) + 1j * rng.standard_normal((200, dim, dim))
     m = g + g.conj().swapaxes(-1, -2)
     m *= scale / np.linalg.norm(m, axis=(-2, -1))[:, None, None]
-    w = hermitian_eigen(m)
-    assert np.abs(w - np.linalg.eigvalsh(m)).max() <= 1e-14 * scale
+    assert np.abs(singular_values(m) - _moduli(m)).max() <= 1e-14 * scale

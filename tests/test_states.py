@@ -685,9 +685,9 @@ def test_density_matrix_reader_solves_once(solves):
 
 
 def test_state_file_chain_audit_makes_two_solver_calls(tmp_path, monkeypatch):
-    # the reader's one solve for rho, kept for the chain, and the one for T^H T
+    # the reader's one solve for rho, kept for the chain, and the one for T
     calls = []
-    solve = linalg.hermitian_eigen
+    solve = linalg.singular_values
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
@@ -695,6 +695,6 @@ def test_state_file_chain_audit_makes_two_solver_calls(tmp_path, monkeypatch):
 
     path = tmp_path / "state.json"
     path.write_text(json.dumps(werner_state(0.9).to_json_dict()))
-    monkeypatch.setattr(linalg, "hermitian_eigen", counting)
+    monkeypatch.setattr(linalg, "singular_values", counting)
     inequality_chain(read_density_matrix(path))
     assert calls == [(4, 4), (4, 4)]
